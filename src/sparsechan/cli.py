@@ -128,10 +128,12 @@ def _load_config_file(path: Path) -> dict:
     flat = {}
     for key, value in raw.items():
         if key == "estimator" and isinstance(value, dict):
-            for ekey, evalue in value.items():
-                flat[ekey] = evalue
+            flat.update(value)
         else:
             flat[key] = value
+    # meta.json files from before complex_mode was dropped carry its only value.
+    if flat.get("complex_mode") == "real_composite":
+        del flat["complex_mode"]
     return flat
 
 
@@ -186,11 +188,6 @@ def resolve_config(args) -> experiments.ExperimentConfig:
 
     est_kwargs = {k: v for k, v in values.items() if k in ESTIMATOR_KEYS}
     exp_kwargs = {k: v for k, v in values.items() if k in EXPERIMENT_KEYS}
-    if "methods" in exp_kwargs:
-        exp_kwargs["methods"] = tuple(exp_kwargs["methods"])
-    for grid_key in ("snr_grid_db", "n_grid"):
-        if grid_key in exp_kwargs:
-            exp_kwargs[grid_key] = tuple(exp_kwargs[grid_key])
     try:
         estimator = estimators.EstimatorConfig(**est_kwargs)
         return experiments.ExperimentConfig(estimator=estimator, **exp_kwargs)
@@ -217,14 +214,6 @@ def _write_meta(run_dir: Path, payload: dict) -> Path:
     return path
 
 
-def _flat_config_dict(cfg: experiments.ExperimentConfig) -> dict:
-    data = asdict(cfg)
-    data["methods"] = list(data["methods"])
-    data["snr_grid_db"] = list(data["snr_grid_db"])
-    data["n_grid"] = list(data["n_grid"])
-    return data
-
-
 def _sweep_plot_script(axis_label: str, methods) -> str:
     lines = [
         "set datafile separator ','",
@@ -243,10 +232,8 @@ def _sweep_plot_script(axis_label: str, methods) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_sweep_command(args, cfg, axis: str) -> int:
-    run_dir = _make_run_dir(args.out, args.subcommand)
-    print(run_dir)
-    if axis == experiments.AXIS_SNR:
+def _run_sweep_command(args, cfg, run_dir: Path) -> int:
+    if args.subcommand == "sweep-snr":
         result = experiments.sweep_snr(cfg)
         axis_label = "SNR (dB)"
     else:
@@ -264,71 +251,60 @@ def _run_sweep_command(args, cfg, axis: str) -> int:
     return EXIT_OK
 
 
-def _run_estimate(args, cfg) -> int:
-    run_dir = _make_run_dir(args.out, args.subcommand)
-    print(run_dir)
-    snr = cfg.fixed_snr_db
-    n = cfg.fixed_n
-    seed_ch = experiments.derive_trial_seed(cfg.base_seed, snr, n, 0, 1)
-    seed_tr = experiments.derive_trial_seed(cfg.base_seed, snr, n, 0, 2)
-    seed_nz = experiments.derive_trial_seed(cfg.base_seed, snr, n, 0, 3)
-    channel = model.generate_sparse_channel(cfg.L, cfg.T, seed=seed_ch)
-    X = model.build_toeplitz_training(n, cfg.L, cfg.distribution, seed=seed_tr)
-    obs = model.observe(X, channel, snr, seed=seed_nz)
+def _estimate_all(run_dir: Path, methods, cfg, channel, X, obs):
+    """Run each method on one instance and write its estimate_<method>.csv.
 
-    model.save_taps_csv(run_dir / "channel_true.csv", channel.taps)
-    diagnostics = {}
-    for method in cfg.methods:
+    Returns ({method: Estimate}, {method: diagnostics}). A method that
+    raises ends the run: the diagnostics so far and the error go to
+    diagnostics.json and SolverFailure is raised.
+    """
+    estimates, diagnostics = {}, {}
+    for method in methods:
         try:
             est = estimators.run_estimator(
                 method, X, obs, cfg.estimator,
                 true_support=channel.support, true_sparsity=channel.sparsity,
             )
         except Exception as exc:
-            diag_path = run_dir / "diagnostics.json"
             diagnostics[method] = {"failed": True, "error": f"{type(exc).__name__}: {exc}"}
-            diag_path.write_text(json.dumps(diagnostics, indent=2, default=str) + "\n")
-            print(f"solver failure in {method}; diagnostics at {diag_path}", file=sys.stderr)
-            return EXIT_SOLVER
+            raise SolverFailure(f"solver failure in {method}",
+                                _write_diagnostics(run_dir, diagnostics)) from exc
         model.save_taps_csv(run_dir / f"estimate_{method}.csv", est.h_hat)
+        estimates[method] = est
         diagnostics[method] = {
             "support_hat": list(est.support_hat),
             "mse": experiments.mse(channel, est),
-            **{k: v for k, v in est.diagnostics.items() if _json_safe(v)},
+            **est.diagnostics,
         }
-    (run_dir / "diagnostics.json").write_text(
-        json.dumps(diagnostics, indent=2, default=str) + "\n"
-    )
+    return estimates, diagnostics
+
+
+def _write_diagnostics(run_dir: Path, diagnostics: dict) -> Path:
+    path = run_dir / "diagnostics.json"
+    # Array-valued diagnostics (the sds weights) are written as lists.
+    path.write_text(json.dumps(diagnostics, indent=2, default=lambda v: v.tolist()) + "\n")
+    return path
+
+
+def _run_estimate(args, cfg, run_dir: Path) -> int:
+    snr, n = cfg.fixed_snr_db, cfg.fixed_n
+    channel, X, obs = experiments.make_instance(cfg, snr, n, 0)
+    model.save_taps_csv(run_dir / "channel_true.csv", channel.taps)
+    _, diagnostics = _estimate_all(run_dir, cfg.methods, cfg, channel, X, obs)
+    _write_diagnostics(run_dir, diagnostics)
     _write_meta(run_dir, {
         "subcommand": "estimate",
-        "config": _flat_config_dict(cfg),
+        "config": asdict(cfg),
         "instance": {"snr_db": snr, "n": n, "true_support": list(channel.support),
                      "noise_variance": obs.noise_variance},
     })
     return EXIT_OK
 
 
-def _json_safe(value) -> bool:
-    try:
-        json.dumps(value)
-        return True
-    except TypeError:
-        return False
-
-
-def _run_ric(args, cfg_seed: int, L: int) -> int:
-    try:
-        n_values = _parse_int_list(args.n)
-        if len(n_values) != 1:
-            raise ConfigError("ric takes a single --n value")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    run_dir = _make_run_dir(args.out, args.subcommand)
-    print(run_dir)
-    X = model.build_toeplitz_training(n_values[0], L, args.distribution, seed=cfg_seed)
+def _run_ric(args, cfg, run_dir: Path) -> int:
+    X = model.build_toeplitz_training(cfg.fixed_n, cfg.L, cfg.distribution, seed=cfg.base_seed)
     estimate = model.restricted_isometry_constant(
-        X, args.order, max_supports=args.max_supports, seed=cfg_seed
+        X, args.order, max_supports=args.max_supports, seed=cfg.base_seed
     )
     with open(run_dir / "result.csv", "w", newline="") as fh:
         fh.write("support,min_eig,max_eig\n")
@@ -337,7 +313,7 @@ def _run_ric(args, cfg_seed: int, L: int) -> int:
     _write_meta(run_dir, {
         "subcommand": "ric",
         "N": X.N, "L": X.L, "order": estimate.order,
-        "distribution": args.distribution, "seed": cfg_seed,
+        "distribution": cfg.distribution, "seed": cfg.base_seed,
         "max_supports": args.max_supports,
         "delta": estimate.delta,
         "rip_violated": estimate.rip_violated,
@@ -363,36 +339,17 @@ def _demo_plot_script() -> str:
     ]) + "\n"
 
 
-def _run_demo(args, cfg) -> int:
-    run_dir = _make_run_dir(args.out, args.subcommand)
-    print(run_dir)
-    channel = model.fixed_channel_figure_demo(seed=cfg.base_seed)
-    L = channel.length
-    n = 30
-    snr = 10.0
-    X = model.build_toeplitz_training(
-        n, L, cfg.distribution,
-        seed=experiments.derive_trial_seed(cfg.base_seed, snr, n, 0, 2),
+def _run_demo(args, cfg, run_dir: Path) -> int:
+    n, snr = 30, 10.0
+    channel, X, obs = experiments.make_instance(
+        cfg, snr, n, 0, channel=model.fixed_channel_figure_demo(seed=cfg.base_seed)
     )
-    obs = model.observe(
-        X, channel, snr,
-        seed=experiments.derive_trial_seed(cfg.base_seed, snr, n, 0, 3),
-    )
-    try:
-        est_ls = estimators.ls_estimate(X, obs)
-        est_ds = estimators.ds_estimate(X, obs, cfg.estimator)
-    except Exception as exc:
-        diag_path = run_dir / "diagnostics.json"
-        diag_path.write_text(json.dumps({"error": f"{type(exc).__name__}: {exc}"}) + "\n")
-        print(f"solver failure; diagnostics at {diag_path}", file=sys.stderr)
-        return EXIT_SOLVER
-
     model.save_taps_csv(run_dir / "channel_true.csv", channel.taps)
-    model.save_taps_csv(run_dir / "estimate_ls.csv", est_ls.h_hat)
-    model.save_taps_csv(run_dir / "estimate_ds.csv", est_ds.h_hat)
+    estimates, _ = _estimate_all(run_dir, ("ls", "ds"), cfg, channel, X, obs)
+    est_ls, est_ds = estimates["ls"], estimates["ds"]
     with open(run_dir / "result.csv", "w", newline="") as fh:
         fh.write("index,true_mod,ls_mod,ds_mod\n")
-        for i in range(L):
+        for i in range(channel.length):
             mods = (abs(channel.taps[i]), abs(est_ls.h_hat[i]), abs(est_ds.h_hat[i]))
             fh.write(f"{i}," + ",".join(repr(float(m)) for m in mods) + "\n")
     with open(run_dir / "support_ds.csv", "w", newline="") as fh:
@@ -403,7 +360,7 @@ def _run_demo(args, cfg) -> int:
     (run_dir / "plot.gp").write_text(_demo_plot_script())
     _write_meta(run_dir, {
         "subcommand": "demo-fig2",
-        "config": _flat_config_dict(cfg),
+        "config": asdict(cfg),
         "instance": {
             "n": n, "snr_db": snr, "true_support": list(channel.support),
             "ds_support": list(est_ds.support_hat),
@@ -417,8 +374,7 @@ def _run_budget(args) -> int:
     try:
         budget = model.measurement_budget(args.T, args.p, args.c)
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(str(exc)) from exc
     print(budget.n_min)
     if args.out is not None:
         run_dir = _make_run_dir(args.out, "budget")
@@ -427,30 +383,34 @@ def _run_budget(args) -> int:
     return EXIT_OK
 
 
+RUNNERS = {
+    "sweep-snr": _run_sweep_command,
+    "sweep-n": _run_sweep_command,
+    "estimate": _run_estimate,
+    "ric": _run_ric,
+    "demo-fig2": _run_demo,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.subcommand == "budget":
-        return _run_budget(args)
-
     try:
+        if args.subcommand == "budget":
+            return _run_budget(args)
         cfg = resolve_config(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.subcommand == "sweep-snr":
-        return _run_sweep_command(args, cfg, experiments.AXIS_SNR)
-    if args.subcommand == "sweep-n":
-        return _run_sweep_command(args, cfg, experiments.AXIS_TRAINING)
-    if args.subcommand == "estimate":
-        return _run_estimate(args, cfg)
-    if args.subcommand == "ric":
-        return _run_ric(args, cfg.base_seed, cfg.L)
-    if args.subcommand == "demo-fig2":
-        return _run_demo(args, cfg)
-    raise AssertionError(f"unhandled subcommand {args.subcommand}")
+    run_dir = _make_run_dir(args.out, args.subcommand)
+    print(run_dir)
+    try:
+        return RUNNERS[args.subcommand](args, cfg, run_dir)
+    except SolverFailure as exc:
+        print(f"{exc}; diagnostics at {exc.diagnostics_path}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

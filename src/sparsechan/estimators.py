@@ -69,7 +69,6 @@ class EstimatorConfig:
     omp_residual_tol: float | str = "auto"
     lp_tolerance: float = 1e-8
     lp_max_iterations: int = 200
-    complex_mode: str = "real_composite"
 
     def __post_init__(self):
         for name in ("lambda_ds", "lambda_lasso"):
@@ -78,8 +77,6 @@ class EstimatorConfig:
                 raise ValueError(f"{name} must be 'auto' or a non-negative real, got {value!r}")
         if self.omp_max_atoms != "auto" and int(self.omp_max_atoms) < 1:
             raise ValueError("omp_max_atoms must be 'auto' or a positive integer")
-        if self.complex_mode != "real_composite":
-            raise ValueError(f"unsupported complex_mode {self.complex_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -88,16 +85,6 @@ class Estimate:
     method: str
     support_hat: tuple[int, ...]
     diagnostics: dict = field(repr=False)
-
-
-@dataclass(frozen=True)
-class SdsWeighting:
-    """Residual-correlation weighting used by the reweighted selector."""
-
-    weights: np.ndarray  # diagonal entries of W, non-negative
-    R: np.ndarray  # X W^2 X^H, Hermitian PSD
-    X_alt: np.ndarray  # column-normalized R^{-1} X
-    regularized: bool
 
 
 def dominant_support(h_hat: np.ndarray) -> tuple[int, ...]:
@@ -122,6 +109,17 @@ def resolve_lambda(sigma: float, X: ToeplitzTraining, rule) -> float:
     return value
 
 
+def _solve_psd(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Solve G x = rhs for Hermitian PSD G by Cholesky. A singular G gets a
+    small diagonal ridge; returns (x, whether the ridge was needed)."""
+    try:
+        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(G), rhs), False
+    except scipy.linalg.LinAlgError:
+        G = G.copy()
+        G[np.diag_indices_from(G)] += RIDGE_REGULARIZATION
+        return np.linalg.solve(G, rhs), True
+
+
 def ls_estimate(X: ToeplitzTraining, obs: Observation) -> Estimate:
     """Plain least squares; minimum-L2-norm solution when N < L."""
     Xm, y = X.matrix, obs.y
@@ -136,14 +134,7 @@ def ls_estimate(X: ToeplitzTraining, obs: Observation) -> Estimate:
             h = np.linalg.solve(gram, hermitian(Xm) @ y)
             diagnostics["regularized"] = True
     else:
-        gram = Xm @ hermitian(Xm)
-        try:
-            cho = scipy.linalg.cho_factor(gram)
-            w = scipy.linalg.cho_solve(cho, y)
-        except scipy.linalg.LinAlgError:
-            gram[np.diag_indices_from(gram)] += RIDGE_REGULARIZATION
-            w = np.linalg.solve(gram, y)
-            diagnostics["regularized"] = True
+        w, diagnostics["regularized"] = _solve_psd(Xm @ hermitian(Xm), y)
         h = hermitian(Xm) @ w
     return Estimate(h, METHOD_LS, dominant_support(h), diagnostics)
 
@@ -315,28 +306,18 @@ def ds_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig) -> 
     return Estimate(h, METHOD_DS, dominant_support(h), diagnostics)
 
 
-def sds_weighting(Xm: np.ndarray, weights: np.ndarray) -> SdsWeighting:
+def sds_weighting(Xm: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, bool]:
     """Build the reweighted sensing matrix from per-column weights.
 
     R = X W^2 X^H; columns of the reweighted matrix are R^{-1} x_i scaled
-    by 1 / (x_i^H R^{-1} x_i). A singular R gets a small diagonal ridge and
-    the result is flagged."""
+    by 1 / (x_i^H R^{-1} x_i). A singular R gets a small diagonal ridge.
+    Returns (reweighted matrix, whether the ridge was needed)."""
     weights = np.asarray(weights, dtype=np.float64)
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
-    R = (Xm * (weights**2)[None, :]) @ hermitian(Xm)
-    regularized = False
-    try:
-        cho = scipy.linalg.cho_factor(R)
-        Z = scipy.linalg.cho_solve(cho, Xm)
-    except scipy.linalg.LinAlgError:
-        R_reg = R.copy()
-        R_reg[np.diag_indices_from(R_reg)] += RIDGE_REGULARIZATION
-        Z = np.linalg.solve(R_reg, Xm)
-        regularized = True
+    Z, regularized = _solve_psd((Xm * (weights**2)[None, :]) @ hermitian(Xm), Xm)
     col_scale = np.real(np.einsum("ij,ij->j", np.conj(Xm), Z))
-    X_alt = Z / col_scale[None, :]
-    return SdsWeighting(weights=weights, R=R, X_alt=X_alt, regularized=regularized)
+    return Z / col_scale[None, :], regularized
 
 
 def sds_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig) -> Estimate:
@@ -351,14 +332,14 @@ def sds_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig) ->
         diagnostics = {**base.diagnostics, "degenerate_weighting": True}
         return Estimate(base.h_hat, METHOD_SDS, base.support_hat, diagnostics)
 
-    weighting = sds_weighting(Xm, w)
+    X_alt, regularized = sds_weighting(Xm, w)
     lam = base.diagnostics["lambda"]
-    h, lp_info = _solve_composite_selector(weighting.X_alt, Xm, y, lam, cfg)
+    h, lp_info = _solve_composite_selector(X_alt, Xm, y, lam, cfg)
     diagnostics = {
         "lambda": lam,
         "l1_convention": "real_composite",
         "degenerate_weighting": False,
-        "weighting_regularized": weighting.regularized,
+        "weighting_regularized": regularized,
         "weights": w,
         "normalization": "columnwise x_alt_i = R^-1 x_i / (x_i^H R^-1 x_i)",
         "base_lp_iterations": base.diagnostics["lp_iterations"],

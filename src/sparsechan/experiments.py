@@ -94,6 +94,9 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        for snr in (*self.snr_grid_db, float(self.fixed_snr_db)):
+            if math.isnan(snr) or snr == -math.inf:
+                raise ValueError(f"SNR must be finite or +inf dB, got {snr}")
 
 
 @dataclass(frozen=True)
@@ -139,6 +142,22 @@ def mse(h_true: SparseChannel, estimate: Estimate) -> float:
     return float(np.linalg.norm(h - h_hat) ** 2)
 
 
+def make_instance(cfg: ExperimentConfig, snr_db: float, n: int, trial_index: int,
+                  channel: SparseChannel | None = None):
+    """The seeded (channel, training matrix, observation) of one trial.
+
+    A given `channel` replaces the drawn one; the training matrix and the
+    noise are still drawn from the trial's own seeds.
+    """
+    def seed(stream):
+        return derive_trial_seed(cfg.base_seed, snr_db, n, trial_index, stream)
+
+    if channel is None:
+        channel = generate_sparse_channel(cfg.L, cfg.T, seed=seed(_STREAM_CHANNEL))
+    X = build_toeplitz_training(n, channel.length, cfg.distribution, seed=seed(_STREAM_TRAINING))
+    return channel, X, observe(X, channel, snr_db, seed=seed(_STREAM_NOISE))
+
+
 def run_trial(cfg: ExperimentConfig, snr_db: float, n: int, trial_index: int) -> dict:
     """Run every configured method on one seeded instance.
 
@@ -149,12 +168,7 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, n: int, trial_index: int) ->
     """
     if trial_index >= cfg.trials:
         raise ValueError(f"trial_index {trial_index} out of range for trials={cfg.trials}")
-    seed_ch = derive_trial_seed(cfg.base_seed, snr_db, n, trial_index, _STREAM_CHANNEL)
-    seed_tr = derive_trial_seed(cfg.base_seed, snr_db, n, trial_index, _STREAM_TRAINING)
-    seed_nz = derive_trial_seed(cfg.base_seed, snr_db, n, trial_index, _STREAM_NOISE)
-    channel = generate_sparse_channel(cfg.L, cfg.T, seed=seed_ch)
-    X = build_toeplitz_training(n, cfg.L, cfg.distribution, seed=seed_tr)
-    obs = observe(X, channel, snr_db, seed=seed_nz)
+    channel, X, obs = make_instance(cfg, snr_db, n, trial_index)
 
     h_norm_sq = float(np.linalg.norm(channel.taps) ** 2)
     record = {}
@@ -299,6 +313,11 @@ def sweep_metadata(result: SweepResult) -> dict:
         for (point, method), agg in result.cells.items()
         if agg.failed
     }
+    errors = {
+        f"{point}/{method}": sorted({c.error for c in cells if c.failed})
+        for (point, method), cells in result.trials.items()
+        if any(c.failed for c in cells)
+    }
     return {
         "axis": result.axis,
         "points": list(result.points),
@@ -317,4 +336,5 @@ def sweep_metadata(result: SweepResult) -> dict:
             "per_trial_regeneration": "channel AND training matrix redrawn every trial",
         },
         "excluded_failed_cells": failed,
+        "failed_cell_errors": errors,
     }

@@ -141,20 +141,16 @@ def solve_lp(
     tau = 1.0
     kappa = 1.0
 
-    norm_rp0 = max(1.0, np.linalg.norm(b * tau - A @ x))
-    norm_rd0 = max(1.0, np.linalg.norm(c * tau - A.T @ y - z))
-    norm_rg0 = max(1.0, abs(c @ x - b @ y + kappa))
-    mu0 = (x @ z + tau * kappa) / (nt + 1)
+    r_p, r_d, r_g, mu = _residuals(A, b, c, x, y, z, tau, kappa)
+    mu0 = mu
+    norm_rp0 = max(1.0, np.linalg.norm(r_p))
+    norm_rd0 = max(1.0, np.linalg.norm(r_d))
+    norm_rg0 = max(1.0, abs(r_g))
 
     status = STATUS_ITERATION_LIMIT
     iterations = 0
 
     for iterations in range(1, max_iterations + 1):
-        r_p = b * tau - A @ x
-        r_d = c * tau - A.T @ y - z
-        r_g = c @ x - b @ y + kappa
-        mu = (x @ z + tau * kappa) / (nt + 1)
-
         d_x, d_y, d_z, d_tau, d_kappa = _search_direction(
             A, b, c, x, y, z, tau, kappa, r_p, r_d, r_g, mu
         )
@@ -170,10 +166,7 @@ def solve_lp(
         ):
             break
 
-        r_p = b * tau - A @ x
-        r_d = c * tau - A.T @ y - z
-        r_g = c @ x - b @ y + kappa
-        mu = (x @ z + tau * kappa) / (nt + 1)
+        r_p, r_d, r_g, mu = _residuals(A, b, c, x, y, z, tau, kappa)
         rho_p = np.linalg.norm(r_p) / norm_rp0
         rho_d = np.linalg.norm(r_d) / norm_rd0
         rho_g = abs(r_g) / norm_rg0
@@ -202,11 +195,10 @@ def solve_lp(
         duals = None
         report = KktReport(
             primal_infeasibility=float(
-                np.linalg.norm(A @ x - b * tau, np.inf) / (1.0 + np.linalg.norm(b, np.inf))
+                np.linalg.norm(r_p, np.inf) / (1.0 + np.linalg.norm(b, np.inf))
             ),
             dual_infeasibility=float(
-                np.linalg.norm(c * tau - A.T @ y - z, np.inf)
-                / (1.0 + np.linalg.norm(lp.c, np.inf))
+                np.linalg.norm(r_d, np.inf) / (1.0 + np.linalg.norm(lp.c, np.inf))
             ),
             complementarity_gap=float(mu),
         )
@@ -230,6 +222,13 @@ def _solve_unconstrained(lp: LinearProgram) -> LpSolution:
         return LpSolution(x, 0.0, STATUS_OPTIMAL, report, 0, np.zeros(0))
     report = KktReport(0.0, float(-lp.c.min()), 0.0)
     return LpSolution(np.full(lp.num_variables, np.nan), np.nan, STATUS_UNBOUNDED, report, 0)
+
+
+def _residuals(A, b, c, x, y, z, tau, kappa):
+    """Primal, dual and gap residuals and the barrier parameter mu of the
+    homogeneous iterate."""
+    mu = (x @ z + tau * kappa) / (x.shape[0] + 1)
+    return b * tau - A @ x, c * tau - A.T @ y - z, c @ x - b @ y + kappa, mu
 
 
 def _scaled_residuals(lp: LinearProgram, x, y, z, tau) -> KktReport:

@@ -159,12 +159,14 @@ def observe(X: ToeplitzTraining, h: SparseChannel, snr_db: float, seed: int) -> 
 
     Noise variance is sigma^2 = ||X h||^2 / (N * 10^(snr_db/10)), i.e. SNR is
     per-sample signal power over total complex noise variance, independent
-    of N. snr_db = +inf yields the noiseless y = X h.
+    of N. snr_db = +inf yields the noiseless y = X h; NaN and -inf are rejected.
     """
     if X.L != h.length:
         raise ValueError(f"training matrix has L={X.L} but channel has length {h.length}")
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
     signal = X.matrix @ h.taps
-    if math.isinf(snr_db) and snr_db > 0:
+    if snr_db == math.inf:
         return Observation(y=signal, noise_variance=0.0, snr_db=snr_db, rng_seed=seed)
     sigma2 = float(np.linalg.norm(signal) ** 2) / (X.N * 10.0 ** (snr_db / 10.0))
     rng = np.random.default_rng(seed)
@@ -247,15 +249,3 @@ def load_taps_csv(path) -> np.ndarray:
     for i, v in entries.items():
         taps[i] = v
     return taps
-
-
-def save_matrix_csv(path, matrix: np.ndarray) -> None:
-    """Write a dense matrix as rows of (row, col, real, imag)."""
-    matrix = np.asarray(matrix)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "real", "imag"])
-        for i in range(matrix.shape[0]):
-            for j in range(matrix.shape[1]):
-                v = complex(matrix[i, j])
-                writer.writerow([i, j, repr(v.real), repr(v.imag)])

@@ -60,17 +60,6 @@ def hermitian(M: np.ndarray) -> np.ndarray:
     return np.conj(M.T)
 
 
-def matvec(M, v) -> np.ndarray:
-    """Dense matrix-vector product with dimension checking."""
-    M = as_matrix(M)
-    v = as_vector(v)
-    if M.shape[1] != v.shape[0]:
-        raise DimensionMismatchError(
-            f"matrix has {M.shape[1]} columns but vector has dimension {v.shape[0]}"
-        )
-    return M @ v
-
-
 def least_squares_solve(M, b) -> np.ndarray:
     """Solve argmin_x ||Mx - b||_2 for a tall (rows >= cols) matrix M.
 

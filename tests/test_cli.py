@@ -8,6 +8,7 @@ import sys
 import numpy as np
 
 from sparsechan import cli
+from sparsechan.experiments import ExperimentConfig, run_trial
 from sparsechan.model import DEMO_TAP_VALUES, load_taps_csv
 
 
@@ -91,6 +92,19 @@ class TestSweepCommands:
         )
         assert code == 3
         assert "failed" in err
+        meta = json.loads((only_run_dir(tmp_path, "sweep-snr-") / "meta.json").read_text())
+        assert meta["excluded_failed_cells"] == {"10.0/omp": 1}
+        assert meta["failed_cell_errors"] == {
+            "10.0/omp": ["ValueError: omp_max_atoms=50 exceeds min(N, L)=8"]
+        }
+
+    def test_nan_or_minus_inf_snr_exit_two(self, tmp_path, capsys):
+        for argv in (["sweep-snr", "--snr", "nan"], ["sweep-n", "--snr=-inf"],
+                     ["estimate", "--snr", "nan"]):
+            code, _, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
+            assert code == 2
+            assert "config error" in err and "SNR" in err
+        assert not any(tmp_path.iterdir())  # rejected before any run directory
 
 
 class TestConfigHandling:
@@ -135,6 +149,30 @@ class TestConfigHandling:
         second = only_run_dir(tmp_path / "second", "sweep-snr-")
         assert (first / "result.csv").read_bytes() == (second / "result.csv").read_bytes()
 
+    def test_complex_mode_key_of_older_meta(self, tmp_path, capsys):
+        # Older meta.json files record complex_mode, whose only value was
+        # "real_composite"; they still load, and any other value is unknown.
+        argv = ["sweep-snr", "--M", "2", "--methods", "ls,ds", "--snr", "12",
+                "--L", "16", "--T", "2", "--n", "8", "--seed", "4"]
+        code, _, _ = run_cli(argv + ["--out", str(tmp_path / "first")], capsys)
+        assert code == 0
+        first = only_run_dir(tmp_path / "first", "sweep-snr-")
+        meta = json.loads((first / "meta.json").read_text())
+        for mode, expected_code in (("real_composite", 0), ("modulus", 2)):
+            meta["config"]["estimator"]["complex_mode"] = mode
+            old_meta = tmp_path / f"{mode}.json"
+            old_meta.write_text(json.dumps(meta))
+            out = tmp_path / mode
+            code, _, err = run_cli(
+                ["sweep-snr", "--config", str(old_meta), "--out", str(out)], capsys
+            )
+            assert code == expected_code
+            if expected_code == 0:
+                rerun = only_run_dir(out, "sweep-snr-")
+                assert (first / "result.csv").read_bytes() == (rerun / "result.csv").read_bytes()
+            else:
+                assert "complex_mode" in err
+
 
 class TestEstimateCommand:
     def test_writes_taps_and_diagnostics(self, tmp_path, capsys):
@@ -154,6 +192,31 @@ class TestEstimateCommand:
         assert diag["ds"]["lambda"] > 0
         meta = json.loads((run_dir / "meta.json").read_text())
         assert meta["config"]["L"] == 16
+
+    def test_sds_weights_written(self, tmp_path, capsys):
+        code, _, _ = run_cli(
+            ["estimate", "--methods", "ds,sds", "--L", "16", "--T", "2",
+             "--n", "8", "--snr", "15", "--seed", "2", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        diag = json.loads((only_run_dir(tmp_path, "estimate-") / "diagnostics.json").read_text())
+        assert len(diag["sds"]["weights"]) == 16
+        assert all(w >= 0 for w in diag["sds"]["weights"])
+
+    def test_matches_trial_zero_of_sweep_point(self, tmp_path, capsys):
+        methods = ("ls", "oracle", "ds")
+        code, _, _ = run_cli(
+            ["estimate", "--methods", ",".join(methods), "--L", "16", "--T", "2",
+             "--n", "8", "--snr", "15", "--seed", "2", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        diag = json.loads((only_run_dir(tmp_path, "estimate-") / "diagnostics.json").read_text())
+        cfg = ExperimentConfig(L=16, T=2, trials=1, methods=methods, base_seed=2)
+        cells = run_trial(cfg, 15.0, 8, 0)
+        for method in methods:
+            assert diag[method]["mse"] == cells[method].mse
 
 
 class TestRicCommand:

@@ -253,13 +253,11 @@ class TestSensingSelector:
 
     def test_unit_weights_reduce_to_plain_gram(self):
         X = build_toeplitz_training(6, 9, "gaussian", seed=22)
-        weighting = sds_weighting(X.matrix, np.ones(9))
-        np.testing.assert_allclose(weighting.R, X.matrix @ hermitian(X.matrix), atol=1e-12)
-        scale = np.real(np.einsum("ij,ij->j", np.conj(X.matrix),
-                                  np.linalg.solve(weighting.R, X.matrix)))
-        np.testing.assert_allclose(
-            weighting.X_alt, np.linalg.solve(weighting.R, X.matrix) / scale, atol=1e-10
-        )
+        X_alt, regularized = sds_weighting(X.matrix, np.ones(9))
+        R = X.matrix @ hermitian(X.matrix)
+        scale = np.real(np.einsum("ij,ij->j", np.conj(X.matrix), np.linalg.solve(R, X.matrix)))
+        np.testing.assert_allclose(X_alt, np.linalg.solve(R, X.matrix) / scale, atol=1e-10)
+        assert not regularized
 
     def test_negative_weights_rejected(self):
         X = build_toeplitz_training(6, 9, "gaussian", seed=23)
@@ -270,9 +268,9 @@ class TestSensingSelector:
         channel, X, obs = make_instance(seed=24)
         est = sds_estimate(X, obs, EstimatorConfig())
         assert not est.diagnostics["degenerate_weighting"]
-        weighting = sds_weighting(X.matrix, est.diagnostics["weights"])
+        X_alt, _ = sds_weighting(X.matrix, est.diagnostics["weights"])
         lam = est.diagnostics["lambda"]
-        excess = composite_correlation_excess(weighting.X_alt, X.matrix, obs.y, est.h_hat, lam)
+        excess = composite_correlation_excess(X_alt, X.matrix, obs.y, est.h_hat, lam)
         assert excess <= 1e-6
 
 
@@ -331,7 +329,3 @@ class TestConfigValidation:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             EstimatorConfig(lambda_ds=-1.0)
-
-    def test_unknown_complex_mode_rejected(self):
-        with pytest.raises(ValueError):
-            EstimatorConfig(complex_mode="modulus")

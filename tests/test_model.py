@@ -18,7 +18,6 @@ from sparsechan.model import (
     measurement_budget,
     observe,
     restricted_isometry_constant,
-    save_matrix_csv,
     save_taps_csv,
 )
 
@@ -159,6 +158,13 @@ class TestObserve:
         with pytest.raises(ValueError):
             observe(X, ch, 10.0, seed=9)
 
+    def test_nan_and_minus_inf_snr_rejected(self):
+        ch = generate_sparse_channel(12, 2, seed=7)
+        X = build_toeplitz_training(8, 12, "gaussian", seed=8)
+        for snr_db in (float("nan"), float("-inf")):
+            with pytest.raises(ValueError, match="snr_db"):
+                observe(X, ch, snr_db, seed=9)
+
 
 class TestMeasurementBudget:
     def test_reference_case(self):
@@ -220,11 +226,3 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(load_taps_csv(path), taps)
         header = path.read_text().splitlines()[0]
         assert header == "index,real,imag"
-
-    def test_matrix_layout(self, tmp_path):
-        X = build_toeplitz_training(3, 2, "gaussian", seed=14)
-        path = tmp_path / "matrix.csv"
-        save_matrix_csv(path, X.matrix)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "row,col,real,imag"
-        assert len(lines) == 1 + 3 * 2

@@ -9,66 +9,7 @@ from sparsechan.numerics import (
     SingularMatrixError,
     hermitian_eig_extremes,
     least_squares_solve,
-    matvec,
 )
-
-
-def naive_matvec(M, v):
-    # Triple-checked reference: explicit loops, no vectorization.
-    M = np.asarray(M, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    out = np.zeros(M.shape[0], dtype=complex)
-    for i in range(M.shape[0]):
-        acc = 0.0 + 0.0j
-        for j in range(M.shape[1]):
-            acc += M[i, j] * v[j]
-        out[i] = acc
-    return out
-
-
-class TestMatvec:
-    def test_identity(self):
-        v = np.array([1.0, 1.0j, -2.0])
-        np.testing.assert_array_equal(matvec(np.eye(3), v), v)
-
-    def test_zero_matrix(self):
-        v = np.array([3.0 + 1.0j, -2.0j])
-        np.testing.assert_array_equal(matvec(np.zeros((4, 2)), v), np.zeros(4))
-
-    def test_hand_computed_complex_product(self):
-        M = np.array([[1.0, 1.0j], [-1.0j, 2.0]])
-        v = np.array([1.0, 1.0])
-        expected = np.array([1.0 + 1.0j, 2.0 - 1.0j])
-        np.testing.assert_allclose(matvec(M, v), expected, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(matvec(M, v), naive_matvec(M, v), rtol=0, atol=1e-15)
-
-    def test_random_against_naive_reference(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            m, n = rng.integers(1, 7, size=2)
-            M = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            np.testing.assert_allclose(matvec(M, v), naive_matvec(M, v), rtol=1e-13, atol=1e-13)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            matvec(np.eye(2), np.ones(3))
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            matvec(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
-
-    def test_adjoint_identity(self):
-        # <Mu, v> == <u, M^H v> to high relative accuracy.
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            m, n = rng.integers(1, 9, size=2)
-            M = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-            u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            lhs = np.vdot(v, M @ u)
-            rhs = np.vdot(np.conj(M.T) @ v, u)
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 class TestLeastSquares:
