@@ -26,6 +26,10 @@ from . import estimators, experiments, model
 
 EXPERIMENT_KEYS = {f.name for f in fields(experiments.ExperimentConfig)} - {"estimator"}
 ESTIMATOR_KEYS = {f.name for f in fields(estimators.EstimatorConfig)}
+CONFIG_KEYS = EXPERIMENT_KEYS | ESTIMATOR_KEYS
+# Retired settings at the values older meta.json files record for them; they
+# load as if absent, and any other value is an unknown key.
+RETIRED_KEYS = {"complex_mode": "real_composite", "lp_tolerance": 1e-8, "lp_max_iterations": 200}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,27 +46,16 @@ class SolverFailure(Exception):
         self.diagnostics_path = diagnostics_path
 
 
-def _parse_lambda(text: str):
-    if text == "auto":
-        return "auto"
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"expected 'auto' or a real number, got {text!r}") from exc
+def _auto_or_real(text: str):
+    return text if text == "auto" else float(text)
 
 
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v != ""]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
-
-
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v != ""]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
+def _comma_list(kind):
+    """argparse type for a comma-separated list of `kind` values."""
+    def convert(text: str) -> list:
+        return [kind(v.strip()) for v in text.split(",") if v.strip()]
+    convert.__name__ = f"comma-separated {kind.__name__}"
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,37 +65,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, with_sweep_flags=True):
+    def add_common(p):
         p.add_argument("--config", type=Path, default=None, help="flat JSON config file")
         p.add_argument("--out", type=Path, default=Path("runs"), help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="base seed (base_seed)")
+        p.add_argument("--seed", dest="base_seed", type=int, default=None, help="base seed")
         p.add_argument("--L", type=int, default=None, help="channel length")
         p.add_argument("--T", type=int, default=None, help="number of dominant taps")
-        if with_sweep_flags:
-            p.add_argument("--M", type=int, default=None, help="Monte Carlo trials per point")
-            p.add_argument("--methods", type=str, default=None, help="comma-separated method list")
-            p.add_argument("--snr", type=str, default=None, help="SNR dB value(s), comma-separated")
-            p.add_argument("--n", type=str, default=None, help="training length(s), comma-separated")
-            p.add_argument("--lambda-ds", dest="lambda_ds", type=str, default=None)
-            p.add_argument("--lambda-lasso", dest="lambda_lasso", type=str, default=None)
-            p.add_argument("--workers", type=int, default=None)
-            p.add_argument("--distribution", type=str, default=None,
-                           choices=model.TRAINING_DISTRIBUTIONS)
+        p.add_argument("--distribution", type=str, default=None,
+                       choices=model.TRAINING_DISTRIBUTIONS)
 
-    add_common(sub.add_parser("estimate", help="run all configured methods on one instance"))
-    add_common(sub.add_parser("sweep-snr", help="MSE versus SNR sweep"))
-    add_common(sub.add_parser("sweep-n", help="MSE versus training-length sweep"))
+    def add_run_flags(p, axis=None):
+        """Common flags plus the run flags. Each dest is the config field the
+        flag sets; --snr and --n set the grid of their own sweep `axis` and
+        the fixed value elsewhere."""
+        add_common(p)
+        p.add_argument("--M", dest="trials", type=int, default=None,
+                       help="Monte Carlo trials per point")
+        p.add_argument("--methods", type=_comma_list(str), default=None,
+                       help="comma-separated method list")
+        if axis == "snr":
+            p.add_argument("--snr", dest="snr_grid_db", type=_comma_list(float), default=None,
+                           help="comma-separated SNR grid (dB)")
+        else:
+            p.add_argument("--snr", dest="fixed_snr_db", type=float, default=None, help="SNR (dB)")
+        if axis == "n":
+            p.add_argument("--n", dest="n_grid", type=_comma_list(int), default=None,
+                           help="comma-separated training lengths")
+        else:
+            p.add_argument("--n", dest="fixed_n", type=int, default=None, help="training length")
+        p.add_argument("--lambda-ds", dest="lambda_ds", type=_auto_or_real, default=None)
+        p.add_argument("--lambda-lasso", dest="lambda_lasso", type=_auto_or_real, default=None)
+        p.add_argument("--workers", type=int, default=None)
+
+    add_run_flags(sub.add_parser("estimate", help="run all configured methods on one instance"))
+    add_run_flags(sub.add_parser("sweep-snr", help="MSE versus SNR sweep"), axis="snr")
+    add_run_flags(sub.add_parser("sweep-n", help="MSE versus training-length sweep"), axis="n")
 
     ric = sub.add_parser("ric", help="restricted isometry constant table")
-    add_common(ric, with_sweep_flags=False)
-    ric.add_argument("--n", type=str, default="8", help="training length")
+    add_common(ric)
+    ric.add_argument("--n", dest="fixed_n", type=int, default=8, help="training length")
     ric.add_argument("--order", type=int, default=2, help="isometry order T")
     ric.add_argument("--max-supports", type=int, default=100_000)
-    ric.add_argument("--distribution", type=str, default="gaussian",
-                     choices=model.TRAINING_DISTRIBUTIONS)
 
-    demo = sub.add_parser("demo-fig2", help="fixed five-tap channel demo: LS vs DS")
-    add_common(demo)
+    add_run_flags(sub.add_parser("demo-fig2", help="fixed five-tap channel demo: LS vs DS"))
 
     budget = sub.add_parser("budget", help="minimum training length for a sparsity level")
     budget.add_argument("--T", type=int, required=True)
@@ -131,66 +136,25 @@ def _load_config_file(path: Path) -> dict:
             flat.update(value)
         else:
             flat[key] = value
-    # meta.json files from before complex_mode was dropped carry its only value.
-    if flat.get("complex_mode") == "real_composite":
-        del flat["complex_mode"]
-    return flat
+    values = {}
+    for key, value in flat.items():
+        if key in RETIRED_KEYS and value == RETIRED_KEYS[key]:
+            continue
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key: {key!r}")
+        values[key] = value
+    return values
 
 
 def resolve_config(args) -> experiments.ExperimentConfig:
-    """Merge defaults, config file, and flag overrides into a config."""
-    values: dict = {}
-    if getattr(args, "config", None):
-        for key, value in _load_config_file(args.config).items():
-            if key in EXPERIMENT_KEYS or key in ESTIMATOR_KEYS:
-                values[key] = value
-            else:
-                raise ConfigError(f"unknown config key: {key!r}")
-
-    overrides = {
-        "base_seed": getattr(args, "seed", None),
-        "L": getattr(args, "L", None),
-        "T": getattr(args, "T", None),
-        "trials": getattr(args, "M", None),
-        "workers": getattr(args, "workers", None),
-        "distribution": getattr(args, "distribution", None),
-    }
-    if getattr(args, "methods", None) is not None:
-        overrides["methods"] = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    if getattr(args, "lambda_ds", None) is not None:
-        overrides["lambda_ds"] = _parse_lambda(args.lambda_ds)
-    if getattr(args, "lambda_lasso", None) is not None:
-        overrides["lambda_lasso"] = _parse_lambda(args.lambda_lasso)
-
-    snr_text = getattr(args, "snr", None)
-    n_text = getattr(args, "n", None)
-    sub = args.subcommand
-    if snr_text is not None:
-        snr_values = _parse_float_list(snr_text)
-        if sub == "sweep-snr":
-            overrides["snr_grid_db"] = snr_values
-        else:
-            if len(snr_values) != 1:
-                raise ConfigError(f"{sub} takes a single --snr value")
-            overrides["fixed_snr_db"] = snr_values[0]
-    if n_text is not None:
-        n_values = _parse_int_list(n_text)
-        if sub == "sweep-n":
-            overrides["n_grid"] = n_values
-        else:
-            if len(n_values) != 1:
-                raise ConfigError(f"{sub} takes a single --n value")
-            overrides["fixed_n"] = n_values[0]
-
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = value
-
-    est_kwargs = {k: v for k, v in values.items() if k in ESTIMATOR_KEYS}
-    exp_kwargs = {k: v for k, v in values.items() if k in EXPERIMENT_KEYS}
+    """Config file values, overlaid with the flags given, as a config."""
+    values = _load_config_file(args.config) if args.config else {}
+    values.update((k, v) for k, v in vars(args).items() if k in CONFIG_KEYS and v is not None)
     try:
-        estimator = estimators.EstimatorConfig(**est_kwargs)
-        return experiments.ExperimentConfig(estimator=estimator, **exp_kwargs)
+        estimator = estimators.EstimatorConfig(
+            **{k: v for k, v in values.items() if k in ESTIMATOR_KEYS})
+        return experiments.ExperimentConfig(
+            estimator=estimator, **{k: v for k, v in values.items() if k in EXPERIMENT_KEYS})
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -400,6 +364,10 @@ def main(argv=None) -> int:
         if args.subcommand == "budget":
             return _run_budget(args)
         cfg = resolve_config(args)
+        if args.subcommand == "ric" and not 1 <= args.order <= cfg.L:
+            raise ConfigError(f"--order must be in [1, L={cfg.L}], got {args.order}")
+        if args.subcommand == "ric" and args.max_supports < 1:
+            raise ConfigError(f"--max-supports must be >= 1, got {args.max_supports}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

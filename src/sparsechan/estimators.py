@@ -67,11 +67,9 @@ class EstimatorConfig:
     lambda_lasso: float | str = "auto"
     omp_max_atoms: int | str = "auto"
     omp_residual_tol: float | str = "auto"
-    lp_tolerance: float = 1e-8
-    lp_max_iterations: int = 200
 
     def __post_init__(self):
-        for name in ("lambda_ds", "lambda_lasso"):
+        for name in ("lambda_ds", "lambda_lasso", "omp_residual_tol"):
             value = getattr(self, name)
             if value != "auto" and (not np.isreal(value) or value < 0):
                 raise ValueError(f"{name} must be 'auto' or a non-negative real, got {value!r}")
@@ -228,69 +226,51 @@ def lasso_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig) 
     return Estimate(h, METHOD_LASSO, dominant_support(h), diagnostics)
 
 
-def _min_l1_with_correlation_bound(B: np.ndarray, d: np.ndarray, lam: float,
-                                   cfg: EstimatorConfig):
-    """Minimize ||g||_1 subject to ||d - B g||_inf <= lam, via the LP over
-    the positive/negative parts of g. Returns (g, lp_solution)."""
-    n = B.shape[0]
-    A_lp = np.block([[B, -B], [-B, B]])
-    b_lp = np.concatenate([lam + d, lam - d])
-    lp = LinearProgram(c=np.ones(2 * n), A=A_lp, b=b_lp)
-    sol = solve_lp(lp, tolerance=cfg.lp_tolerance, max_iterations=cfg.lp_max_iterations)
-    if sol.status in (STATUS_INFEASIBLE, STATUS_UNBOUNDED):
-        # The constraint set always contains a point with zero correlation
-        # residual and the objective is bounded below, so either report
-        # indicates a solver malfunction.
-        raise RuntimeError(f"selector LP reported {sol.status}; this indicates a solver bug")
-    return sol.x[:n] - sol.x[n:], sol
+def _solve_composite_selector(S, Xm, y, lam):
+    """Solve the selector program with correlation operator S^H (y - Xm g)
+    over the real-composite coordinates.
 
-
-def _stack_real_matrix(M: np.ndarray) -> np.ndarray:
-    return np.block([[M.real, -M.imag], [M.imag, M.real]])
-
-
-def _stack_real_vector(v: np.ndarray) -> np.ndarray:
-    return np.concatenate([v.real, v.imag])
-
-
-def _is_effectively_real(M: np.ndarray) -> bool:
-    return not np.iscomplexobj(M) or not M.imag.any()
-
-
-def _solve_composite_selector(sense_matrix, Xm, y, lam, cfg):
-    """Solve the selector program with correlation operator
-    sense_matrix^H (y - Xm g) over the real-composite coordinates.
-
-    `sense_matrix` is Xm itself for the plain selector and the reweighted
-    matrix for the sensing variant. Real inputs decouple into independent
-    programs for the real and imaginary parts of y.
+    The sensing matrix `S` is Xm itself for the plain selector and the
+    reweighted matrix for the sensing variant. With S and C = S^H Xm real
+    (real training), the program decouples into independent programs for
+    the real and imaginary parts of y; otherwise one program runs over the
+    stacked operator [[Re C, -Im C], [Im C, Re C]]. Each program minimizes
+    ||g||_1 subject to ||d - B g||_inf <= lam, an LP over the
+    positive/negative parts of g.
     """
-    if _is_effectively_real(sense_matrix) and _is_effectively_real(Xm):
-        S = sense_matrix.real if np.iscomplexobj(sense_matrix) else sense_matrix
-        A = Xm.real if np.iscomplexobj(Xm) else Xm
-        B = S.T @ A
-        g_re, sol_re = _min_l1_with_correlation_bound(B, S.T @ y.real, lam, cfg)
-        g_im, sol_im = _min_l1_with_correlation_bound(B, S.T @ y.imag, lam, cfg)
-        h = g_re + 1j * g_im
-        lp_info = {
-            "lp_iterations": sol_re.iterations + sol_im.iterations,
-            "lp_statuses": [sol_re.status, sol_im.status],
-            "decoupled": True,
-        }
+    # Conjugate before transposing: the product then runs as the same
+    # transposed BLAS call as S.T @ Xm, bit for bit, on real inputs.
+    C = S.conj().T @ Xm
+    decoupled = not S.imag.any() and not C.imag.any()
+    if decoupled:
+        programs = [(C.real, S.real.T @ y.real), (C.real, S.real.T @ y.imag)]
     else:
-        S2 = _stack_real_matrix(np.asarray(sense_matrix, dtype=np.complex128))
-        A2 = _stack_real_matrix(np.asarray(Xm, dtype=np.complex128))
-        B = S2.T @ A2
-        g, sol = _min_l1_with_correlation_bound(B, S2.T @ _stack_real_vector(y), lam, cfg)
-        L = Xm.shape[1]
-        h = g[:L] + 1j * g[L:]
-        lp_info = {
-            "lp_iterations": sol.iterations,
-            "lp_statuses": [sol.status],
-            "decoupled": False,
-        }
-    lp_info["converged"] = STATUS_ITERATION_LIMIT not in lp_info["lp_statuses"]
-    return h, lp_info
+        d = S.conj().T @ y
+        programs = [(np.block([[C.real, -C.imag], [C.imag, C.real]]),
+                     np.concatenate([d.real, d.imag]))]
+    parts, sols = [], []
+    for B, d in programs:
+        n = B.shape[0]
+        lp = LinearProgram(c=np.ones(2 * n), A=np.block([[B, -B], [-B, B]]),
+                           b=np.concatenate([lam + d, lam - d]))
+        sol = solve_lp(lp)
+        if sol.status in (STATUS_INFEASIBLE, STATUS_UNBOUNDED):
+            # The constraint set always contains a point with zero correlation
+            # residual and the objective is bounded below, so either report
+            # indicates a solver malfunction.
+            raise RuntimeError(f"selector LP reported {sol.status}; this indicates a solver bug")
+        parts.append(sol.x[:n] - sol.x[n:])
+        sols.append(sol)
+    g = np.concatenate(parts)
+    L = Xm.shape[1]
+    statuses = [sol.status for sol in sols]
+    lp_info = {
+        "lp_iterations": sum(sol.iterations for sol in sols),
+        "lp_statuses": statuses,
+        "decoupled": decoupled,
+        "converged": STATUS_ITERATION_LIMIT not in statuses,
+    }
+    return g[:L] + 1j * g[L:], lp_info
 
 
 def ds_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig) -> Estimate:
@@ -301,7 +281,7 @@ def ds_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig) -> 
         lam = COMPOSITE_LAMBDA_CALIBRATION * resolve_lambda(sigma, X, "auto")
     else:
         lam = resolve_lambda(sigma, X, cfg.lambda_ds)
-    h, lp_info = _solve_composite_selector(X.matrix, X.matrix, obs.y, lam, cfg)
+    h, lp_info = _solve_composite_selector(X.matrix, X.matrix, obs.y, lam)
     diagnostics = {"lambda": lam, "l1_convention": "real_composite", **lp_info}
     return Estimate(h, METHOD_DS, dominant_support(h), diagnostics)
 
@@ -334,7 +314,7 @@ def sds_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig) ->
 
     X_alt, regularized = sds_weighting(Xm, w)
     lam = base.diagnostics["lambda"]
-    h, lp_info = _solve_composite_selector(X_alt, Xm, y, lam, cfg)
+    h, lp_info = _solve_composite_selector(X_alt, Xm, y, lam)
     diagnostics = {
         "lambda": lam,
         "l1_convention": "real_composite",

@@ -86,6 +86,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be sorted strictly ascending")
         if any(n < 1 for n in self.n_grid):
             raise ValueError("training lengths must be >= 1")
+        if self.fixed_n < 1:
+            raise ValueError(f"fixed_n must be >= 1, got {self.fixed_n}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {ALL_METHODS}")

@@ -196,6 +196,8 @@ def restricted_isometry_constant(
     """
     if not 1 <= T <= X.L:
         raise ValueError(f"need 1 <= T <= L, got T={T}, L={X.L}")
+    if max_supports < 1:
+        raise ValueError(f"max_supports must be >= 1, got {max_supports}")
     total = math.comb(X.L, T)
     if total <= max_supports:
         supports = itertools.combinations(range(X.L), T)

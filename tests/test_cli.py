@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from sparsechan import cli
 from sparsechan.experiments import ExperimentConfig, run_trial
@@ -150,28 +151,75 @@ class TestConfigHandling:
         assert (first / "result.csv").read_bytes() == (second / "result.csv").read_bytes()
 
     def test_complex_mode_key_of_older_meta(self, tmp_path, capsys):
-        # Older meta.json files record complex_mode, whose only value was
-        # "real_composite"; they still load, and any other value is unknown.
+        # Older meta.json files record the retired complex_mode, lp_tolerance
+        # and lp_max_iterations at their last defaults; they still load, and
+        # any other value is an unknown key.
         argv = ["sweep-snr", "--M", "2", "--methods", "ls,ds", "--snr", "12",
                 "--L", "16", "--T", "2", "--n", "8", "--seed", "4"]
         code, _, _ = run_cli(argv + ["--out", str(tmp_path / "first")], capsys)
         assert code == 0
         first = only_run_dir(tmp_path / "first", "sweep-snr-")
         meta = json.loads((first / "meta.json").read_text())
-        for mode, expected_code in (("real_composite", 0), ("modulus", 2)):
-            meta["config"]["estimator"]["complex_mode"] = mode
-            old_meta = tmp_path / f"{mode}.json"
+        retired = {"complex_mode": "real_composite", "lp_tolerance": 1e-08,
+                   "lp_max_iterations": 200}
+        for name, changed, bad_key in (("old", {}, None),
+                                       ("modulus", {"complex_mode": "modulus"}, "complex_mode"),
+                                       ("loose_lp", {"lp_tolerance": 1e-3}, "lp_tolerance")):
+            meta["config"]["estimator"].update(retired, **changed)
+            old_meta = tmp_path / f"{name}.json"
             old_meta.write_text(json.dumps(meta))
-            out = tmp_path / mode
+            out = tmp_path / name
             code, _, err = run_cli(
                 ["sweep-snr", "--config", str(old_meta), "--out", str(out)], capsys
             )
-            assert code == expected_code
-            if expected_code == 0:
+            if bad_key is None:
+                assert code == 0
                 rerun = only_run_dir(out, "sweep-snr-")
                 assert (first / "result.csv").read_bytes() == (rerun / "result.csv").read_bytes()
             else:
-                assert "complex_mode" in err
+                assert code == 2
+                assert f"unknown config key: {bad_key!r}" in err
+                assert not out.exists()
+
+    @pytest.mark.parametrize("argv, config, named", [
+        (["estimate", "--n", "0"], None, "fixed_n"),
+        (["ric", "--n", "0"], None, "fixed_n"),
+        (["ric", "--order", "20", "--L", "12"], None, "--order"),
+        (["ric", "--max-supports", "0"], None, "--max-supports"),
+        (["sweep-snr", "--M", "1", "--methods", "omp"], {"omp_residual_tol": "abc"},
+         "omp_residual_tol"),
+        (["sweep-snr", "--M", "1", "--methods", "ls", "--workers", "0"], None, "workers"),
+    ])
+    def test_out_of_range_values_exit_two(self, tmp_path, capsys, argv, config, named):
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        code, _, err = run_cli(argv + ["--out", str(tmp_path / "runs")], capsys)
+        assert code == 2
+        assert "config error" in err and named in err
+        assert not (tmp_path / "runs").exists()  # rejected before any run directory
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["estimate", "--snr", "10,20"], "--snr"),
+        (["sweep-snr", "--snr", "abc"], "--snr"),
+        (["sweep-n", "--lambda-ds", "x"], "--lambda-ds"),
+    ])
+    def test_malformed_flag_values_exit_two(self, tmp_path, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(tmp_path / "runs")])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_every_flag_sets_a_config_field_or_is_cli_only(self):
+        # resolve_config overlays only the flags named like config fields, so
+        # a mistyped dest would be silently ignored.
+        cli_only = {"config", "out", "order", "max_supports", "subcommand"}
+        parser = cli.build_parser()
+        for subcommand in ("estimate", "sweep-snr", "sweep-n", "demo-fig2", "ric"):
+            dests = set(vars(parser.parse_args([subcommand])))
+            assert dests - cli_only <= cli.CONFIG_KEYS, subcommand
 
 
 class TestEstimateCommand:

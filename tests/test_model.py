@@ -212,6 +212,11 @@ class TestRestrictedIsometryConstant:
         assert sampled.supports_checked == 20
         assert sampled.delta <= exact.delta + 1e-12
 
+    def test_nonpositive_max_supports_rejected(self):
+        X = build_toeplitz_training(8, 12, "gaussian", seed=11)
+        with pytest.raises(ValueError, match="max_supports"):
+            restricted_isometry_constant(X, 2, max_supports=0)
+
     def test_monotone_in_order(self):
         X = build_toeplitz_training(8, 12, "gaussian", seed=12)
         deltas = [restricted_isometry_constant(X, t).delta for t in (1, 2, 3)]
