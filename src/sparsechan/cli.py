@@ -30,6 +30,9 @@ CONFIG_KEYS = EXPERIMENT_KEYS | ESTIMATOR_KEYS
 # Retired settings at the values older meta.json files record for them; they
 # load as if absent, and any other value is an unknown key.
 RETIRED_KEYS = {"complex_mode": "real_composite", "lp_tolerance": 1e-8, "lp_max_iterations": 200}
+# A subcommand's own defaults for config fields. They lie under the config
+# file, so a file's value holds against them and a flag against both.
+SUBCOMMAND_DEFAULTS = {"ric": {"fixed_n": 8}}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -103,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ric = sub.add_parser("ric", help="restricted isometry constant table")
     add_common(ric)
-    ric.add_argument("--n", dest="fixed_n", type=int, default=8, help="training length")
+    ric.add_argument("--n", dest="fixed_n", type=int, default=None,
+                     help="training length (default 8)")
     ric.add_argument("--order", type=int, default=2, help="isometry order T")
     ric.add_argument("--max-supports", type=int, default=100_000)
 
@@ -147,8 +151,11 @@ def _load_config_file(path: Path) -> dict:
 
 
 def resolve_config(args) -> experiments.ExperimentConfig:
-    """Config file values, overlaid with the flags given, as a config."""
-    values = _load_config_file(args.config) if args.config else {}
+    """The subcommand's defaults, overlaid with the config file's values and
+    then with the flags given, as a config."""
+    values = dict(SUBCOMMAND_DEFAULTS.get(args.subcommand, {}))
+    if args.config:
+        values.update(_load_config_file(args.config))
     values.update((k, v) for k, v in vars(args).items() if k in CONFIG_KEYS and v is not None)
     try:
         estimator = estimators.EstimatorConfig(
@@ -218,9 +225,10 @@ def _run_sweep_command(args, cfg, run_dir: Path) -> int:
 def _estimate_all(run_dir: Path, methods, cfg, channel, X, obs):
     """Run each method on one instance and write its estimate_<method>.csv.
 
-    Returns ({method: Estimate}, {method: diagnostics}). A method that
-    raises ends the run: the diagnostics so far and the error go to
-    diagnostics.json and SolverFailure is raised.
+    Returns ({method: Estimate}, {method: diagnostics}); `sds` reuses the
+    `ds` estimate when `ds` ran before it. A method that raises ends the
+    run: the diagnostics so far and the error go to diagnostics.json and
+    SolverFailure is raised.
     """
     estimates, diagnostics = {}, {}
     for method in methods:
@@ -228,6 +236,7 @@ def _estimate_all(run_dir: Path, methods, cfg, channel, X, obs):
             est = estimators.run_estimator(
                 method, X, obs, cfg.estimator,
                 true_support=channel.support, true_sparsity=channel.sparsity,
+                base_ds=estimates.get(estimators.METHOD_DS),
             )
         except Exception as exc:
             diagnostics[method] = {"failed": True, "error": f"{type(exc).__name__}: {exc}"}

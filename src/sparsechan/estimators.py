@@ -300,11 +300,16 @@ def sds_weighting(Xm: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, bool
     return Z / col_scale[None, :], regularized
 
 
-def sds_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig) -> Estimate:
+def sds_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig,
+                 base: Estimate | None = None) -> Estimate:
     """Reweighted ("sensing") selector: run the plain selector, weight each
     column by the magnitude of its residual correlation, rebuild the sensing
-    matrix through R = X W^2 X^H, and re-solve with the new constraint."""
-    base = ds_estimate(X, obs, cfg)
+    matrix through R = X W^2 X^H, and re-solve with the new constraint.
+
+    `base` is the plain selector's estimate when it was already computed on
+    this instance with this `cfg`; it is then used instead of solving again."""
+    if base is None:
+        base = ds_estimate(X, obs, cfg)
     Xm, y = X.matrix, obs.y
     residual = y - Xm @ base.h_hat
     w = np.abs(hermitian(Xm) @ residual)
@@ -350,12 +355,15 @@ def run_estimator(
     cfg: EstimatorConfig,
     true_support=None,
     true_sparsity: int | None = None,
+    base_ds: Estimate | None = None,
 ) -> Estimate:
     """Dispatch a named estimator on one instance.
 
     The oracle requires `true_support`. OMP with "auto" atom budget uses the
     true sparsity when the caller supplies it (genie-aided stopping for
-    comparison runs), otherwise the residual-tolerance rule.
+    comparison runs), otherwise the residual-tolerance rule. `base_ds`, the
+    `ds` estimate of this instance and `cfg` if one was already made, spares
+    `sds` its first selector solve.
     """
     if method == METHOD_LS:
         return ls_estimate(X, obs)
@@ -368,7 +376,7 @@ def run_estimator(
     if method == METHOD_DS:
         return ds_estimate(X, obs, cfg)
     if method == METHOD_SDS:
-        return sds_estimate(X, obs, cfg)
+        return sds_estimate(X, obs, cfg, base_ds)
     if method == METHOD_ORACLE:
         if true_support is None:
             raise ValueError("oracle estimator needs the true support")

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .estimators import ALL_METHODS, Estimate, EstimatorConfig, run_estimator
+from .estimators import ALL_METHODS, METHOD_DS, Estimate, EstimatorConfig, run_estimator
 from .model import SparseChannel, build_toeplitz_training, generate_sparse_channel, observe
 
 DEFAULT_METHODS = ("ls", "omp", "lasso", "ds", "oracle")
@@ -166,25 +166,27 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, n: int, trial_index: int) ->
     """Run every configured method on one seeded instance.
 
     Returns {method: TrialCell}. All methods see the identical (X, y); the
-    oracle additionally receives the true support, and OMP's "auto" atom
-    budget resolves to the true sparsity. A method that raises is marked
-    failed without disturbing the other cells.
+    oracle additionally receives the true support, OMP's "auto" atom
+    budget resolves to the true sparsity, and `sds` reuses the `ds` estimate
+    when `ds` ran before it. A method that raises is marked failed without
+    disturbing the other cells.
     """
     if trial_index >= cfg.trials:
         raise ValueError(f"trial_index {trial_index} out of range for trials={cfg.trials}")
     channel, X, obs = make_instance(cfg, snr_db, n, trial_index)
 
     h_norm_sq = float(np.linalg.norm(channel.taps) ** 2)
-    record = {}
+    record, estimates = {}, {}
     for method in cfg.methods:
         try:
-            est = run_estimator(
+            est = estimates[method] = run_estimator(
                 method,
                 X,
                 obs,
                 cfg.estimator,
                 true_support=channel.support,
                 true_sparsity=channel.sparsity,
+                base_ds=estimates.get(METHOD_DS),
             )
             err = mse(channel, est)
             record[method] = TrialCell(

@@ -10,6 +10,12 @@ internally to equality form with slack variables; the normal equations get
 a small diagonal regularization so redundant or degenerate constraints do
 not need presolving.
 
+A constraint matrix of the Dantzig-selector form [[B, -B], [-B, B]] (k x k
+blocks) is recognised once per solve, and its 2k x 2k normal equations are
+then solved through one k x k Cholesky factor by block elimination, the
+reduction l1-magic's `l1dantzig_pd` uses; every other matrix takes the
+dense normal equations. Both run the same interior-point iteration.
+
 No external optimization library is used; linear algebra is numpy/scipy
 factorizations only.
 """
@@ -19,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_MAX_ITERATIONS = 200
@@ -130,6 +136,7 @@ def solve_lp(
         return _solve_unconstrained(lp)
 
     # Equality form: [A I] [x; s] = b with x, s >= 0.
+    B = _selector_block(lp.A)
     A = np.hstack([lp.A, np.eye(m)])
     b = lp.b
     c = np.concatenate([lp.c, np.zeros(m)])
@@ -152,7 +159,7 @@ def solve_lp(
 
     for iterations in range(1, max_iterations + 1):
         d_x, d_y, d_z, d_tau, d_kappa = _search_direction(
-            A, b, c, x, y, z, tau, kappa, r_p, r_d, r_g, mu
+            A, B, b, c, x, y, z, tau, kappa, r_p, r_d, r_g, mu
         )
         alpha = _step_to_boundary(x, d_x, z, d_z, tau, d_tau, kappa, d_kappa, STEP_SCALE)
         x = x + alpha * d_x
@@ -260,22 +267,64 @@ def _scaled_residuals(lp: LinearProgram, x, y, z, tau) -> KktReport:
     )
 
 
-def _search_direction(A, b, c, x, y, z, tau, kappa, r_p, r_d, r_g, mu):
-    """Mehrotra predictor-corrector direction for the homogeneous system."""
-    nt = x.shape[0]
-    d_inv = x / z
+def _selector_block(A):
+    """B when A is exactly [[B, -B], [-B, B]] with square blocks, else None."""
+    m, n = A.shape
+    if m != n or m % 2:
+        return None
+    k = m // 2
+    B = A[:k, :k]
+    if (np.array_equal(A[:k, k:], -B) and np.array_equal(A[k:, :k], -B)
+            and np.array_equal(A[k:, k:], B)):
+        return B
+    return None
+
+
+def _normal_solver(A, B, d_inv):
+    """solve(r) for the regularized normal equations (A D A' + eps I) v = r,
+    D = diag(d_inv), of the equality form A = [A_in I].
+
+    With A_in = [[B, -B], [-B, B]] the matrix is [[K + S1, -K], [-K, K + S2]]
+    with K = B diag(d_u + d_v) B' and S1, S2 the slack scalings plus eps.
+    For w = v1 - v2 it reduces to the k x k system
+    (K + S1 S2 / (S1 + S2)) w = (S2 r1 - S1 r2) / (S1 + S2), and then
+    v1 = (r1 + r2 + S2 w) / (S1 + S2), v2 = v1 - w. This recovery never
+    divides by S1 or S2 alone: those go to 0 on active rows while B = X'X
+    is rank-deficient, and v1 = S1^-1 (r1 - K w) stalls the iteration there.
+    A failed factor falls back to the dense matrix, then to least squares.
+    """
+    if B is not None:
+        k = B.shape[0]
+        s1 = d_inv[2 * k:3 * k] + NORMAL_EQ_REGULARIZATION
+        s2 = d_inv[3 * k:] + NORMAL_EQ_REGULARIZATION
+        s_sum = s1 + s2
+        G = (B * (d_inv[:k] + d_inv[k:2 * k])) @ B.T
+        G[np.diag_indices_from(G)] += s1 * s2 / s_sum
+        factor, info = dpotrf(G, lower=0, clean=0)
+        if info == 0:
+
+            def solve(r):
+                r1, r2 = r[:k], r[k:]
+                w = dpotrs(factor, (s2 * r1 - s1 * r2) / s_sum, lower=0)[0]
+                v1 = (r1 + r2 + s2 * w) / s_sum
+                return np.concatenate([v1, v1 - w])
+
+            return solve
+
     M = (A * d_inv) @ A.T
     M[np.diag_indices_from(M)] += NORMAL_EQ_REGULARIZATION
-    try:
-        cho = scipy.linalg.cho_factor(M, check_finite=False)
+    factor, info = dpotrf(M, lower=0, clean=0)
+    if info == 0:
+        return lambda r: dpotrs(factor, r, lower=0)[0]
+    return lambda r: np.linalg.lstsq(M, r, rcond=None)[0]
 
-        def solve(r):
-            return scipy.linalg.cho_solve(cho, r, check_finite=False)
 
-    except scipy.linalg.LinAlgError:
-
-        def solve(r):
-            return np.linalg.lstsq(M, r, rcond=None)[0]
+def _search_direction(A, B, b, c, x, y, z, tau, kappa, r_p, r_d, r_g, mu):
+    """Mehrotra predictor-corrector direction for the homogeneous system.
+    `B` is the selector block of A's inequality part, or None."""
+    nt = x.shape[0]
+    d_inv = x / z
+    solve = _normal_solver(A, B, d_inv)
 
     def sym_solve(r1, r2):
         v = solve(r2 + A @ (d_inv * r1))

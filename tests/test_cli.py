@@ -283,6 +283,15 @@ class TestRicCommand:
         assert 0 <= meta["delta"]
         assert "delta_2" in out
 
+    def test_config_file_training_length_holds(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fixed_n": 10}))
+        for name, extra, n in (("file", ["--config", str(config)], 10), ("default", [], 8)):
+            out = tmp_path / name
+            code, _, _ = run_cli(["ric", "--L", "12", "--out", str(out), *extra], capsys)
+            assert code == 0
+            assert json.loads((only_run_dir(out, "ric-") / "meta.json").read_text())["N"] == n
+
 
 class TestDemoCommand:
     def test_demo_outputs(self, tmp_path, capsys):

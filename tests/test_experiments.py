@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from sparsechan.estimators import Estimate, EstimatorConfig
+from sparsechan import estimators
+from sparsechan.estimators import Estimate, EstimatorConfig, sds_estimate
 from sparsechan.experiments import (
     ExperimentConfig,
     derive_trial_seed,
+    make_instance,
     mse,
     run_trial,
     sweep_snr,
@@ -97,6 +99,19 @@ class TestRunTrial:
         assert record["omp"].failed
         assert "ValueError" in record["omp"].error
         assert not record["ls"].failed and math.isfinite(record["ls"].mse)
+
+    @pytest.mark.parametrize("distribution, solves", [("complex_gaussian", 2), ("gaussian", 4)])
+    def test_sds_reuses_the_ds_solve(self, monkeypatch, distribution, solves):
+        # A standalone sds solves the ds programs again: 3 and 6 solves.
+        cfg = ExperimentConfig(L=16, T=2, trials=2, methods=("ds", "sds"), fixed_n=8,
+                               base_seed=5, distribution=distribution)
+        calls = []
+        solve_lp = estimators.solve_lp
+        monkeypatch.setattr(estimators, "solve_lp", lambda lp: calls.append(lp) or solve_lp(lp))
+        record = run_trial(cfg, 15.0, 8, 1)
+        assert len(calls) == solves
+        channel, X, obs = make_instance(cfg, 15.0, 8, 1)
+        assert record["sds"].mse == mse(channel, sds_estimate(X, obs, cfg.estimator))
 
 
 class TestSweeps:

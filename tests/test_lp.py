@@ -3,8 +3,10 @@ vertex enumeration on small problems."""
 
 import numpy as np
 import pytest
+import scipy.optimize
 from conftest import enumerate_lp_vertices, random_bounded_lp
 
+from sparsechan import lp as lp_module
 from sparsechan.lp import LinearProgram, solve_lp
 
 
@@ -126,3 +128,99 @@ class TestSolutionProperties:
         sol = solve_lp(LinearProgram(c=[-1.0, -1.0], A=A, b=b))
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(-2.0, abs=1e-6)
+
+
+def selector_blocks(rng, n=6, L=10):
+    """(name, B, d) for the three selector kinds: the real B = X'X (rank
+    n < L), a non-symmetric B = S'X as in the reweighted pass, and the
+    stacked complex [[Re C, -Im C], [Im C, Re C]] with C = Z^H Z. Each
+    d = S'y has an exact solution of S'(y - X g) = 0, so every level
+    lam >= 0 is feasible."""
+    X = rng.standard_normal((n, L))
+    S = rng.standard_normal((n, L))
+    Z = X + 1j * rng.standard_normal((n, L))
+    y = rng.standard_normal(n)
+    yc = y + 1j * rng.standard_normal(n)
+    C, dc = Z.conj().T @ Z, Z.conj().T @ yc
+    return [
+        ("symmetric", X.T @ X, X.T @ y),
+        ("non-symmetric", S.T @ X, S.T @ y),
+        ("stacked complex", np.block([[C.real, -C.imag], [C.imag, C.real]]),
+         np.concatenate([dc.real, dc.imag])),
+    ]
+
+
+def normal_equations(B, d_inv):
+    """The equality-form A = [[[B, -B], [-B, B]] I] and its regularized
+    dense normal matrix A D A' + eps I."""
+    k = B.shape[0]
+    A = np.hstack([np.block([[B, -B], [-B, B]]), np.eye(2 * k)])
+    M = (A * d_inv) @ A.T
+    M[np.diag_indices_from(M)] += lp_module.NORMAL_EQ_REGULARIZATION
+    return A, M
+
+
+def selector_lp(B, d, lam):
+    return LinearProgram(c=np.ones(2 * B.shape[0]), A=np.block([[B, -B], [-B, B]]),
+                         b=np.concatenate([lam + d, lam - d]))
+
+
+class TestSelectorStructure:
+    """The k x k Newton solve of selector programs A = [[B, -B], [-B, B]]."""
+
+    def test_detects_selector_block(self):
+        rng = np.random.default_rng(31)
+        for name, B, d in selector_blocks(rng):
+            A = selector_lp(B, d, 0.1).A
+            assert np.array_equal(lp_module._selector_block(A), B), name
+            near_miss = A.copy()
+            near_miss[-1, -1] += 1e-12
+            assert lp_module._selector_block(near_miss) is None, name
+        for _ in range(10):
+            assert lp_module._selector_block(random_bounded_lp(rng).A) is None
+        assert lp_module._selector_block(np.eye(2)) is None
+
+    @pytest.mark.parametrize("spread", [False, True])
+    def test_solve_matches_dense_normal_equations(self, spread):
+        # Scalings over 1e-8..1e8 give the normal matrix condition numbers up
+        # to ~1e17, where no double-precision solve, the dense one included,
+        # pins v itself. There the check is the normwise backward error, which
+        # a stable solve keeps near machine precision at any conditioning.
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            for name, B, _d in selector_blocks(rng):
+                k = B.shape[0]
+                d_inv = 10.0 ** rng.uniform(-8, 8, 4 * k) if spread else np.ones(4 * k)
+                A, M = normal_equations(B, d_inv)
+                r = rng.standard_normal(2 * k)
+                v = lp_module._normal_solver(A, B, d_inv)(r)
+                backward = np.linalg.norm(M @ v - r) / (
+                    np.linalg.norm(M, 2) * np.linalg.norm(v) + np.linalg.norm(r))
+                assert backward <= 1e-12, name
+                if not spread:
+                    v_dense = np.linalg.solve(M, r)
+                    assert np.linalg.norm(v - v_dense) <= 1e-9 * np.linalg.norm(v_dense), name
+
+    def test_failed_factor_falls_back_to_least_squares(self):
+        # Negative scalings make both the k x k and the dense matrix indefinite.
+        rng = np.random.default_rng(34)
+        for name, B, _d in selector_blocks(rng):
+            k = B.shape[0]
+            d_inv = -np.ones(4 * k)
+            A, M = normal_equations(B, d_inv)
+            r = rng.standard_normal(2 * k)
+            np.testing.assert_array_equal(lp_module._normal_solver(A, B, d_inv)(r),
+                                          np.linalg.lstsq(M, r, rcond=None)[0], err_msg=name)
+
+    def test_selector_programs_match_highs(self):
+        rng = np.random.default_rng(33)
+        for _ in range(3):
+            for name, B, d in selector_blocks(rng):
+                for lam in (0.0, 0.1, 1.0):
+                    lp = selector_lp(B, d, lam)
+                    sol = solve_lp(lp)
+                    ref = scipy.optimize.linprog(lp.c, A_ub=lp.A, b_ub=lp.b, bounds=(0, None),
+                                                 method="highs")
+                    assert ref.status == 0
+                    assert sol.status == "optimal", name
+                    assert abs(sol.objective_value - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun)), name
