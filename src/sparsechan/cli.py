@@ -226,9 +226,10 @@ def _estimate_all(run_dir: Path, methods, cfg, channel, X, obs):
     """Run each method on one instance and write its estimate_<method>.csv.
 
     Returns ({method: Estimate}, {method: diagnostics}); `sds` reuses the
-    `ds` estimate when `ds` ran before it. A method that raises ends the
-    run: the diagnostics so far and the error go to diagnostics.json and
-    SolverFailure is raised.
+    `ds` estimate when `ds` ran before it. A method that raises one of
+    `estimators.ESTIMATOR_FAILURES` ends the run: the diagnostics so far and
+    the error go to diagnostics.json and SolverFailure is raised. Any other
+    exception propagates.
     """
     estimates, diagnostics = {}, {}
     for method in methods:
@@ -238,7 +239,7 @@ def _estimate_all(run_dir: Path, methods, cfg, channel, X, obs):
                 true_support=channel.support, true_sparsity=channel.sparsity,
                 base_ds=estimates.get(estimators.METHOD_DS),
             )
-        except Exception as exc:
+        except estimators.ESTIMATOR_FAILURES as exc:
             diagnostics[method] = {"failed": True, "error": f"{type(exc).__name__}: {exc}"}
             raise SolverFailure(f"solver failure in {method}",
                                 _write_diagnostics(run_dir, diagnostics)) from exc

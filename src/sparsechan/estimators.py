@@ -58,6 +58,18 @@ RIDGE_REGULARIZATION = 1e-10
 COMPOSITE_LAMBDA_CALIBRATION = 0.5
 
 
+class SelectorLpError(RuntimeError):
+    """The selector LP ended infeasible or unbounded, which its construction
+    rules out."""
+
+
+# The failures an estimator is expected to raise on a bad instance: singular
+# or rank-deficient systems (SingularMatrixError is a ValueError), settings
+# the instance cannot meet (omp_max_atoms > min(N, L)) and a failed selector
+# LP. Anything else is a programming error and propagates.
+ESTIMATOR_FAILURES = (ValueError, np.linalg.LinAlgError, SelectorLpError)
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Shared estimator settings; "auto" entries resolve deterministically
@@ -71,8 +83,9 @@ class EstimatorConfig:
     def __post_init__(self):
         for name in ("lambda_ds", "lambda_lasso", "omp_residual_tol"):
             value = getattr(self, name)
-            if value != "auto" and (not np.isreal(value) or value < 0):
-                raise ValueError(f"{name} must be 'auto' or a non-negative real, got {value!r}")
+            if value != "auto" and not (np.isreal(value) and 0 <= value < math.inf):
+                raise ValueError(
+                    f"{name} must be 'auto' or a finite non-negative real, got {value!r}")
         if self.omp_max_atoms != "auto" and int(self.omp_max_atoms) < 1:
             raise ValueError("omp_max_atoms must be 'auto' or a positive integer")
 
@@ -258,7 +271,7 @@ def _solve_composite_selector(S, Xm, y, lam):
             # The constraint set always contains a point with zero correlation
             # residual and the objective is bounded below, so either report
             # indicates a solver malfunction.
-            raise RuntimeError(f"selector LP reported {sol.status}; this indicates a solver bug")
+            raise SelectorLpError(f"selector LP reported {sol.status}; this indicates a solver bug")
         parts.append(sol.x[:n] - sol.x[n:])
         sols.append(sol)
     g = np.concatenate(parts)

@@ -18,7 +18,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .estimators import ALL_METHODS, METHOD_DS, Estimate, EstimatorConfig, run_estimator
+from .estimators import (ALL_METHODS, ESTIMATOR_FAILURES, METHOD_DS, Estimate, EstimatorConfig,
+                         run_estimator)
 from .model import SparseChannel, build_toeplitz_training, generate_sparse_channel, observe
 
 DEFAULT_METHODS = ("ls", "omp", "lasso", "ds", "oracle")
@@ -168,8 +169,9 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, n: int, trial_index: int) ->
     Returns {method: TrialCell}. All methods see the identical (X, y); the
     oracle additionally receives the true support, OMP's "auto" atom
     budget resolves to the true sparsity, and `sds` reuses the `ds` estimate
-    when `ds` ran before it. A method that raises is marked failed without
-    disturbing the other cells.
+    when `ds` ran before it. A method that raises one of `ESTIMATOR_FAILURES`
+    is marked failed without disturbing the other cells; any other
+    exception propagates.
     """
     if trial_index >= cfg.trials:
         raise ValueError(f"trial_index {trial_index} out of range for trials={cfg.trials}")
@@ -195,7 +197,7 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, n: int, trial_index: int) ->
                 converged=bool(est.diagnostics.get("converged", True)),
                 failed=False,
             )
-        except Exception as exc:  # estimator failure must not sink the trial
+        except ESTIMATOR_FAILURES as exc:  # must not sink the other cells
             record[method] = TrialCell(
                 mse=math.nan, mse_normalized=math.nan, converged=False, failed=True,
                 error=f"{type(exc).__name__}: {exc}",

@@ -6,15 +6,18 @@ with a primal-dual path-following interior-point method (Mehrotra
 predictor-corrector) on the homogeneous self-dual embedding. The embedding
 gives clean certificates when the problem is infeasible or unbounded
 instead of relying on divergence heuristics. Inequalities are converted
-internally to equality form with slack variables; the normal equations get
-a small diagonal regularization so redundant or degenerate constraints do
-not need presolving.
+internally to equality form [A I] with slack variables; the normal equations
+get a small diagonal regularization so redundant or degenerate constraints
+do not need presolving.
 
-A constraint matrix of the Dantzig-selector form [[B, -B], [-B, B]] (k x k
-blocks) is recognised once per solve, and its 2k x 2k normal equations are
-then solved through one k x k Cholesky factor by block elimination, the
-reduction l1-magic's `l1dantzig_pd` uses; every other matrix takes the
-dense normal equations. Both run the same interior-point iteration.
+Each solve builds one operator from A, and the iteration reaches A only
+through it: products with [A I] and its transpose, and the normal-equation
+solve. For a constraint matrix of the Dantzig-selector form
+[[B, -B], [-B, B]] (k x k blocks), recognised once per solve, the operator
+works through B alone and solves the 2k x 2k normal equations through one
+k x k Cholesky factor by block elimination, as l1-magic's `l1dantzig_pd`
+does; any other matrix is applied densely. One product with [A I] and one
+with its transpose per iterate give both its residuals and its KKT report.
 
 No external optimization library is used; linear algebra is numpy/scipy
 factorizations only.
@@ -84,7 +87,7 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class KktReport:
-    """Scaled residuals of the returned point.
+    """Scaled residuals of the returned point; NaN if the iterate went non-finite.
 
     For an optimal solution all three are at most the solver tolerance.
     For an infeasible or unbounded status they hold the certificate
@@ -109,7 +112,7 @@ class LpSolution:
     status: str
     kkt_report: KktReport
     iterations: int
-    # Inequality multipliers (>= 0, one per row of A); meaningful when optimal.
+    # Multipliers of A x <= b, >= 0 up to the report's dual residual; meaningful if optimal.
     dual_values: np.ndarray | None = None
 
 
@@ -136,19 +139,17 @@ def solve_lp(
         return _solve_unconstrained(lp)
 
     # Equality form: [A I] [x; s] = b with x, s >= 0.
-    B = _selector_block(lp.A)
-    A = np.hstack([lp.A, np.eye(m)])
+    op = _Operator(lp.A)
     b = lp.b
     c = np.concatenate([lp.c, np.zeros(m)])
-    nt = n + m
 
-    x = np.ones(nt)
+    x = np.ones(n + m)
     y = np.zeros(m)
-    z = np.ones(nt)
+    z = np.ones(n + m)
     tau = 1.0
     kappa = 1.0
 
-    r_p, r_d, r_g, mu = _residuals(A, b, c, x, y, z, tau, kappa)
+    r_p, r_d, r_g, mu, report = _residuals(op, b, c, x, y, z, tau, kappa)
     mu0 = mu
     norm_rp0 = max(1.0, np.linalg.norm(r_p))
     norm_rd0 = max(1.0, np.linalg.norm(r_d))
@@ -159,7 +160,7 @@ def solve_lp(
 
     for iterations in range(1, max_iterations + 1):
         d_x, d_y, d_z, d_tau, d_kappa = _search_direction(
-            A, B, b, c, x, y, z, tau, kappa, r_p, r_d, r_g, mu
+            op, b, c, x, y, z, tau, kappa, r_p, r_d, r_g, mu
         )
         alpha = _step_to_boundary(x, d_x, z, d_z, tau, d_tau, kappa, d_kappa, STEP_SCALE)
         x = x + alpha * d_x
@@ -171,15 +172,15 @@ def solve_lp(
         if not (
             np.all(np.isfinite(x)) and np.all(np.isfinite(z)) and np.isfinite(tau) and tau > 0
         ):
+            report = KktReport(np.nan, np.nan, np.nan)
             break
 
-        r_p, r_d, r_g, mu = _residuals(A, b, c, x, y, z, tau, kappa)
+        r_p, r_d, r_g, mu, report = _residuals(op, b, c, x, y, z, tau, kappa)
         rho_p = np.linalg.norm(r_p) / norm_rp0
         rho_d = np.linalg.norm(r_d) / norm_rd0
         rho_g = abs(r_g) / norm_rg0
         rho_mu = mu / mu0
 
-        report = _scaled_residuals(lp, x, y, z, tau)
         if report.max_residual() <= tolerance:
             status = STATUS_OPTIMAL
             break
@@ -194,8 +195,7 @@ def solve_lp(
     if status in (STATUS_OPTIMAL, STATUS_ITERATION_LIMIT):
         tau_safe = max(tau, np.finfo(float).tiny)
         x_out = x[:n] / tau_safe
-        duals = np.maximum(-y / tau_safe, 0.0)
-        report = _scaled_residuals(lp, x, y, z, tau_safe)
+        duals = -y / tau_safe
     else:
         # Certificate residuals of the homogeneous iterate.
         x_out = np.full(n, np.nan)
@@ -231,40 +231,26 @@ def _solve_unconstrained(lp: LinearProgram) -> LpSolution:
     return LpSolution(np.full(lp.num_variables, np.nan), np.nan, STATUS_UNBOUNDED, report, 0)
 
 
-def _residuals(A, b, c, x, y, z, tau, kappa):
+def _residuals(op, b, c, x, y, z, tau, kappa):
     """Primal, dual and gap residuals and the barrier parameter mu of the
-    homogeneous iterate."""
+    homogeneous iterate, and the KktReport of its de-homogenized point, from
+    one product each with [A I] and its transpose. With s the slack part of
+    x, A x/tau - b = -(r_p + s)/tau; r_d/tau is the stationarity residual of
+    the equality form, covering the reduced costs and the sign of the
+    inequality multipliers. Iterates are interior, so x/tau >= 0 holds."""
+    cx, by = c @ x, b @ y
+    r_p = b * tau - op(x)
+    r_d = c * tau - op.T(y) - z
+    primal = -(r_p + x[x.shape[0] - b.shape[0]:]) / tau
+    report = KktReport(
+        primal_infeasibility=float(np.max(primal, initial=0.0))
+        / (1.0 + np.linalg.norm(b, np.inf)),
+        dual_infeasibility=float(np.linalg.norm(r_d, np.inf))
+        / (tau * (1.0 + np.linalg.norm(c, np.inf))),
+        complementarity_gap=float(abs(cx - by) / (tau + abs(cx))),
+    )
     mu = (x @ z + tau * kappa) / (x.shape[0] + 1)
-    return b * tau - A @ x, c * tau - A.T @ y - z, c @ x - b @ y + kappa, mu
-
-
-def _scaled_residuals(lp: LinearProgram, x, y, z, tau) -> KktReport:
-    """KKT residuals of the de-homogenized point for the inequality form."""
-    n = lp.num_variables
-    x_hat = x[:n] / tau
-    y_hat = y / tau  # equality-form duals; y_hat <= 0 at feasibility
-    z_hat = z / tau
-
-    primal = lp.A @ x_hat - lp.b
-    primal_inf = max(
-        float(np.max(primal, initial=0.0)), float(np.max(-x_hat, initial=0.0))
-    ) / (1.0 + np.linalg.norm(lp.b, np.inf))
-
-    # Stationarity of the full equality form covers both reduced costs and
-    # the sign condition on the inequality multipliers.
-    A_eq_t_y = np.concatenate([lp.A.T @ y_hat, y_hat])
-    c_eq = np.concatenate([lp.c, np.zeros(lp.num_constraints)])
-    dual_inf = float(np.linalg.norm(c_eq - A_eq_t_y - z_hat, np.inf)) / (
-        1.0 + np.linalg.norm(lp.c, np.inf)
-    )
-
-    obj = lp.c @ x_hat
-    gap = abs(obj - lp.b @ y_hat) / (1.0 + abs(obj))
-    return KktReport(
-        primal_infeasibility=float(primal_inf),
-        dual_infeasibility=float(dual_inf),
-        complementarity_gap=float(gap),
-    )
+    return r_p, r_d, cx - by + kappa, mu, report
 
 
 def _selector_block(A):
@@ -280,73 +266,94 @@ def _selector_block(A):
     return None
 
 
-def _normal_solver(A, B, d_inv):
-    """solve(r) for the regularized normal equations (A D A' + eps I) v = r,
-    D = diag(d_inv), of the equality form A = [A_in I].
+class _Operator:
+    """The equality-form matrix [A I] of one program, never formed: op(x) is
+    [A I] x and op.T(y) is [A I]' y, applied through A, or through B alone
+    when A = [[B, -B], [-B, B]], where A [u; v] = [B (u - v); -B (u - v)]."""
 
-    With A_in = [[B, -B], [-B, B]] the matrix is [[K + S1, -K], [-K, K + S2]]
-    with K = B diag(d_u + d_v) B' and S1, S2 the slack scalings plus eps.
-    For w = v1 - v2 it reduces to the k x k system
-    (K + S1 S2 / (S1 + S2)) w = (S2 r1 - S1 r2) / (S1 + S2), and then
-    v1 = (r1 + r2 + S2 w) / (S1 + S2), v2 = v1 - w. This recovery never
-    divides by S1 or S2 alone: those go to 0 on active rows while B = X'X
-    is rank-deficient, and v1 = S1^-1 (r1 - K w) stalls the iteration there.
-    A failed factor falls back to the dense matrix, then to least squares.
-    """
-    if B is not None:
-        k = B.shape[0]
-        s1 = d_inv[2 * k:3 * k] + NORMAL_EQ_REGULARIZATION
-        s2 = d_inv[3 * k:] + NORMAL_EQ_REGULARIZATION
-        s_sum = s1 + s2
-        G = (B * (d_inv[:k] + d_inv[k:2 * k])) @ B.T
-        G[np.diag_indices_from(G)] += s1 * s2 / s_sum
-        factor, info = dpotrf(G, lower=0, clean=0)
+    def __init__(self, A):
+        self.A = A
+        self.B = _selector_block(A)
+
+    def __call__(self, x):
+        n = self.A.shape[1]
+        if self.B is None:
+            return self.A @ x[:n] + x[n:]
+        t = self.B @ (x[:n // 2] - x[n // 2:n])
+        return np.concatenate([t, -t]) + x[n:]
+
+    def T(self, y):
+        if self.B is None:
+            return np.concatenate([self.A.T @ y, y])
+        t = self.B.T @ (y[:y.shape[0] // 2] - y[y.shape[0] // 2:])
+        return np.concatenate([t, -t, y])
+
+    def solver(self, d_inv):
+        """solve(r) for the regularized normal equations
+        [A I] D [A I]' v + eps v = (A D_x A' + D_s + eps I) v = r, with
+        D = diag(d_inv) = diag(D_x, D_s).
+
+        With A = [[B, -B], [-B, B]] the matrix is [[K + S1, -K], [-K, K + S2]]
+        with K = B diag(d_u + d_v) B' and S1, S2 the slack scalings plus eps.
+        For w = v1 - v2 it reduces to the k x k system
+        (K + S1 S2 / (S1 + S2)) w = (S2 r1 - S1 r2) / (S1 + S2), and then
+        v1 = (r1 + r2 + S2 w) / (S1 + S2), v2 = v1 - w. This recovery never
+        divides by S1 or S2 alone: those go to 0 on active rows while B = X'X
+        is rank-deficient, and v1 = S1^-1 (r1 - K w) stalls the iteration
+        there. A failed factor falls back to the dense matrix, then to least
+        squares.
+        """
+        n = self.A.shape[1]
+        s = d_inv[n:] + NORMAL_EQ_REGULARIZATION
+        if self.B is not None:
+            k = n // 2
+            s1, s2 = s[:k], s[k:]
+            s_sum = s1 + s2
+            G = (self.B * (d_inv[:k] + d_inv[k:n])) @ self.B.T
+            G[np.diag_indices_from(G)] += s1 * s2 / s_sum
+            factor, info = dpotrf(G, lower=0, clean=0)
+            if info == 0:
+
+                def solve(r):
+                    r1, r2 = r[:k], r[k:]
+                    w = dpotrs(factor, (s2 * r1 - s1 * r2) / s_sum, lower=0)[0]
+                    v1 = (r1 + r2 + s2 * w) / s_sum
+                    return np.concatenate([v1, v1 - w])
+
+                return solve
+
+        M = (self.A * d_inv[:n]) @ self.A.T
+        M[np.diag_indices_from(M)] += s
+        factor, info = dpotrf(M, lower=0, clean=0)
         if info == 0:
-
-            def solve(r):
-                r1, r2 = r[:k], r[k:]
-                w = dpotrs(factor, (s2 * r1 - s1 * r2) / s_sum, lower=0)[0]
-                v1 = (r1 + r2 + s2 * w) / s_sum
-                return np.concatenate([v1, v1 - w])
-
-            return solve
-
-    M = (A * d_inv) @ A.T
-    M[np.diag_indices_from(M)] += NORMAL_EQ_REGULARIZATION
-    factor, info = dpotrf(M, lower=0, clean=0)
-    if info == 0:
-        return lambda r: dpotrs(factor, r, lower=0)[0]
-    return lambda r: np.linalg.lstsq(M, r, rcond=None)[0]
+            return lambda r: dpotrs(factor, r, lower=0)[0]
+        return lambda r: np.linalg.lstsq(M, r, rcond=None)[0]
 
 
-def _search_direction(A, B, b, c, x, y, z, tau, kappa, r_p, r_d, r_g, mu):
-    """Mehrotra predictor-corrector direction for the homogeneous system.
-    `B` is the selector block of A's inequality part, or None."""
-    nt = x.shape[0]
+def _search_direction(op, b, c, x, y, z, tau, kappa, r_p, r_d, r_g, mu):
+    """Mehrotra predictor-corrector direction for the homogeneous system."""
     d_inv = x / z
-    solve = _normal_solver(A, B, d_inv)
+    solve = op.solver(d_inv)
 
     def sym_solve(r1, r2):
-        v = solve(r2 + A @ (d_inv * r1))
-        u = d_inv * (A.T @ v - r1)
+        v = solve(r2 + op(d_inv * r1))
+        u = d_inv * (op.T(v) - r1)
         return u, v
 
     p, q = sym_solve(c, b)
     denom_tau = kappa / tau + (-c @ p + b @ q)
 
     gamma = 0.0
-    d_x = d_z = np.zeros(nt)
+    d_x = d_z = np.zeros_like(x)
     d_tau = d_kappa = 0.0
     for stage in range(2):
         eta = 1.0 - gamma
         rhat_p = eta * r_p
         rhat_d = eta * r_d
         rhat_g = eta * r_g
-        rhat_xz = gamma * mu - x * z
-        rhat_tk = gamma * mu - tau * kappa
-        if stage == 1:
-            rhat_xz = rhat_xz - d_x * d_z
-            rhat_tk = rhat_tk - d_tau * d_kappa
+        # The predictor's direction is zero, so its products drop out there.
+        rhat_xz = gamma * mu - x * z - d_x * d_z
+        rhat_tk = gamma * mu - tau * kappa - d_tau * d_kappa
 
         u, v = sym_solve(rhat_d - rhat_xz / x, rhat_p)
         d_tau = (rhat_g + rhat_tk / tau - (-c @ u + b @ v)) / denom_tau
@@ -364,15 +371,7 @@ def _search_direction(A, B, b, c, x, y, z, tau, kappa, r_p, r_d, r_g, mu):
 
 def _step_to_boundary(x, d_x, z, d_z, tau, d_tau, kappa, d_kappa, scale):
     """Largest step in [0, 1] keeping (x, z, tau, kappa) positive."""
-    alpha = 1.0
-    neg = d_x < 0
-    if np.any(neg):
-        alpha = min(alpha, scale * float(np.min(x[neg] / -d_x[neg])))
-    neg = d_z < 0
-    if np.any(neg):
-        alpha = min(alpha, scale * float(np.min(z[neg] / -d_z[neg])))
-    if d_tau < 0:
-        alpha = min(alpha, scale * tau / -d_tau)
-    if d_kappa < 0:
-        alpha = min(alpha, scale * kappa / -d_kappa)
-    return alpha
+    v = np.concatenate([x, z, [tau, kappa]])
+    d = np.concatenate([d_x, d_z, [d_tau, d_kappa]])
+    neg = d < 0
+    return min(1.0, scale * float(np.min(v[neg] / -d[neg], initial=np.inf)))

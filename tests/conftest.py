@@ -39,14 +39,14 @@ def enumerate_lp_vertices(c, A, b, feas_tol=1e-9):
     return best_val, best_x
 
 
-def random_bounded_lp(rng) -> LinearProgram:
-    """Feasible bounded instance: Gaussian rows + a simplex cap, rhs from a
-    random interior point."""
-    A_rand = rng.standard_normal((5, 4))
-    x0 = rng.uniform(0.2, 1.0, 4)
-    b = np.concatenate([A_rand @ x0 + rng.uniform(0.1, 1.0, 5), [x0.sum() + 1.0]])
-    A = np.vstack([A_rand, np.ones(4)])
-    c = rng.standard_normal(4)
+def random_bounded_lp(rng, rows=5, cols=4) -> LinearProgram:
+    """Feasible bounded instance: `rows` Gaussian rows + a simplex cap over
+    `cols` variables, rhs from a random interior point."""
+    A_rand = rng.standard_normal((rows, cols))
+    x0 = rng.uniform(0.2, 1.0, cols)
+    b = np.concatenate([A_rand @ x0 + rng.uniform(0.1, 1.0, rows), [x0.sum() + 1.0]])
+    A = np.vstack([A_rand, np.ones(cols)])
+    c = rng.standard_normal(cols)
     return LinearProgram(c=c, A=A, b=b)
 
 

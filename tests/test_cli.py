@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from sparsechan import cli
+from sparsechan import cli, estimators
 from sparsechan.experiments import ExperimentConfig, run_trial
 from sparsechan.model import DEMO_TAP_VALUES, load_taps_csv
 
@@ -189,6 +189,15 @@ class TestConfigHandling:
         (["sweep-snr", "--M", "1", "--methods", "omp"], {"omp_residual_tol": "abc"},
          "omp_residual_tol"),
         (["sweep-snr", "--M", "1", "--methods", "ls", "--workers", "0"], None, "workers"),
+        (["sweep-snr", "--M", "2", "--snr", "10", "--methods", "lasso", "--lambda-lasso", "nan"],
+         None, "lambda_lasso"),
+        (["estimate", "--lambda-ds", "nan"], None, "lambda_ds"),
+        (["estimate", "--lambda-ds", "inf"], None, "lambda_ds"),
+        (["sweep-n", "--M", "1", "--methods", "ls", "--lambda-lasso=-inf"], None, "lambda_lasso"),
+        (["sweep-snr", "--M", "1", "--methods", "omp"], {"omp_residual_tol": float("inf")},
+         "omp_residual_tol"),
+        (["sweep-snr", "--M", "1", "--methods", "omp"], {"omp_residual_tol": float("nan")},
+         "omp_residual_tol"),
     ])
     def test_out_of_range_values_exit_two(self, tmp_path, capsys, argv, config, named):
         if config is not None:
@@ -251,6 +260,19 @@ class TestEstimateCommand:
         diag = json.loads((only_run_dir(tmp_path, "estimate-") / "diagnostics.json").read_text())
         assert len(diag["sds"]["weights"]) == 16
         assert all(w >= 0 for w in diag["sds"]["weights"])
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        # Only expected estimator failures become failed cells or exit 3.
+        def broken(X, obs):
+            raise TypeError("broken estimator")
+
+        monkeypatch.setattr(estimators, "ls_estimate", broken)
+        cfg = ExperimentConfig(L=16, T=2, trials=1, methods=("ls",), fixed_n=8)
+        with pytest.raises(TypeError, match="broken estimator"):
+            run_trial(cfg, 10.0, 8, 0)
+        with pytest.raises(TypeError, match="broken estimator"):
+            cli.main(["estimate", "--methods", "ls", "--L", "16", "--T", "2", "--n", "8",
+                      "--out", str(tmp_path)])
 
     def test_matches_trial_zero_of_sweep_point(self, tmp_path, capsys):
         methods = ("ls", "oracle", "ds")

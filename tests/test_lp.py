@@ -1,12 +1,18 @@
 """Tests for the interior-point LP solver, checked against brute-force
 vertex enumeration on small problems."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.optimize
 from conftest import enumerate_lp_vertices, random_bounded_lp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsechan import lp as lp_module
+from sparsechan.estimators import EstimatorConfig, ds_estimate
+from sparsechan.experiments import ExperimentConfig, make_instance
 from sparsechan.lp import LinearProgram, solve_lp
 
 
@@ -121,6 +127,20 @@ class TestSolutionProperties:
         assert sol.status in ("optimal", "iteration_limit")
         assert sol.iterations <= 2
 
+    def test_nonfinite_iterate_reports_nan(self, monkeypatch):
+        # A direction that turns the iterate non-finite ends the solve; its
+        # report must not be the previous iterate's residuals.
+        def nan_direction(op, b, c, x, *rest):
+            return np.full_like(x, np.nan), np.zeros_like(b), np.ones_like(x), 0.0, 0.0
+
+        monkeypatch.setattr(lp_module, "_search_direction", nan_direction)
+        sol = solve_lp(random_bounded_lp(np.random.default_rng(26)))
+        assert sol.status == "iteration_limit"
+        assert sol.iterations == 1
+        report = sol.kkt_report
+        assert np.isnan([report.primal_infeasibility, report.dual_infeasibility,
+                         report.complementarity_gap]).all()
+
     def test_degenerate_duplicate_rows_handled(self):
         # Redundant constraints rely on the regularized normal equations.
         A = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
@@ -151,12 +171,14 @@ def selector_blocks(rng, n=6, L=10):
 
 
 def normal_equations(B, d_inv):
-    """The equality-form A = [[[B, -B], [-B, B]] I] and its regularized
-    dense normal matrix A D A' + eps I."""
-    k = B.shape[0]
-    A = np.hstack([np.block([[B, -B], [-B, B]]), np.eye(2 * k)])
-    M = (A * d_inv) @ A.T
-    M[np.diag_indices_from(M)] += lp_module.NORMAL_EQ_REGULARIZATION
+    """The inequality matrix A = [[B, -B], [-B, B]] and, built as the solver
+    builds its dense fallback, the regularized normal matrix
+    A D_x A' + D_s + eps I of its equality form, D = diag(d_inv) =
+    diag(D_x, D_s)."""
+    A = np.block([[B, -B], [-B, B]])
+    n = A.shape[1]
+    M = (A * d_inv[:n]) @ A.T
+    M[np.diag_indices_from(M)] += d_inv[n:] + lp_module.NORMAL_EQ_REGULARIZATION
     return A, M
 
 
@@ -180,6 +202,21 @@ class TestSelectorStructure:
             assert lp_module._selector_block(random_bounded_lp(rng).A) is None
         assert lp_module._selector_block(np.eye(2)) is None
 
+    def test_operator_matches_dense_equality_form(self):
+        # Both paths of the operator against the formed [A I].
+        rng = np.random.default_rng(35)
+        programs = [selector_lp(B, d, 0.1).A for _name, B, d in selector_blocks(rng)]
+        programs += [random_bounded_lp(rng).A for _ in range(3)]
+        for A in programs:
+            m, n = A.shape
+            A_eq = np.hstack([A, np.eye(m)])
+            op = lp_module._Operator(A)
+            assert (op.B is None) == (n != m)
+            x, y = rng.standard_normal(n + m), rng.standard_normal(m)
+            scale = np.abs(A_eq).sum()
+            np.testing.assert_allclose(op(x), A_eq @ x, rtol=0, atol=1e-13 * scale)
+            np.testing.assert_allclose(op.T(y), A_eq.T @ y, rtol=0, atol=1e-13 * scale)
+
     @pytest.mark.parametrize("spread", [False, True])
     def test_solve_matches_dense_normal_equations(self, spread):
         # Scalings over 1e-8..1e8 give the normal matrix condition numbers up
@@ -193,7 +230,7 @@ class TestSelectorStructure:
                 d_inv = 10.0 ** rng.uniform(-8, 8, 4 * k) if spread else np.ones(4 * k)
                 A, M = normal_equations(B, d_inv)
                 r = rng.standard_normal(2 * k)
-                v = lp_module._normal_solver(A, B, d_inv)(r)
+                v = lp_module._Operator(A).solver(d_inv)(r)
                 backward = np.linalg.norm(M @ v - r) / (
                     np.linalg.norm(M, 2) * np.linalg.norm(v) + np.linalg.norm(r))
                 assert backward <= 1e-12, name
@@ -209,7 +246,7 @@ class TestSelectorStructure:
             d_inv = -np.ones(4 * k)
             A, M = normal_equations(B, d_inv)
             r = rng.standard_normal(2 * k)
-            np.testing.assert_array_equal(lp_module._normal_solver(A, B, d_inv)(r),
+            np.testing.assert_array_equal(lp_module._Operator(A).solver(d_inv)(r),
                                           np.linalg.lstsq(M, r, rcond=None)[0], err_msg=name)
 
     def test_selector_programs_match_highs(self):
@@ -224,3 +261,75 @@ class TestSelectorStructure:
                     assert ref.status == 0
                     assert sol.status == "optimal", name
                     assert abs(sol.objective_value - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun)), name
+
+
+# Hypothesis properties of the KktReport that the solver derives from its
+# residuals, on both operator paths: dense random programs and the three
+# selector kinds. Derandomized so that a run is reproducible.
+PROPERTIES = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def bounded_lps(draw):
+    rng = np.random.default_rng(draw(SEEDS))
+    return random_bounded_lp(rng, draw(st.integers(1, 8)), draw(st.integers(1, 6)))
+
+
+@st.composite
+def selector_programs(draw):
+    rng = np.random.default_rng(draw(SEEDS))
+    L = draw(st.integers(2, 10))
+    blocks = selector_blocks(rng, n=draw(st.integers(1, L)), L=L)
+    _name, B, d = blocks[draw(st.integers(0, len(blocks) - 1))]
+    return selector_lp(B, d, draw(st.floats(0.0, 2.0)))
+
+
+class TestDerivedReport:
+    """The report of an optimal solve, recomputed from what it returns."""
+
+    def check_report(self, lp):
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        report, x, duals = sol.kkt_report, sol.x, sol.dual_values
+        primal = max(np.max(lp.A @ x - lp.b, initial=0.0), np.max(-x, initial=0.0))
+        primal /= 1.0 + np.linalg.norm(lp.b, np.inf)
+        assert abs(primal - report.primal_infeasibility) <= 1e-10
+        obj = lp.c @ x
+        gap = abs(obj + lp.b @ duals) / (1.0 + abs(obj))
+        assert abs(gap - report.complementarity_gap) <= lp_module.DEFAULT_TOLERANCE
+        assert np.all(lp.c + lp.A.T @ duals >= -1e-6)
+
+    @PROPERTIES
+    @given(bounded_lps())
+    def test_dense_programs(self, lp):
+        assert lp_module._selector_block(lp.A) is None
+        self.check_report(lp)
+
+    @PROPERTIES
+    @given(selector_programs())
+    def test_selector_programs(self, lp):
+        assert lp_module._selector_block(lp.A) is not None
+        self.check_report(lp)
+
+    # A known defect, kept visible: the stopping test scales its residuals by
+    # 1 + |.| floors, which are absolute for data much smaller than 1, so at
+    # alpha = 1e-3 the estimate is only good to ~1e-4 relative; and at any
+    # scale the 1e-8 tolerance pins the estimate to ~2e-7 relative, not 1e-7.
+    @pytest.mark.xfail(strict=True, reason="selector accuracy is not scale-free")
+    @PROPERTIES
+    @given(SEEDS, st.sampled_from(["gaussian", "complex_gaussian"]),
+           st.floats(0.01, 0.9), st.floats(1e-3, 1e3))
+    def test_selector_scale_equivariance(self, seed, distribution, level, alpha):
+        # y -> alpha y with lambda -> alpha lambda scales the estimate. The
+        # level is below max |X^H y|, where the estimate would be 0 and an
+        # interior point has no relative accuracy.
+        cfg = ExperimentConfig(L=16, T=2, trials=1, fixed_n=8, base_seed=seed,
+                               distribution=distribution)
+        _channel, X, obs = make_instance(cfg, 20.0, 8, 0)
+        correlation = X.matrix.conj().T @ obs.y
+        lam = level * max(np.abs(correlation.real).max(), np.abs(correlation.imag).max())
+        h = ds_estimate(X, obs, EstimatorConfig(lambda_ds=lam)).h_hat
+        h_scaled = ds_estimate(X, replace(obs, y=alpha * obs.y),
+                               EstimatorConfig(lambda_ds=alpha * lam)).h_hat
+        assert np.linalg.norm(h_scaled - alpha * h) <= 1e-7 * np.linalg.norm(alpha * h)
