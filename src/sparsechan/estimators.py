@@ -5,6 +5,9 @@ minimum-norm underdetermined regime), orthogonal matching pursuit, Lasso by
 cyclic coordinate descent with complex soft-thresholding, the Dantzig
 selector realized as a linear program, its residual-reweighted "sensing"
 variant, and the genie-aided oracle (least squares on the true support).
+The tall least-squares solve shared by `ls`, `omp` and `oracle` is a
+complex QR that rejects rank-deficient systems with SingularMatrixError;
+`ls` then falls back to a small ridge, the other two fail the instance.
 
 Complex data is handled in a real-composite convention for the Dantzig
 selector: each complex coefficient contributes |Re| + |Im| to the L1
@@ -31,7 +34,6 @@ from .lp import (
     solve_lp,
 )
 from .model import Observation, ToeplitzTraining
-from .numerics import SingularMatrixError, hermitian, least_squares_solve
 
 METHOD_LS = "ls"
 METHOD_OMP = "omp"
@@ -51,11 +53,22 @@ LASSO_MAX_SWEEPS = 10_000
 
 RIDGE_REGULARIZATION = 1e-10
 
+# A QR pivot counts as zero when it falls below this fraction of the largest one.
+PIVOT_RTOL = 1e-12
+
 # Auto-level calibration for the selector's componentwise program: each of
 # the 2L real correlation coordinates carries noise std sigma/sqrt(2), and
 # the bound shrinks real and imaginary parts independently, so the level is
 # half the modulus-based rule to keep its shrinkage comparable.
 COMPOSITE_LAMBDA_CALIBRATION = 0.5
+
+
+class SingularMatrixError(ValueError):
+    """A QR factorization hit a pivot that is zero within tolerance."""
+
+    def __init__(self, pivot_index: int):
+        self.pivot_index = pivot_index
+        super().__init__(f"matrix is singular within tolerance at pivot {pivot_index}")
 
 
 class SelectorLpError(RuntimeError):
@@ -131,22 +144,44 @@ def _solve_psd(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
         return np.linalg.solve(G, rhs), True
 
 
+def least_squares_solve(M, b) -> np.ndarray:
+    """Solve argmin_x ||Mx - b||_2 for a tall (rows >= cols) matrix M.
+
+    Uses a complex QR factorization and rejects rank-deficient systems: any
+    diagonal entry of R below PIVOT_RTOL times the largest one raises
+    SingularMatrixError carrying the failing pivot index. A wide M or
+    non-finite entries raise ValueError from the triangular solve.
+    """
+    Q, R = np.linalg.qr(np.asarray(M, dtype=np.complex128), mode="reduced")
+    pivots = np.abs(np.diag(R))
+    largest = pivots.max()
+    if largest == 0.0:
+        raise SingularMatrixError(0)
+    bad = np.flatnonzero(pivots < PIVOT_RTOL * largest)
+    if bad.size:
+        raise SingularMatrixError(int(bad[0]))
+    return scipy.linalg.solve_triangular(R, Q.conj().T @ b)
+
+
 def ls_estimate(X: ToeplitzTraining, obs: Observation) -> Estimate:
     """Plain least squares; minimum-L2-norm solution when N < L."""
     Xm, y = X.matrix, obs.y
     N, L = Xm.shape
+    # np.conj copies Xm, so on real Xm the Gram products below run as gemm
+    # rather than as syrk on a transposed view of Xm itself.
+    Xh = np.conj(Xm).T
     diagnostics = {"regularized": False}
     if N >= L:
         try:
             h = least_squares_solve(Xm, y)
         except SingularMatrixError:
-            gram = hermitian(Xm) @ Xm
+            gram = Xh @ Xm
             gram[np.diag_indices_from(gram)] += RIDGE_REGULARIZATION
-            h = np.linalg.solve(gram, hermitian(Xm) @ y)
+            h = np.linalg.solve(gram, Xh @ y)
             diagnostics["regularized"] = True
     else:
-        w, diagnostics["regularized"] = _solve_psd(Xm @ hermitian(Xm), y)
-        h = hermitian(Xm) @ w
+        w, diagnostics["regularized"] = _solve_psd(Xm @ Xh, y)
+        h = Xh @ w
     return Estimate(h, METHOD_LS, dominant_support(h), diagnostics)
 
 
@@ -174,7 +209,7 @@ def omp_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig) ->
     while len(selected) < max_atoms:
         if np.linalg.norm(residual) <= residual_tol:
             break
-        corr = np.abs(hermitian(Xm) @ residual)
+        corr = np.abs(Xm.conj().T @ residual)
         best = int(np.argmax(corr))
         if corr[best] <= 1e-14 * max(1.0, float(np.linalg.norm(residual))):
             break
@@ -308,7 +343,7 @@ def sds_weighting(Xm: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, bool
     weights = np.asarray(weights, dtype=np.float64)
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
-    Z, regularized = _solve_psd((Xm * (weights**2)[None, :]) @ hermitian(Xm), Xm)
+    Z, regularized = _solve_psd((Xm * (weights**2)[None, :]) @ Xm.conj().T, Xm)
     col_scale = np.real(np.einsum("ij,ij->j", np.conj(Xm), Z))
     return Z / col_scale[None, :], regularized
 
@@ -325,7 +360,7 @@ def sds_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig,
         base = ds_estimate(X, obs, cfg)
     Xm, y = X.matrix, obs.y
     residual = y - Xm @ base.h_hat
-    w = np.abs(hermitian(Xm) @ residual)
+    w = np.abs(Xm.conj().T @ residual)
     if w.max(initial=0.0) <= 1e-12 * max(1.0, float(np.linalg.norm(y))):
         diagnostics = {**base.diagnostics, "degenerate_weighting": True}
         return Estimate(base.h_hat, METHOD_SDS, base.support_hat, diagnostics)

@@ -96,6 +96,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods {unknown}; choose from {ALL_METHODS}")
         if not self.methods:
             raise ValueError("methods must be non-empty")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods must not repeat, got {list(self.methods)}")
+        if not (isinstance(self.base_seed, int) and 0 <= self.base_seed < 2**64):
+            raise ValueError(f"base_seed must be an integer in [0, 2**64), got {self.base_seed!r}")
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))

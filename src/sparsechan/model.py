@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import hermitian, hermitian_eig_extremes
-
 TRAINING_DISTRIBUTIONS = ("gaussian", "rademacher", "complex_gaussian")
 
 # Nonzero values of the fixed five-tap demo channel.
@@ -216,8 +214,11 @@ def restricted_isometry_constant(
     table = []
     for support in supports:
         cols = X.matrix[:, list(support)]
-        gram = hermitian(cols) @ cols
-        lo, hi = hermitian_eig_extremes(gram)
+        # np.conj copies cols, so on real training the product runs as gemm
+        # rather than as syrk on a transposed view of cols itself.
+        gram = np.asarray(np.conj(cols).T @ cols, dtype=np.complex128)
+        w = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
+        lo, hi = float(w[0]), float(w[-1])
         table.append((tuple(support), lo, hi))
         delta = max(delta, 1.0 - lo, hi - 1.0)
     return RicEstimate(
@@ -237,17 +238,3 @@ def save_taps_csv(path, taps: np.ndarray) -> None:
         writer.writerow(["index", "real", "imag"])
         for i, v in enumerate(taps):
             writer.writerow([i, repr(float(v.real)), repr(float(v.imag))])
-
-
-def load_taps_csv(path) -> np.ndarray:
-    """Read a tap vector written by save_taps_csv."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["index", "real", "imag"]:
-            raise ValueError(f"unexpected tap CSV header: {header}")
-        entries = {int(row[0]): float(row[1]) + 1j * float(row[2]) for row in reader}
-    taps = np.zeros(max(entries) + 1 if entries else 0, dtype=np.complex128)
-    for i, v in entries.items():
-        taps[i] = v
-    return taps

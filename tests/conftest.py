@@ -50,6 +50,13 @@ def random_bounded_lp(rng, rows=5, cols=4) -> LinearProgram:
     return LinearProgram(c=c, A=A, b=b)
 
 
+def read_taps_csv(path) -> np.ndarray:
+    """Tap vector from a CSV of (index, real, imag) rows after a header."""
+    index, real, imag = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True, ndmin=2)
+    np.testing.assert_array_equal(index, np.arange(index.size))
+    return real + 1j * imag
+
+
 def identity_training(n: int) -> ToeplitzTraining:
     """Training object whose matrix is exactly the n x n identity."""
     probe = np.zeros(2 * n - 1)

@@ -2,15 +2,18 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import read_taps_csv
 
 from sparsechan import cli, estimators
 from sparsechan.experiments import ExperimentConfig, run_trial
-from sparsechan.model import DEMO_TAP_VALUES, load_taps_csv
+from sparsechan.model import DEMO_TAP_VALUES
 
 
 def run_cli(argv, capsys):
@@ -37,9 +40,12 @@ class TestBudget:
         assert "config error" in err
 
     def test_console_entry_point(self):
+        # The child must import the package under test, installed or not.
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "sparsechan.cli", "budget", "--T", "1", "--p", "3", "--c", "1"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "2"
@@ -198,6 +204,12 @@ class TestConfigHandling:
          "omp_residual_tol"),
         (["sweep-snr", "--M", "1", "--methods", "omp"], {"omp_residual_tol": float("nan")},
          "omp_residual_tol"),
+        (["sweep-snr", "--M", "3", "--methods", "ls,ls"], None, "methods"),
+        (["ric", "--seed", "-1"], None, "base_seed"),
+        (["demo-fig2", "--seed", "-1"], None, "base_seed"),
+        (["sweep-snr", "--M", "1", "--methods", "ls", "--seed", "-1"], None, "base_seed"),
+        (["sweep-n", "--M", "1", "--methods", "ls"], {"base_seed": 2**64}, "base_seed"),
+        (["sweep-n", "--M", "1", "--methods", "ls"], {"base_seed": 1.5}, "base_seed"),
     ])
     def test_out_of_range_values_exit_two(self, tmp_path, capsys, argv, config, named):
         if config is not None:
@@ -240,7 +252,7 @@ class TestEstimateCommand:
         )
         assert code == 0
         run_dir = only_run_dir(tmp_path, "estimate-")
-        truth = load_taps_csv(run_dir / "channel_true.csv")
+        truth = read_taps_csv(run_dir / "channel_true.csv")
         assert truth.shape == (16,)
         for method in ("ls", "ds", "oracle"):
             assert (run_dir / f"estimate_{method}.csv").exists()
@@ -320,7 +332,7 @@ class TestDemoCommand:
         code, _, _ = run_cli(["demo-fig2", "--seed", "0", "--out", str(tmp_path)], capsys)
         assert code == 0
         run_dir = only_run_dir(tmp_path, "demo-fig2-")
-        truth = load_taps_csv(run_dir / "channel_true.csv")
+        truth = read_taps_csv(run_dir / "channel_true.csv")
         assert truth.shape == (60,)
         support_rows = list(csv.DictReader(open(run_dir / "support_ds.csv")))
         moduli = {round(float(r["modulus"]), 3) for r in support_rows}
@@ -338,7 +350,7 @@ class TestDemoCommand:
         code, _, _ = run_cli(["demo-fig2", "--seed", "5", "--out", str(tmp_path)], capsys)
         assert code == 0
         run_dir = only_run_dir(tmp_path, "demo-fig2-")
-        truth = load_taps_csv(run_dir / "channel_true.csv")
+        truth = read_taps_csv(run_dir / "channel_true.csv")
         support = {int(r["index"]) for r in csv.DictReader(open(run_dir / "support_ds.csv"))}
         largest_four = set(np.argsort(np.abs(truth))[-4:])
         assert largest_four <= support

@@ -1,6 +1,7 @@
 """Tests for the channel estimators."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,11 +11,15 @@ from conftest import (
     identity_training,
     selector_objective_bruteforce,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsechan.estimators import (
     EstimatorConfig,
+    SingularMatrixError,
     ds_estimate,
     lasso_estimate,
+    least_squares_solve,
     ls_estimate,
     omp_estimate,
     oracle_estimate,
@@ -32,7 +37,6 @@ from sparsechan.model import (
     generate_sparse_channel,
     observe,
 )
-from sparsechan.numerics import hermitian
 
 
 def make_instance(L=60, T=4, N=30, snr_db=20.0, seed=0, distribution="gaussian"):
@@ -72,6 +76,43 @@ class TestResolveLambda:
             resolve_lambda(1.0, X, -0.5)
 
 
+class TestLeastSquares:
+    def test_identity_system(self):
+        x = least_squares_solve(np.eye(2), np.array([3.0, 4.0j]))
+        np.testing.assert_allclose(x, [3.0, 4.0j], atol=1e-14)
+
+    def test_mean_of_symmetric_residuals(self):
+        x = least_squares_solve(np.array([[1.0], [1.0]]), np.array([1.0, 3.0]))
+        np.testing.assert_allclose(x, [2.0], atol=1e-14)
+
+    def test_recovers_known_solution(self):
+        rng = np.random.default_rng(5)
+        M = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+        x0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        x = least_squares_solve(M, M @ x0)
+        assert np.linalg.norm(x - x0) <= 1e-10 * np.linalg.norm(x0)
+
+    def test_normal_equation_residual_small(self):
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            M = rng.standard_normal((10, 4)) + 1j * rng.standard_normal((10, 4))
+            b = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+            x = least_squares_solve(M, b)
+            Mh = np.conj(M.T)
+            resid = np.linalg.norm(Mh @ (M @ x - b), np.inf)
+            assert resid <= 1e-8 * np.linalg.norm(Mh @ b, np.inf)
+
+    def test_rank_deficient_names_pivot(self):
+        M = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(SingularMatrixError) as err:
+            least_squares_solve(M, np.ones(3))
+        assert err.value.pivot_index == 1
+
+    def test_wide_matrix_rejected(self):
+        with pytest.raises(ValueError):
+            least_squares_solve(np.ones((2, 3)), np.ones(2))
+
+
 class TestLeastSquaresEstimator:
     def test_identity(self):
         X = identity_training(2)
@@ -95,6 +136,17 @@ class TestLeastSquaresEstimator:
         _, X, obs = make_instance(seed=4)
         est = ls_estimate(X, obs)
         np.testing.assert_allclose(X.matrix @ est.h_hat, obs.y, atol=1e-8)
+
+    def test_duplicate_columns_fall_back_to_ridge(self):
+        # A constant probe repeats one column: QR rejects the tall system,
+        # and the ridge solution still fits y by its projection, mean(y).
+        X = ToeplitzTraining(N=6, L=3, probe=np.ones(8), matrix=np.ones((6, 3)),
+                             distribution="gaussian", seed=0)
+        y = np.arange(6.0) + 1j
+        est = ls_estimate(X, Observation(y=y, noise_variance=0.0, snr_db=np.inf, rng_seed=0))
+        assert est.diagnostics["regularized"]
+        assert np.all(np.isfinite(est.h_hat))
+        np.testing.assert_allclose(X.matrix @ est.h_hat, np.full(6, y.mean()), rtol=1e-8)
 
 
 class TestOmp:
@@ -133,7 +185,7 @@ class TestOmp:
 class TestLasso:
     def test_full_shrinkage_gives_zero(self):
         _, X, obs = make_instance(seed=6)
-        lam = float(np.abs(hermitian(X.matrix) @ obs.y).max()) * 1.01
+        lam = float(np.abs(X.matrix.conj().T @ obs.y).max()) * 1.01
         est = lasso_estimate(X, obs, EstimatorConfig(lambda_lasso=lam))
         np.testing.assert_array_equal(est.h_hat, 0)
         assert est.support_hat == ()
@@ -162,7 +214,7 @@ class TestLasso:
         channel, X, obs = make_instance(seed=10)
         est = lasso_estimate(X, obs, EstimatorConfig())
         lam = est.diagnostics["lambda"]
-        corr = hermitian(X.matrix) @ (obs.y - X.matrix @ est.h_hat)
+        corr = X.matrix.conj().T @ (obs.y - X.matrix @ est.h_hat)
         for j in range(X.L):
             if abs(est.h_hat[j]) > 1e-10:
                 phase = est.h_hat[j] / abs(est.h_hat[j])
@@ -179,7 +231,7 @@ class TestLasso:
 class TestDantzigSelector:
     def test_full_shrinkage_gives_zero(self):
         _, X, obs = make_instance(seed=12)
-        lam = float(np.abs(hermitian(X.matrix) @ obs.y).max()) * 1.01
+        lam = float(np.abs(X.matrix.conj().T @ obs.y).max()) * 1.01
         est = ds_estimate(X, obs, EstimatorConfig(lambda_ds=lam))
         assert np.abs(est.h_hat).max() <= 1e-6
         assert est.support_hat == ()
@@ -254,10 +306,17 @@ class TestSensingSelector:
     def test_unit_weights_reduce_to_plain_gram(self):
         X = build_toeplitz_training(6, 9, "gaussian", seed=22)
         X_alt, regularized = sds_weighting(X.matrix, np.ones(9))
-        R = X.matrix @ hermitian(X.matrix)
+        R = X.matrix @ X.matrix.conj().T
         scale = np.real(np.einsum("ij,ij->j", np.conj(X.matrix), np.linalg.solve(R, X.matrix)))
         np.testing.assert_allclose(X_alt, np.linalg.solve(R, X.matrix) / scale, atol=1e-10)
         assert not regularized
+
+    def test_zero_weights_fall_back_to_ridge(self):
+        # Zero weights make R = X W^2 X^H the zero matrix.
+        X = build_toeplitz_training(6, 9, "gaussian", seed=22)
+        X_alt, regularized = sds_weighting(X.matrix, np.zeros(9))
+        assert regularized
+        assert np.all(np.isfinite(X_alt))
 
     def test_negative_weights_rejected(self):
         X = build_toeplitz_training(6, 9, "gaussian", seed=23)
@@ -272,6 +331,21 @@ class TestSensingSelector:
         lam = est.diagnostics["lambda"]
         excess = composite_correlation_excess(X_alt, X.matrix, obs.y, est.h_hat, lam)
         assert excess <= 1e-6
+
+
+class TestConjugationSymmetry:
+    """With real training, the selectors commute with conjugating y."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**31), st.sampled_from(["gaussian", "rademacher"]),
+           st.floats(0.0, 30.0))
+    def test_real_training(self, seed, distribution, snr_db):
+        _, X, obs = make_instance(snr_db=snr_db, seed=seed, distribution=distribution)
+        conj_obs = replace(obs, y=np.conj(obs.y))
+        for estimator in (ds_estimate, sds_estimate):
+            h = estimator(X, obs, EstimatorConfig()).h_hat
+            h_conj = estimator(X, conj_obs, EstimatorConfig()).h_hat
+            assert np.linalg.norm(h_conj - np.conj(h)) <= 1e-7 * np.linalg.norm(h)
 
 
 class TestOracle:
@@ -295,7 +369,7 @@ class TestOracle:
             est = oracle_estimate(X, obs, channel.support)
             total_mse += float(np.linalg.norm(est.h_hat - channel.taps) ** 2)
             cols = X.matrix[:, list(channel.support)]
-            gram = hermitian(cols) @ cols
+            gram = cols.conj().T @ cols
             total_pred += obs.noise_variance * float(
                 np.trace(np.linalg.inv(gram)).real
             )

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import read_taps_csv
 
 from sparsechan.model import (
     DEMO_TAP_VALUES,
@@ -14,7 +15,6 @@ from sparsechan.model import (
     build_toeplitz_training,
     fixed_channel_figure_demo,
     generate_sparse_channel,
-    load_taps_csv,
     measurement_budget,
     observe,
     restricted_isometry_constant,
@@ -228,6 +228,6 @@ class TestCsvRoundTrip:
         taps = generate_sparse_channel(15, 3, seed=13).taps
         path = tmp_path / "taps.csv"
         save_taps_csv(path, taps)
-        np.testing.assert_array_equal(load_taps_csv(path), taps)
+        np.testing.assert_array_equal(read_taps_csv(path), taps)
         header = path.read_text().splitlines()[0]
         assert header == "index,real,imag"
