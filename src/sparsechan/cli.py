@@ -222,56 +222,43 @@ def _run_sweep_command(args, cfg, run_dir: Path) -> int:
     return EXIT_OK
 
 
-def _estimate_all(run_dir: Path, methods, cfg, channel, X, obs):
-    """Run each method on one instance and write its estimate_<method>.csv.
-
-    Returns ({method: Estimate}, {method: diagnostics}); `sds` reuses the
-    `ds` estimate when `ds` ran before it. A method that raises one of
-    `estimators.ESTIMATOR_FAILURES` ends the run: the diagnostics so far and
-    the error go to diagnostics.json and SolverFailure is raised. Any other
-    exception propagates.
-    """
-    estimates, diagnostics = {}, {}
-    for method in methods:
-        try:
-            est = estimators.run_estimator(
-                method, X, obs, cfg.estimator,
-                true_support=channel.support, true_sparsity=channel.sparsity,
-                base_ds=estimates.get(estimators.METHOD_DS),
-            )
-        except estimators.ESTIMATOR_FAILURES as exc:
-            diagnostics[method] = {"failed": True, "error": f"{type(exc).__name__}: {exc}"}
-            raise SolverFailure(f"solver failure in {method}",
-                                _write_diagnostics(run_dir, diagnostics)) from exc
+def _estimate_all(run_dir: Path, cfg, channel, X, obs, methods=None) -> dict:
+    """Run the methods on one instance; write diagnostics.json for all of
+    them and estimate_<method>.csv for each that succeeded. Returns {method:
+    Estimate}, or raises SolverFailure once the files are written if any
+    method failed (see `experiments.estimate_instance`)."""
+    estimates, errors = experiments.estimate_instance(cfg, channel, X, obs, methods)
+    diagnostics = {}
+    for method in methods or cfg.methods:
+        if method in errors:
+            diagnostics[method] = {"failed": True, "error": errors[method]}
+            continue
+        est = estimates[method]
         model.save_taps_csv(run_dir / f"estimate_{method}.csv", est.h_hat)
-        estimates[method] = est
         diagnostics[method] = {
             "support_hat": list(est.support_hat),
             "mse": experiments.mse(channel, est),
             **est.diagnostics,
         }
-    return estimates, diagnostics
-
-
-def _write_diagnostics(run_dir: Path, diagnostics: dict) -> Path:
     path = run_dir / "diagnostics.json"
     # Array-valued diagnostics (the sds weights) are written as lists.
     path.write_text(json.dumps(diagnostics, indent=2, default=lambda v: v.tolist()) + "\n")
-    return path
+    if errors:
+        raise SolverFailure(f"solver failure in {', '.join(errors)}", path)
+    return estimates
 
 
 def _run_estimate(args, cfg, run_dir: Path) -> int:
     snr, n = cfg.fixed_snr_db, cfg.fixed_n
     channel, X, obs = experiments.make_instance(cfg, snr, n, 0)
     model.save_taps_csv(run_dir / "channel_true.csv", channel.taps)
-    _, diagnostics = _estimate_all(run_dir, cfg.methods, cfg, channel, X, obs)
-    _write_diagnostics(run_dir, diagnostics)
     _write_meta(run_dir, {
         "subcommand": "estimate",
         "config": asdict(cfg),
         "instance": {"snr_db": snr, "n": n, "true_support": list(channel.support),
                      "noise_variance": obs.noise_variance},
     })
+    _estimate_all(run_dir, cfg, channel, X, obs)
     return EXIT_OK
 
 
@@ -319,7 +306,7 @@ def _run_demo(args, cfg, run_dir: Path) -> int:
         cfg, snr, n, 0, channel=model.fixed_channel_figure_demo(seed=cfg.base_seed)
     )
     model.save_taps_csv(run_dir / "channel_true.csv", channel.taps)
-    estimates, _ = _estimate_all(run_dir, ("ls", "ds"), cfg, channel, X, obs)
+    estimates = _estimate_all(run_dir, cfg, channel, X, obs, methods=("ls", "ds"))
     est_ls, est_ds = estimates["ls"], estimates["ds"]
     with open(run_dir / "result.csv", "w", newline="") as fh:
         fh.write("index,true_mod,ls_mod,ds_mod\n")

@@ -5,9 +5,11 @@ minimum-norm underdetermined regime), orthogonal matching pursuit, Lasso by
 cyclic coordinate descent with complex soft-thresholding, the Dantzig
 selector realized as a linear program, its residual-reweighted "sensing"
 variant, and the genie-aided oracle (least squares on the true support).
-The tall least-squares solve shared by `ls`, `omp` and `oracle` is a
-complex QR that rejects rank-deficient systems with SingularMatrixError;
-`ls` then falls back to a small ridge, the other two fail the instance.
+Each returns an `Estimate`, the tap vector and a diagnostics dict; the
+reported support is derived from the taps when read. The tall
+least-squares solve shared by `ls`, `omp` and `oracle` is a complex QR
+that rejects rank-deficient systems with SingularMatrixError; `ls` then
+falls back to a small ridge, the other two fail the instance.
 
 Complex data is handled in a real-composite convention for the Dantzig
 selector: each complex coefficient contributes |Re| + |Im| to the L1
@@ -106,17 +108,15 @@ class EstimatorConfig:
 @dataclass(frozen=True)
 class Estimate:
     h_hat: np.ndarray
-    method: str
-    support_hat: tuple[int, ...]
     diagnostics: dict = field(repr=False)
 
-
-def dominant_support(h_hat: np.ndarray) -> tuple[int, ...]:
-    """Indices whose modulus clears the relative reporting threshold."""
-    mags = np.abs(h_hat)
-    peak = float(mags.max()) if mags.size else 0.0
-    threshold = max(SUPPORT_RELATIVE_THRESHOLD * peak, SUPPORT_ABSOLUTE_FLOOR)
-    return tuple(int(i) for i in np.flatnonzero(mags > threshold))
+    @property
+    def support_hat(self) -> tuple[int, ...]:
+        """Indices whose modulus clears the relative reporting threshold."""
+        mags = np.abs(self.h_hat)
+        peak = float(mags.max()) if mags.size else 0.0
+        threshold = max(SUPPORT_RELATIVE_THRESHOLD * peak, SUPPORT_ABSOLUTE_FLOOR)
+        return tuple(int(i) for i in np.flatnonzero(mags > threshold))
 
 
 def resolve_lambda(sigma: float, X: ToeplitzTraining, rule) -> float:
@@ -182,7 +182,7 @@ def ls_estimate(X: ToeplitzTraining, obs: Observation) -> Estimate:
     else:
         w, diagnostics["regularized"] = _solve_psd(Xm @ Xh, y)
         h = Xh @ w
-    return Estimate(h, METHOD_LS, dominant_support(h), diagnostics)
+    return Estimate(h, diagnostics)
 
 
 def omp_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig) -> Estimate:
@@ -229,7 +229,7 @@ def omp_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig) ->
         "residual_tol": residual_tol,
         "degenerate_reselection": degenerate,
     }
-    return Estimate(h, METHOD_OMP, dominant_support(h), diagnostics)
+    return Estimate(h, diagnostics)
 
 
 def _soft_threshold(rho: complex, lam: float) -> complex:
@@ -271,7 +271,7 @@ def lasso_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig) 
 
     diagnostics = {"lambda": lam, "sweeps": sweeps, "converged": converged,
                    "l1_convention": "complex_modulus"}
-    return Estimate(h, METHOD_LASSO, dominant_support(h), diagnostics)
+    return Estimate(h, diagnostics)
 
 
 def _solve_composite_selector(S, Xm, y, lam):
@@ -331,7 +331,7 @@ def ds_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig) -> 
         lam = resolve_lambda(sigma, X, cfg.lambda_ds)
     h, lp_info = _solve_composite_selector(X.matrix, X.matrix, obs.y, lam)
     diagnostics = {"lambda": lam, "l1_convention": "real_composite", **lp_info}
-    return Estimate(h, METHOD_DS, dominant_support(h), diagnostics)
+    return Estimate(h, diagnostics)
 
 
 def sds_weighting(Xm: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -363,7 +363,7 @@ def sds_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig,
     w = np.abs(Xm.conj().T @ residual)
     if w.max(initial=0.0) <= 1e-12 * max(1.0, float(np.linalg.norm(y))):
         diagnostics = {**base.diagnostics, "degenerate_weighting": True}
-        return Estimate(base.h_hat, METHOD_SDS, base.support_hat, diagnostics)
+        return Estimate(base.h_hat, diagnostics)
 
     X_alt, regularized = sds_weighting(Xm, w)
     lam = base.diagnostics["lambda"]
@@ -378,7 +378,7 @@ def sds_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig,
         "base_lp_iterations": base.diagnostics["lp_iterations"],
         **lp_info,
     }
-    return Estimate(h, METHOD_SDS, dominant_support(h), diagnostics)
+    return Estimate(h, diagnostics)
 
 
 def oracle_estimate(X: ToeplitzTraining, obs: Observation, true_support) -> Estimate:
@@ -393,7 +393,7 @@ def oracle_estimate(X: ToeplitzTraining, obs: Observation, true_support) -> Esti
     h = np.zeros(L, dtype=np.complex128)
     if support:
         h[support] = least_squares_solve(Xm[:, support], y)
-    return Estimate(h, METHOD_ORACLE, dominant_support(h), {"support": support})
+    return Estimate(h, {"support": support})
 
 
 def run_estimator(

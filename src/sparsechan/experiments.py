@@ -3,9 +3,12 @@
 Every trial draws a fresh channel, a fresh training matrix, and fresh noise
 from seeds derived deterministically from (base seed, sweep point, trial
 index), so any subset of trials can run concurrently and still reproduce
-the serial results bit for bit. Failed estimator cells are itemized and
-excluded from aggregates; non-converged estimates are included (dropping
-them would bias the error downward) and counted.
+the serial results bit for bit. `make_instance` builds a trial's instance
+and `estimate_instance` runs the configured methods on it; sweeps score
+that into per-trial cells, and the CLI's `estimate` and `demo-fig2` write
+it out. Failed estimator cells are itemized and excluded from aggregates;
+non-converged estimates are included (dropping them would bias the error
+downward) and counted.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import numpy as np
 
 from .estimators import (ALL_METHODS, ESTIMATOR_FAILURES, METHOD_DS, Estimate, EstimatorConfig,
                          run_estimator)
-from .model import SparseChannel, build_toeplitz_training, generate_sparse_channel, observe
+from .model import (TRAINING_DISTRIBUTIONS, SparseChannel, build_toeplitz_training,
+                    generate_sparse_channel, observe)
 
 DEFAULT_METHODS = ("ls", "omp", "lasso", "ds", "oracle")
 DEFAULT_SNR_GRID_DB = tuple(float(s) for s in range(3, 31, 3))
@@ -75,22 +79,22 @@ class ExperimentConfig:
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not 1 <= self.T <= self.L:
+        counts = [("L", self.L), ("T", self.T), ("trials", self.trials), ("fixed_n", self.fixed_n),
+                  ("workers", self.workers), *(("n_grid entry", n) for n in self.n_grid)]
+        for name, value in counts:
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.T > self.L:
             raise ValueError(f"need 1 <= T <= L, got T={self.T}, L={self.L}")
+        if self.distribution not in TRAINING_DISTRIBUTIONS:
+            raise ValueError(f"distribution must be one of {TRAINING_DISTRIBUTIONS}, "
+                             f"got {self.distribution!r}")
         for name, grid in (("snr_grid_db", self.snr_grid_db), ("n_grid", self.n_grid)):
             grid = tuple(grid)
             if not grid:
                 raise ValueError(f"{name} must be non-empty")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError(f"{name} must be sorted strictly ascending")
-        if any(n < 1 for n in self.n_grid):
-            raise ValueError("training lengths must be >= 1")
-        if self.fixed_n < 1:
-            raise ValueError(f"fixed_n must be >= 1, got {self.fixed_n}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {ALL_METHODS}")
@@ -102,7 +106,7 @@ class ExperimentConfig:
             raise ValueError(f"base_seed must be an integer in [0, 2**64), got {self.base_seed!r}")
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        object.__setattr__(self, "n_grid", tuple(self.n_grid))
         for snr in (*self.snr_grid_db, float(self.fixed_snr_db)):
             if math.isnan(snr) or snr == -math.inf:
                 raise ValueError(f"SNR must be finite or +inf dB, got {snr}")
@@ -167,45 +171,51 @@ def make_instance(cfg: ExperimentConfig, snr_db: float, n: int, trial_index: int
     return channel, X, observe(X, channel, snr_db, seed=seed(_STREAM_NOISE))
 
 
-def run_trial(cfg: ExperimentConfig, snr_db: float, n: int, trial_index: int) -> dict:
-    """Run every configured method on one seeded instance.
+def estimate_instance(cfg: ExperimentConfig, channel: SparseChannel, X, obs, methods=None):
+    """Run `methods` (default `cfg.methods`) in order on one instance.
 
-    Returns {method: TrialCell}. All methods see the identical (X, y); the
-    oracle additionally receives the true support, OMP's "auto" atom
-    budget resolves to the true sparsity, and `sds` reuses the `ds` estimate
-    when `ds` ran before it. A method that raises one of `ESTIMATOR_FAILURES`
-    is marked failed without disturbing the other cells; any other
-    exception propagates.
+    Returns ({method: Estimate}, {method: error text}), each in method order.
+    All methods see the identical (X, y); the oracle additionally receives
+    the true support, OMP's "auto" atom budget resolves to the true
+    sparsity, and `sds` reuses the `ds` estimate when `ds` ran before it. A
+    method that raises one of `ESTIMATOR_FAILURES` gets its error text and
+    the others still run; any other exception propagates.
+    """
+    estimates, errors = {}, {}
+    for method in methods or cfg.methods:
+        try:
+            estimates[method] = run_estimator(
+                method, X, obs, cfg.estimator, true_support=channel.support,
+                true_sparsity=channel.sparsity, base_ds=estimates.get(METHOD_DS))
+        except ESTIMATOR_FAILURES as exc:  # must not sink the other methods
+            errors[method] = f"{type(exc).__name__}: {exc}"
+    return estimates, errors
+
+
+def run_trial(cfg: ExperimentConfig, snr_db: float, n: int, trial_index: int) -> dict:
+    """Run every configured method on one seeded instance and score it.
+
+    Returns {method: TrialCell}; a method that failed (see
+    `estimate_instance`) is a failed cell.
     """
     if trial_index >= cfg.trials:
         raise ValueError(f"trial_index {trial_index} out of range for trials={cfg.trials}")
     channel, X, obs = make_instance(cfg, snr_db, n, trial_index)
+    estimates, errors = estimate_instance(cfg, channel, X, obs)
 
     h_norm_sq = float(np.linalg.norm(channel.taps) ** 2)
-    record, estimates = {}, {}
+    record = {}
     for method in cfg.methods:
-        try:
-            est = estimates[method] = run_estimator(
-                method,
-                X,
-                obs,
-                cfg.estimator,
-                true_support=channel.support,
-                true_sparsity=channel.sparsity,
-                base_ds=estimates.get(METHOD_DS),
-            )
-            err = mse(channel, est)
-            record[method] = TrialCell(
-                mse=err,
-                mse_normalized=err / h_norm_sq if h_norm_sq > 0 else math.nan,
-                converged=bool(est.diagnostics.get("converged", True)),
-                failed=False,
-            )
-        except ESTIMATOR_FAILURES as exc:  # must not sink the other cells
-            record[method] = TrialCell(
-                mse=math.nan, mse_normalized=math.nan, converged=False, failed=True,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+        if method in errors:
+            record[method] = TrialCell(mse=math.nan, mse_normalized=math.nan, converged=False,
+                                       failed=True, error=errors[method])
+            continue
+        est = estimates[method]
+        err = mse(channel, est)
+        record[method] = TrialCell(mse=err,
+                                   mse_normalized=err / h_norm_sq if h_norm_sq > 0 else math.nan,
+                                   converged=bool(est.diagnostics.get("converged", True)),
+                                   failed=False)
     return record
 
 

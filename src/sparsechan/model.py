@@ -34,38 +34,40 @@ DEMO_CHANNEL_LENGTH = 60
 class SparseChannel:
     """Length-L tap vector, zero exactly off the dominant-tap support."""
 
-    length: int
     taps: np.ndarray
     support: tuple[int, ...]
-    sparsity: int
 
-    def __post_init__(self):
-        if self.taps.shape != (self.length,):
-            raise ValueError("taps length does not match channel length")
-        if len(self.support) != self.sparsity:
-            raise ValueError("support size does not match sparsity")
+    @property
+    def length(self) -> int:
+        return self.taps.size
+
+    @property
+    def sparsity(self) -> int:
+        return len(self.support)
 
 
 @dataclass(frozen=True)
 class ToeplitzTraining:
-    """N x L training matrix with matrix[i, j] = probe[i - j + L - 1]."""
+    """N x L training matrix with matrix[i, j] = probe[i - j + L - 1]; its
+    first row and first column hold every probe entry."""
 
-    N: int
-    L: int
-    probe: np.ndarray
     matrix: np.ndarray
-    distribution: str
-    seed: int
+
+    @property
+    def N(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def L(self) -> int:
+        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True)
 class Observation:
-    """Received vector y = X h + z with recorded noise level and seed."""
+    """Received vector y = X h + z and its noise variance."""
 
     y: np.ndarray
     noise_variance: float
-    snr_db: float
-    rng_seed: int
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ def generate_sparse_channel(L: int, T: int, seed: int) -> SparseChannel:
     taps = np.zeros(L, dtype=np.complex128)
     values = (rng.standard_normal(T) + 1j * rng.standard_normal(T)) / math.sqrt(2.0)
     taps[support] = values
-    return SparseChannel(length=L, taps=taps, support=tuple(int(i) for i in support), sparsity=T)
+    return SparseChannel(taps=taps, support=tuple(int(i) for i in support))
 
 
 def fixed_channel_figure_demo(seed: int = 0) -> SparseChannel:
@@ -117,9 +119,7 @@ def fixed_channel_figure_demo(seed: int = 0) -> SparseChannel:
     support = np.sort(rng.choice(L, size=len(values), replace=False))
     taps = np.zeros(L, dtype=np.complex128)
     taps[support] = values
-    return SparseChannel(
-        length=L, taps=taps, support=tuple(int(i) for i in support), sparsity=len(values)
-    )
+    return SparseChannel(taps=taps, support=tuple(int(i) for i in support))
 
 
 def build_toeplitz_training(
@@ -148,8 +148,7 @@ def build_toeplitz_training(
         )
     rows = np.arange(N)[:, None]
     cols = np.arange(L)[None, :]
-    matrix = probe[rows - cols + L - 1]
-    return ToeplitzTraining(N=N, L=L, probe=probe, matrix=matrix, distribution=distribution, seed=seed)
+    return ToeplitzTraining(matrix=probe[rows - cols + L - 1])
 
 
 def observe(X: ToeplitzTraining, h: SparseChannel, snr_db: float, seed: int) -> Observation:
@@ -165,11 +164,11 @@ def observe(X: ToeplitzTraining, h: SparseChannel, snr_db: float, seed: int) -> 
         raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
     signal = X.matrix @ h.taps
     if snr_db == math.inf:
-        return Observation(y=signal, noise_variance=0.0, snr_db=snr_db, rng_seed=seed)
+        return Observation(y=signal, noise_variance=0.0)
     sigma2 = float(np.linalg.norm(signal) ** 2) / (X.N * 10.0 ** (snr_db / 10.0))
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal(X.N) + 1j * rng.standard_normal(X.N)) * math.sqrt(sigma2 / 2.0)
-    return Observation(y=signal + z, noise_variance=sigma2, snr_db=snr_db, rng_seed=seed)
+    return Observation(y=signal + z, noise_variance=sigma2)
 
 
 def measurement_budget(T: int, p: int, c: float = 2.0) -> MeasurementBudget:

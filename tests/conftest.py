@@ -63,8 +63,7 @@ def identity_training(n: int) -> ToeplitzTraining:
     probe[n - 1] = 1.0
     rows = np.arange(n)[:, None]
     cols = np.arange(n)[None, :]
-    return ToeplitzTraining(N=n, L=n, probe=probe, matrix=probe[rows - cols + n - 1],
-                            distribution="gaussian", seed=0)
+    return ToeplitzTraining(matrix=probe[rows - cols + n - 1])
 
 
 def composite_l1(h: np.ndarray) -> float:

@@ -210,6 +210,13 @@ class TestConfigHandling:
         (["sweep-snr", "--M", "1", "--methods", "ls", "--seed", "-1"], None, "base_seed"),
         (["sweep-n", "--M", "1", "--methods", "ls"], {"base_seed": 2**64}, "base_seed"),
         (["sweep-n", "--M", "1", "--methods", "ls"], {"base_seed": 1.5}, "base_seed"),
+        (["sweep-n", "--M", "1", "--methods", "ls"], {"n_grid": [10.7, 20]}, "n_grid"),
+        (["estimate", "--methods", "ls"], {"fixed_n": 10.7}, "fixed_n"),
+        (["sweep-snr", "--methods", "ls"], {"trials": 2.5}, "trials"),
+        (["sweep-snr", "--M", "1", "--methods", "ls"], {"L": True, "T": 1}, "L"),
+        (["sweep-snr", "--M", "1", "--methods", "ls"], {"distribution": "uniform"},
+         "distribution"),
+        (["estimate", "--methods", "ls"], {"distribution": "uniform"}, "distribution"),
     ])
     def test_out_of_range_values_exit_two(self, tmp_path, capsys, argv, config, named):
         if config is not None:
@@ -272,6 +279,22 @@ class TestEstimateCommand:
         diag = json.loads((only_run_dir(tmp_path, "estimate-") / "diagnostics.json").read_text())
         assert len(diag["sds"]["weights"]) == 16
         assert all(w >= 0 for w in diag["sds"]["weights"])
+
+    def test_failed_method_exit_three_keeps_the_others(self, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"omp_max_atoms": 20}))
+        code, _, err = run_cli(["estimate", "--config", str(config), "--n", "8",
+                                "--methods", "ls,omp,ds", "--out", str(tmp_path / "runs")], capsys)
+        assert code == 3
+        assert "solver failure in omp" in err
+        run_dir = only_run_dir(tmp_path / "runs", "estimate-")
+        diag = json.loads((run_dir / "diagnostics.json").read_text())
+        assert list(diag) == ["ls", "omp", "ds"]
+        assert diag["omp"] == {"failed": True,
+                               "error": "ValueError: omp_max_atoms=20 exceeds min(N, L)=8"}
+        assert diag["ls"]["regularized"] is False and diag["ds"]["lambda"] > 0
+        assert (run_dir / "estimate_ls.csv").exists() and (run_dir / "estimate_ds.csv").exists()
+        assert not (run_dir / "estimate_omp.csv").exists()
 
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         # Only expected estimator failures become failed cells or exit 3.

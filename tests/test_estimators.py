@@ -49,7 +49,7 @@ def make_instance(L=60, T=4, N=30, snr_db=20.0, seed=0, distribution="gaussian")
 def full_support_channel(taps) -> SparseChannel:
     taps = np.asarray(taps, dtype=np.complex128)
     support = tuple(int(i) for i in np.flatnonzero(taps))
-    return SparseChannel(length=taps.size, taps=taps, support=support, sparsity=len(support))
+    return SparseChannel(taps=taps, support=support)
 
 
 class TestResolveLambda:
@@ -116,14 +116,13 @@ class TestLeastSquares:
 class TestLeastSquaresEstimator:
     def test_identity(self):
         X = identity_training(2)
-        obs = Observation(y=np.array([1.0, 2.0j]), noise_variance=0.0, snr_db=np.inf, rng_seed=0)
+        obs = Observation(y=np.array([1.0, 2.0j]), noise_variance=0.0)
         est = ls_estimate(X, obs)
         np.testing.assert_allclose(est.h_hat, [1.0, 2.0j], atol=1e-12)
 
     def test_min_norm_splits_equally(self):
-        X = ToeplitzTraining(N=1, L=2, probe=np.array([1.0, 1.0]),
-                             matrix=np.array([[1.0, 1.0]]), distribution="gaussian", seed=0)
-        obs = Observation(y=np.array([2.0 + 0j]), noise_variance=0.0, snr_db=np.inf, rng_seed=0)
+        X = ToeplitzTraining(matrix=np.array([[1.0, 1.0]]))
+        obs = Observation(y=np.array([2.0 + 0j]), noise_variance=0.0)
         est = ls_estimate(X, obs)
         np.testing.assert_allclose(est.h_hat, [1.0, 1.0], atol=1e-10)
 
@@ -140,10 +139,9 @@ class TestLeastSquaresEstimator:
     def test_duplicate_columns_fall_back_to_ridge(self):
         # A constant probe repeats one column: QR rejects the tall system,
         # and the ridge solution still fits y by its projection, mean(y).
-        X = ToeplitzTraining(N=6, L=3, probe=np.ones(8), matrix=np.ones((6, 3)),
-                             distribution="gaussian", seed=0)
+        X = ToeplitzTraining(matrix=np.ones((6, 3)))
         y = np.arange(6.0) + 1j
-        est = ls_estimate(X, Observation(y=y, noise_variance=0.0, snr_db=np.inf, rng_seed=0))
+        est = ls_estimate(X, Observation(y=y, noise_variance=0.0))
         assert est.diagnostics["regularized"]
         assert np.all(np.isfinite(est.h_hat))
         np.testing.assert_allclose(X.matrix @ est.h_hat, np.full(6, y.mean()), rtol=1e-8)
@@ -154,15 +152,14 @@ class TestOmp:
         X = identity_training(6)
         y = np.zeros(6, dtype=complex)
         y[3] = 2.0 - 1.0j
-        obs = Observation(y=y, noise_variance=0.0, snr_db=np.inf, rng_seed=0)
+        obs = Observation(y=y, noise_variance=0.0)
         est = omp_estimate(X, obs, EstimatorConfig(omp_max_atoms=3, omp_residual_tol=1e-12))
         assert est.diagnostics["atoms"] == [3]
         np.testing.assert_allclose(est.h_hat, y, atol=1e-12)
 
     def test_zero_observation(self):
         X = identity_training(4)
-        obs = Observation(y=np.zeros(4, dtype=complex), noise_variance=0.0,
-                          snr_db=np.inf, rng_seed=0)
+        obs = Observation(y=np.zeros(4, dtype=complex), noise_variance=0.0)
         est = omp_estimate(X, obs, EstimatorConfig(omp_max_atoms=2, omp_residual_tol=0.0))
         assert est.diagnostics["atoms"] == []
         np.testing.assert_array_equal(est.h_hat, 0)
@@ -194,7 +191,7 @@ class TestLasso:
         X = identity_training(5)
         rng = np.random.default_rng(7)
         y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        obs = Observation(y=y, noise_variance=0.0, snr_db=np.inf, rng_seed=0)
+        obs = Observation(y=y, noise_variance=0.0)
         est = lasso_estimate(X, obs, EstimatorConfig(lambda_lasso=1e-10))
         np.testing.assert_allclose(est.h_hat, y, atol=1e-8)
 
@@ -202,7 +199,7 @@ class TestLasso:
         X = build_toeplitz_training(8, 1, "gaussian", seed=8)
         rng = np.random.default_rng(9)
         y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        obs = Observation(y=y, noise_variance=0.0, snr_db=np.inf, rng_seed=0)
+        obs = Observation(y=y, noise_variance=0.0)
         lam = 0.3
         est = lasso_estimate(X, obs, EstimatorConfig(lambda_lasso=lam))
         col = X.matrix[:, 0]
@@ -240,7 +237,7 @@ class TestDantzigSelector:
         X = identity_training(5)
         rng = np.random.default_rng(13)
         y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        obs = Observation(y=y, noise_variance=0.0, snr_db=np.inf, rng_seed=0)
+        obs = Observation(y=y, noise_variance=0.0)
         est = ds_estimate(X, obs, EstimatorConfig(lambda_ds=0.0))
         np.testing.assert_allclose(est.h_hat, y, atol=1e-7)
 
@@ -297,8 +294,7 @@ class TestDantzigSelector:
 class TestSensingSelector:
     def test_zero_observation_degenerates_to_plain_selector(self):
         X = build_toeplitz_training(8, 12, "gaussian", seed=21)
-        obs = Observation(y=np.zeros(8, dtype=complex), noise_variance=0.01,
-                          snr_db=10.0, rng_seed=0)
+        obs = Observation(y=np.zeros(8, dtype=complex), noise_variance=0.01)
         est = sds_estimate(X, obs, EstimatorConfig())
         assert est.diagnostics["degenerate_weighting"]
         np.testing.assert_array_equal(est.h_hat, ds_estimate(X, obs, EstimatorConfig()).h_hat)

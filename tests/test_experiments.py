@@ -23,12 +23,12 @@ from sparsechan.model import SparseChannel
 def channel_of(taps) -> SparseChannel:
     taps = np.asarray(taps, dtype=np.complex128)
     support = tuple(int(i) for i in np.flatnonzero(taps))
-    return SparseChannel(length=taps.size, taps=taps, support=support, sparsity=len(support))
+    return SparseChannel(taps=taps, support=support)
 
 
 def estimate_of(taps) -> Estimate:
     taps = np.asarray(taps, dtype=np.complex128)
-    return Estimate(h_hat=taps, method="ls", support_hat=(), diagnostics={})
+    return Estimate(h_hat=taps, diagnostics={})
 
 
 SMALL = ExperimentConfig(

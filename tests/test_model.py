@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import read_taps_csv
+from conftest import identity_training, read_taps_csv
 
 from sparsechan.model import (
     DEMO_TAP_VALUES,
@@ -20,16 +20,6 @@ from sparsechan.model import (
     restricted_isometry_constant,
     save_taps_csv,
 )
-
-
-def identity_training(n: int) -> ToeplitzTraining:
-    # Delta probe makes the training matrix exactly the identity.
-    probe = np.zeros(2 * n - 1)
-    probe[n - 1] = 1.0
-    rows = np.arange(n)[:, None]
-    cols = np.arange(n)[None, :]
-    return ToeplitzTraining(N=n, L=n, probe=probe, matrix=probe[rows - cols + n - 1],
-                            distribution="gaussian", seed=0)
 
 
 class TestSparseChannel:
@@ -89,7 +79,8 @@ class TestDemoChannel:
 class TestToeplitzTraining:
     def test_structure_two_by_two(self):
         X = build_toeplitz_training(2, 2, "gaussian", seed=4)
-        a, b, c = X.probe
+        (b, a), c = X.matrix[0], X.matrix[1, 0]  # the first row and column hold the probe
+        assert len({a, b, c}) == 3
         np.testing.assert_array_equal(X.matrix, [[b, a], [c, b]])
 
     def test_constant_diagonals(self):
@@ -107,7 +98,9 @@ class TestToeplitzTraining:
 
     def test_rademacher_values(self):
         X = build_toeplitz_training(4, 3, "rademacher", seed=6)
-        np.testing.assert_allclose(np.abs(X.probe), 1 / math.sqrt(4))
+        probe = np.concatenate([X.matrix[0, ::-1], X.matrix[1:, 0]])
+        assert probe.size == 4 + 3 - 1
+        np.testing.assert_allclose(np.abs(probe), 1 / math.sqrt(4))
 
     def test_complex_gaussian_option(self):
         X = build_toeplitz_training(8, 5, "complex_gaussian", seed=7)
@@ -136,7 +129,7 @@ class TestObserve:
         # Identity training and unit-modulus taps give per-sample power 1.
         X = identity_training(2)
         taps = np.array([1.0 + 0.0j, 1.0j])
-        ch = SparseChannel(length=2, taps=taps, support=(0, 1), sparsity=2)
+        ch = SparseChannel(taps=taps, support=(0, 1))
         obs = observe(X, ch, 10.0, seed=4)
         assert obs.noise_variance == pytest.approx(0.1)
 
@@ -196,8 +189,7 @@ class TestRestrictedIsometryConstant:
         probe = np.ones(5)
         rows = np.arange(3)[:, None]
         cols = np.arange(3)[None, :]
-        X = ToeplitzTraining(N=3, L=3, probe=probe, matrix=probe[rows - cols + 2],
-                             distribution="gaussian", seed=0)
+        X = ToeplitzTraining(matrix=probe[rows - cols + 2])
         est = restricted_isometry_constant(X, 2)
         assert est.delta >= 1.0
         assert est.rip_violated
