@@ -222,14 +222,14 @@ def _run_sweep_command(args, cfg, run_dir: Path) -> int:
     return EXIT_OK
 
 
-def _estimate_all(run_dir: Path, cfg, channel, X, obs, methods=None) -> dict:
+def _estimate_all(run_dir: Path, cfg, channel, X, obs, methods) -> dict:
     """Run the methods on one instance; write diagnostics.json for all of
     them and estimate_<method>.csv for each that succeeded. Returns {method:
     Estimate}, or raises SolverFailure once the files are written if any
     method failed (see `experiments.estimate_instance`)."""
     estimates, errors = experiments.estimate_instance(cfg, channel, X, obs, methods)
     diagnostics = {}
-    for method in methods or cfg.methods:
+    for method in methods:
         if method in errors:
             diagnostics[method] = {"failed": True, "error": errors[method]}
             continue
@@ -258,7 +258,7 @@ def _run_estimate(args, cfg, run_dir: Path) -> int:
         "instance": {"snr_db": snr, "n": n, "true_support": list(channel.support),
                      "noise_variance": obs.noise_variance},
     })
-    _estimate_all(run_dir, cfg, channel, X, obs)
+    _estimate_all(run_dir, cfg, channel, X, obs, cfg.methods)
     return EXIT_OK
 
 
@@ -306,7 +306,7 @@ def _run_demo(args, cfg, run_dir: Path) -> int:
         cfg, snr, n, 0, channel=model.fixed_channel_figure_demo(seed=cfg.base_seed)
     )
     model.save_taps_csv(run_dir / "channel_true.csv", channel.taps)
-    estimates = _estimate_all(run_dir, cfg, channel, X, obs, methods=("ls", "ds"))
+    estimates = _estimate_all(run_dir, cfg, channel, X, obs, ("ls", "ds"))
     est_ls, est_ds = estimates["ls"], estimates["ds"]
     with open(run_dir / "result.csv", "w", newline="") as fh:
         fh.write("index,true_mod,ls_mod,ds_mod\n")

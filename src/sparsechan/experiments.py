@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -63,6 +64,10 @@ def derive_trial_seed(base_seed: int, snr_db: float, n: int, trial_index: int, s
     return seed
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     L: int = 60
@@ -82,7 +87,7 @@ class ExperimentConfig:
         counts = [("L", self.L), ("T", self.T), ("trials", self.trials), ("fixed_n", self.fixed_n),
                   ("workers", self.workers), *(("n_grid entry", n) for n in self.n_grid)]
         for name, value in counts:
-            if type(value) is not int or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.T > self.L:
             raise ValueError(f"need 1 <= T <= L, got T={self.T}, L={self.L}")
@@ -102,11 +107,13 @@ class ExperimentConfig:
             raise ValueError("methods must be non-empty")
         if len(set(self.methods)) < len(self.methods):
             raise ValueError(f"methods must not repeat, got {list(self.methods)}")
-        if not (isinstance(self.base_seed, int) and 0 <= self.base_seed < 2**64):
+        if not (_is_int(self.base_seed) and 0 <= self.base_seed < 2**64):
             raise ValueError(f"base_seed must be an integer in [0, 2**64), got {self.base_seed!r}")
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
-        object.__setattr__(self, "n_grid", tuple(self.n_grid))
+        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        for name in ("L", "T", "trials", "fixed_n", "workers", "base_seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         for snr in (*self.snr_grid_db, float(self.fixed_snr_db)):
             if math.isnan(snr) or snr == -math.inf:
                 raise ValueError(f"SNR must be finite or +inf dB, got {snr}")
@@ -171,8 +178,8 @@ def make_instance(cfg: ExperimentConfig, snr_db: float, n: int, trial_index: int
     return channel, X, observe(X, channel, snr_db, seed=seed(_STREAM_NOISE))
 
 
-def estimate_instance(cfg: ExperimentConfig, channel: SparseChannel, X, obs, methods=None):
-    """Run `methods` (default `cfg.methods`) in order on one instance.
+def estimate_instance(cfg: ExperimentConfig, channel: SparseChannel, X, obs, methods):
+    """Run `methods` in order on one instance.
 
     Returns ({method: Estimate}, {method: error text}), each in method order.
     All methods see the identical (X, y); the oracle additionally receives
@@ -182,7 +189,7 @@ def estimate_instance(cfg: ExperimentConfig, channel: SparseChannel, X, obs, met
     the others still run; any other exception propagates.
     """
     estimates, errors = {}, {}
-    for method in methods or cfg.methods:
+    for method in methods:
         try:
             estimates[method] = run_estimator(
                 method, X, obs, cfg.estimator, true_support=channel.support,
@@ -201,7 +208,7 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, n: int, trial_index: int) ->
     if trial_index >= cfg.trials:
         raise ValueError(f"trial_index {trial_index} out of range for trials={cfg.trials}")
     channel, X, obs = make_instance(cfg, snr_db, n, trial_index)
-    estimates, errors = estimate_instance(cfg, channel, X, obs)
+    estimates, errors = estimate_instance(cfg, channel, X, obs, cfg.methods)
 
     h_norm_sq = float(np.linalg.norm(channel.taps) ** 2)
     record = {}

@@ -210,6 +210,7 @@ class TestConfigHandling:
         (["sweep-snr", "--M", "1", "--methods", "ls", "--seed", "-1"], None, "base_seed"),
         (["sweep-n", "--M", "1", "--methods", "ls"], {"base_seed": 2**64}, "base_seed"),
         (["sweep-n", "--M", "1", "--methods", "ls"], {"base_seed": 1.5}, "base_seed"),
+        (["sweep-n", "--M", "1", "--methods", "ls"], {"base_seed": True}, "base_seed"),
         (["sweep-n", "--M", "1", "--methods", "ls"], {"n_grid": [10.7, 20]}, "n_grid"),
         (["estimate", "--methods", "ls"], {"fixed_n": 10.7}, "fixed_n"),
         (["sweep-snr", "--methods", "ls"], {"trials": 2.5}, "trials"),

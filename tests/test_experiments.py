@@ -176,6 +176,12 @@ class TestSweeps:
         with pytest.raises(ValueError):
             ExperimentConfig(trials=0)
 
+    def test_numpy_integers_accepted_as_ints(self):
+        cfg = ExperimentConfig(n_grid=np.arange(10, 56, 5), trials=np.int64(3),
+                               base_seed=np.uint64(7))
+        assert cfg.n_grid == tuple(range(10, 56, 5))
+        assert all(type(v) is int for v in (*cfg.n_grid, cfg.trials, cfg.base_seed))
+
 
 class TestReproducibility:
     def test_serial_and_concurrent_csv_identical(self, tmp_path):

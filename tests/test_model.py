@@ -79,7 +79,7 @@ class TestDemoChannel:
 class TestToeplitzTraining:
     def test_structure_two_by_two(self):
         X = build_toeplitz_training(2, 2, "gaussian", seed=4)
-        (b, a), c = X.matrix[0], X.matrix[1, 0]  # the first row and column hold the probe
+        a, b, c = np.random.default_rng(4).standard_normal(3) * (1 / math.sqrt(2))  # the probe
         assert len({a, b, c}) == 3
         np.testing.assert_array_equal(X.matrix, [[b, a], [c, b]])
 
