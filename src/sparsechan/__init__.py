@@ -31,7 +31,6 @@ from .experiments import (
 )
 from .lp import KktReport, LinearProgram, LpSolution, solve_lp
 from .model import (
-    MeasurementBudget,
     Observation,
     RicEstimate,
     SparseChannel,
@@ -54,7 +53,6 @@ __all__ = [
     "KktReport",
     "LinearProgram",
     "LpSolution",
-    "MeasurementBudget",
     "Observation",
     "RicEstimate",
     "SparseChannel",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,10 +29,12 @@ ESTIMATOR_KEYS = {f.name for f in fields(estimators.EstimatorConfig)}
 CONFIG_KEYS = EXPERIMENT_KEYS | ESTIMATOR_KEYS
 # Retired settings at the values older meta.json files record for them; they
 # load as if absent, and any other value is an unknown key.
-RETIRED_KEYS = {"complex_mode": "real_composite", "lp_tolerance": 1e-8, "lp_max_iterations": 200}
+RETIRED_KEYS = {"complex_mode": "real_composite", "lp_tolerance": 1e-8, "lp_max_iterations": 200,
+                "omp_max_atoms": "auto", "omp_residual_tol": "auto"}
 # A subcommand's own defaults for config fields. They lie under the config
-# file, so a file's value holds against them and a flag against both.
-SUBCOMMAND_DEFAULTS = {"ric": {"fixed_n": 8}}
+# file, so a file's value holds against them and a flag against both. ric
+# reads no T; a T of 1 passes the T <= L check for every L.
+SUBCOMMAND_DEFAULTS = {"ric": {"fixed_n": 8, "T": 1}}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,50 +70,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", type=Path, default=None, help="flat JSON config file")
-        p.add_argument("--out", type=Path, default=Path("runs"), help="output directory")
-        p.add_argument("--seed", dest="base_seed", type=int, default=None, help="base seed")
-        p.add_argument("--L", type=int, default=None, help="channel length")
-        p.add_argument("--T", type=int, default=None, help="number of dominant taps")
-        p.add_argument("--distribution", type=str, default=None,
-                       choices=model.TRAINING_DISTRIBUTIONS)
+    def add_flags(p, *names, axis=None):
+        """Add the named flags, each with the config field it sets as dest.
+        --snr and --n set the grid on their own sweep `axis`, else the fixed value."""
+        specs = {
+            "config": dict(type=Path, help="flat JSON config file"),
+            "out": dict(type=Path, default=Path("runs"), help="output directory"),
+            "seed": dict(dest="base_seed", type=int, help="base seed"),
+            "L": dict(type=int, help="channel length"),
+            "T": dict(type=int, help="number of dominant taps"),
+            "distribution": dict(choices=model.TRAINING_DISTRIBUTIONS),
+            "M": dict(dest="trials", type=int, help="Monte Carlo trials per point"),
+            "methods": dict(type=_comma_list(str), help="comma-separated method list"),
+            "snr": (dict(dest="snr_grid_db", type=_comma_list(float),
+                         help="comma-separated SNR grid (dB)") if axis == "snr"
+                    else dict(dest="fixed_snr_db", type=float, help="SNR (dB)")),
+            "n": (dict(dest="n_grid", type=_comma_list(int),
+                       help="comma-separated training lengths") if axis == "n"
+                  else dict(dest="fixed_n", type=int, help="training length")),
+            "lambda-ds": dict(dest="lambda_ds", type=_auto_or_real),
+            "lambda-lasso": dict(dest="lambda_lasso", type=_auto_or_real),
+            "workers": dict(type=int),
+        }
+        for name in names:
+            p.add_argument(f"--{name}", **specs[name])
 
-    def add_run_flags(p, axis=None):
-        """Common flags plus the run flags. Each dest is the config field the
-        flag sets; --snr and --n set the grid of their own sweep `axis` and
-        the fixed value elsewhere."""
-        add_common(p)
-        p.add_argument("--M", dest="trials", type=int, default=None,
-                       help="Monte Carlo trials per point")
-        p.add_argument("--methods", type=_comma_list(str), default=None,
-                       help="comma-separated method list")
-        if axis == "snr":
-            p.add_argument("--snr", dest="snr_grid_db", type=_comma_list(float), default=None,
-                           help="comma-separated SNR grid (dB)")
-        else:
-            p.add_argument("--snr", dest="fixed_snr_db", type=float, default=None, help="SNR (dB)")
-        if axis == "n":
-            p.add_argument("--n", dest="n_grid", type=_comma_list(int), default=None,
-                           help="comma-separated training lengths")
-        else:
-            p.add_argument("--n", dest="fixed_n", type=int, default=None, help="training length")
-        p.add_argument("--lambda-ds", dest="lambda_ds", type=_auto_or_real, default=None)
-        p.add_argument("--lambda-lasso", dest="lambda_lasso", type=_auto_or_real, default=None)
-        p.add_argument("--workers", type=int, default=None)
-
-    add_run_flags(sub.add_parser("estimate", help="run all configured methods on one instance"))
-    add_run_flags(sub.add_parser("sweep-snr", help="MSE versus SNR sweep"), axis="snr")
-    add_run_flags(sub.add_parser("sweep-n", help="MSE versus training-length sweep"), axis="n")
+    common = ("config", "out", "seed", "L", "T", "distribution")
+    run = ("methods", "snr", "n", "lambda-ds", "lambda-lasso")
+    add_flags(sub.add_parser("estimate", help="run all configured methods on one instance"),
+              *common, *run)
+    add_flags(sub.add_parser("sweep-snr", help="MSE versus SNR sweep"),
+              *common, "M", *run, "workers", axis="snr")
+    add_flags(sub.add_parser("sweep-n", help="MSE versus training-length sweep"),
+              *common, "M", *run, "workers", axis="n")
 
     ric = sub.add_parser("ric", help="restricted isometry constant table")
-    add_common(ric)
-    ric.add_argument("--n", dest="fixed_n", type=int, default=None,
-                     help="training length (default 8)")
+    add_flags(ric, "config", "out", "seed", "L", "distribution", "n")
     ric.add_argument("--order", type=int, default=2, help="isometry order T")
     ric.add_argument("--max-supports", type=int, default=100_000)
 
-    add_run_flags(sub.add_parser("demo-fig2", help="fixed five-tap channel demo: LS vs DS"))
+    add_flags(sub.add_parser("demo-fig2", help="fixed five-tap channel demo: LS vs DS"),
+              "config", "out", "seed", "distribution", "lambda-ds")
 
     budget = sub.add_parser("budget", help="minimum training length for a sparsity level")
     budget.add_argument("--T", type=int, required=True)
@@ -273,7 +272,8 @@ def _run_ric(args, cfg, run_dir: Path) -> int:
             fh.write("|".join(str(i) for i in support) + f",{lo!r},{hi!r}\n")
     _write_meta(run_dir, {
         "subcommand": "ric",
-        "N": X.N, "L": X.L, "order": estimate.order,
+        "config": asdict(cfg),
+        "N": X.N, "L": X.L, "order": args.order,
         "distribution": cfg.distribution, "seed": cfg.base_seed,
         "max_supports": args.max_supports,
         "delta": estimate.delta,
@@ -281,7 +281,7 @@ def _run_ric(args, cfg, run_dir: Path) -> int:
         "exact": estimate.exact,
         "supports_checked": estimate.supports_checked,
     })
-    print(f"delta_{estimate.order} = {estimate.delta!r} "
+    print(f"delta_{args.order} = {estimate.delta!r} "
           f"({'exact' if estimate.exact else 'sampled lower bound'})")
     return EXIT_OK
 
@@ -301,12 +301,14 @@ def _demo_plot_script() -> str:
 
 
 def _run_demo(args, cfg, run_dir: Path) -> int:
-    n, snr = 30, 10.0
+    # The demo's fixed point, whatever the config file sets; meta.json records it.
+    cfg = replace(cfg, L=model.DEMO_CHANNEL_LENGTH, T=len(model.DEMO_TAP_VALUES), fixed_n=30,
+                  fixed_snr_db=10.0, methods=("ls", "ds"))
     channel, X, obs = experiments.make_instance(
-        cfg, snr, n, 0, channel=model.fixed_channel_figure_demo(seed=cfg.base_seed)
-    )
+        cfg, cfg.fixed_snr_db, cfg.fixed_n, 0,
+        channel=model.fixed_channel_figure_demo(seed=cfg.base_seed))
     model.save_taps_csv(run_dir / "channel_true.csv", channel.taps)
-    estimates = _estimate_all(run_dir, cfg, channel, X, obs, ("ls", "ds"))
+    estimates = _estimate_all(run_dir, cfg, channel, X, obs, cfg.methods)
     est_ls, est_ds = estimates["ls"], estimates["ds"]
     with open(run_dir / "result.csv", "w", newline="") as fh:
         fh.write("index,true_mod,ls_mod,ds_mod\n")
@@ -323,7 +325,7 @@ def _run_demo(args, cfg, run_dir: Path) -> int:
         "subcommand": "demo-fig2",
         "config": asdict(cfg),
         "instance": {
-            "n": n, "snr_db": snr, "true_support": list(channel.support),
+            "n": cfg.fixed_n, "snr_db": cfg.fixed_snr_db, "true_support": list(channel.support),
             "ds_support": list(est_ds.support_hat),
             "ds_lambda": est_ds.diagnostics["lambda"],
         },
@@ -333,14 +335,14 @@ def _run_demo(args, cfg, run_dir: Path) -> int:
 
 def _run_budget(args) -> int:
     try:
-        budget = model.measurement_budget(args.T, args.p, args.c)
+        n_min = model.measurement_budget(args.T, args.p, args.c)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    print(budget.n_min)
+    print(n_min)
     if args.out is not None:
         run_dir = _make_run_dir(args.out, "budget")
-        _write_meta(run_dir, {"subcommand": "budget", "T": budget.T, "p": budget.p,
-                              "c": budget.c, "n_min": budget.n_min})
+        _write_meta(run_dir, {"subcommand": "budget", "T": args.T, "p": args.p, "c": args.c,
+                              "n_min": n_min})
     return EXIT_OK
 
 

@@ -1,7 +1,8 @@
 """Channel estimators behind a uniform interface.
 
 Implements least squares (works in both the overdetermined and the
-minimum-norm underdetermined regime), orthogonal matching pursuit, Lasso by
+minimum-norm underdetermined regime), orthogonal matching pursuit (stopped
+at an atom budget or at the noise-level residual), Lasso by
 cyclic coordinate descent with complex soft-thresholding, the Dantzig
 selector realized as a linear program, its residual-reweighted "sensing"
 variant, and the genie-aided oracle (least squares on the true support).
@@ -23,7 +24,7 @@ is solved. Lasso uses the modulus-based L1 (shrink modulus, keep phase).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -79,9 +80,9 @@ class SelectorLpError(RuntimeError):
 
 
 # The failures an estimator is expected to raise on a bad instance: singular
-# or rank-deficient systems (SingularMatrixError is a ValueError), settings
-# the instance cannot meet (omp_max_atoms > min(N, L)) and a failed selector
-# LP. Anything else is a programming error and propagates.
+# or rank-deficient systems (SingularMatrixError is a ValueError), an OMP
+# atom budget the instance cannot meet (more than min(N, L)) and a failed
+# selector LP. Anything else is a programming error and propagates.
 ESTIMATOR_FAILURES = (ValueError, np.linalg.LinAlgError, SelectorLpError)
 
 
@@ -92,17 +93,13 @@ class EstimatorConfig:
 
     lambda_ds: float | str = "auto"
     lambda_lasso: float | str = "auto"
-    omp_max_atoms: int | str = "auto"
-    omp_residual_tol: float | str = "auto"
 
     def __post_init__(self):
-        for name in ("lambda_ds", "lambda_lasso", "omp_residual_tol"):
+        for name in ("lambda_ds", "lambda_lasso"):
             value = getattr(self, name)
             if value != "auto" and not (np.isreal(value) and 0 <= value < math.inf):
                 raise ValueError(
                     f"{name} must be 'auto' or a finite non-negative real, got {value!r}")
-        if self.omp_max_atoms != "auto" and int(self.omp_max_atoms) < 1:
-            raise ValueError("omp_max_atoms must be 'auto' or a positive integer")
 
 
 @dataclass(frozen=True)
@@ -185,22 +182,18 @@ def ls_estimate(X: ToeplitzTraining, obs: Observation) -> Estimate:
     return Estimate(h, diagnostics)
 
 
-def omp_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig) -> Estimate:
-    """Orthogonal matching pursuit: greedy atom selection with a full
-    least-squares refit of the selected set each round."""
+def omp_estimate(X: ToeplitzTraining, obs: Observation, max_atoms: int | None = None) -> Estimate:
+    """Orthogonal matching pursuit: greedy atom selection with a full least-
+    squares refit each round, for at most `max_atoms` atoms (min(N, L) when
+    None) and until the residual norm falls to the noise level sqrt(N sigma^2)."""
     Xm, y = X.matrix, obs.y
     N, L = Xm.shape
     limit = min(N, L)
-    if cfg.omp_max_atoms == "auto":
+    if max_atoms is None:
         max_atoms = limit
-    else:
-        max_atoms = int(cfg.omp_max_atoms)
-        if max_atoms > limit:
-            raise ValueError(f"omp_max_atoms={max_atoms} exceeds min(N, L)={limit}")
-    if cfg.omp_residual_tol == "auto":
-        residual_tol = math.sqrt(N * obs.noise_variance)
-    else:
-        residual_tol = float(cfg.omp_residual_tol)
+    elif max_atoms > limit:
+        raise ValueError(f"OMP atom budget {max_atoms} exceeds min(N, L)={limit}")
+    residual_tol = math.sqrt(N * obs.noise_variance)
 
     residual = y.copy()
     selected: list[int] = []
@@ -407,18 +400,16 @@ def run_estimator(
 ) -> Estimate:
     """Dispatch a named estimator on one instance.
 
-    The oracle requires `true_support`. OMP with "auto" atom budget uses the
-    true sparsity when the caller supplies it (genie-aided stopping for
-    comparison runs), otherwise the residual-tolerance rule. `base_ds`, the
+    The oracle requires `true_support`. OMP takes at most `true_sparsity`
+    atoms (genie-aided stopping for comparison runs), min(N, L) if it is
+    None. `base_ds`, the
     `ds` estimate of this instance and `cfg` if one was already made, spares
     `sds` its first selector solve.
     """
     if method == METHOD_LS:
         return ls_estimate(X, obs)
     if method == METHOD_OMP:
-        if cfg.omp_max_atoms == "auto" and true_sparsity is not None:
-            cfg = replace(cfg, omp_max_atoms=true_sparsity)
-        return omp_estimate(X, obs, cfg)
+        return omp_estimate(X, obs, true_sparsity)
     if method == METHOD_LASSO:
         return lasso_estimate(X, obs, cfg)
     if method == METHOD_DS:

@@ -64,8 +64,8 @@ def derive_trial_seed(base_seed: int, snr_db: float, n: int, trial_index: int, s
     return seed
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _is_number(value, kind=numbers.Integral) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,12 @@ class ExperimentConfig:
         counts = [("L", self.L), ("T", self.T), ("trials", self.trials), ("fixed_n", self.fixed_n),
                   ("workers", self.workers), *(("n_grid entry", n) for n in self.n_grid)]
         for name, value in counts:
-            if not _is_int(value) or value < 1:
+            if not _is_number(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for name, snr in [("fixed_snr_db", self.fixed_snr_db),
+                          *(("snr_grid_db entry", s) for s in self.snr_grid_db)]:
+            if not _is_number(snr, numbers.Real) or math.isnan(snr) or snr == -math.inf:
+                raise ValueError(f"{name} must be a real SNR, finite or +inf dB, got {snr!r}")
         if self.T > self.L:
             raise ValueError(f"need 1 <= T <= L, got T={self.T}, L={self.L}")
         if self.distribution not in TRAINING_DISTRIBUTIONS:
@@ -107,16 +111,14 @@ class ExperimentConfig:
             raise ValueError("methods must be non-empty")
         if len(set(self.methods)) < len(self.methods):
             raise ValueError(f"methods must not repeat, got {list(self.methods)}")
-        if not (_is_int(self.base_seed) and 0 <= self.base_seed < 2**64):
+        if not (_is_number(self.base_seed) and 0 <= self.base_seed < 2**64):
             raise ValueError(f"base_seed must be an integer in [0, 2**64), got {self.base_seed!r}")
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        object.__setattr__(self, "fixed_snr_db", float(self.fixed_snr_db))
         for name in ("L", "T", "trials", "fixed_n", "workers", "base_seed"):
             object.__setattr__(self, name, int(getattr(self, name)))
-        for snr in (*self.snr_grid_db, float(self.fixed_snr_db)):
-            if math.isnan(snr) or snr == -math.inf:
-                raise ValueError(f"SNR must be finite or +inf dB, got {snr}")
 
 
 @dataclass(frozen=True)
@@ -183,8 +185,8 @@ def estimate_instance(cfg: ExperimentConfig, channel: SparseChannel, X, obs, met
 
     Returns ({method: Estimate}, {method: error text}), each in method order.
     All methods see the identical (X, y); the oracle additionally receives
-    the true support, OMP's "auto" atom budget resolves to the true
-    sparsity, and `sds` reuses the `ds` estimate when `ds` ran before it. A
+    the true support, OMP takes at most the true sparsity in atoms, and
+    `sds` reuses the `ds` estimate when `ds` ran before it. A
     method that raises one of `ESTIMATOR_FAILURES` gets its error text and
     the others still run; any other exception propagates.
     """

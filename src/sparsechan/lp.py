@@ -10,6 +10,9 @@ internally to equality form [A I] with slack variables; the normal equations
 get a small diagonal regularization so redundant or degenerate constraints
 do not need presolving.
 
+A program needs at least one row. The tolerance and the iteration cap are
+the module constants TOLERANCE and MAX_ITERATIONS, read at each call.
+
 Each solve builds one operator from A, and the iteration reaches A only
 through it: products with [A I] and its transpose, and the normal-equation
 solve. For a constraint matrix of the Dantzig-selector form
@@ -30,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-DEFAULT_TOLERANCE = 1e-8
-DEFAULT_MAX_ITERATIONS = 200
+TOLERANCE = 1e-8
+MAX_ITERATIONS = 200
 
 # Added to the diagonal of the normal equations each iteration; large enough
 # to survive duplicated/degenerate rows, small enough not to perturb optima
@@ -49,7 +52,7 @@ STATUS_ITERATION_LIMIT = "iteration_limit"
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Standard-form LP: minimize c.x subject to A x <= b, x >= 0."""
+    """Standard-form LP with at least one row: minimize c.x, A x <= b, x >= 0."""
 
     c: np.ndarray
     A: np.ndarray
@@ -59,30 +62,20 @@ class LinearProgram:
         c = np.atleast_1d(np.asarray(self.c, dtype=np.float64))
         A = np.asarray(self.A, dtype=np.float64)
         b = np.atleast_1d(np.asarray(self.b, dtype=np.float64))
-        if A.size == 0:
-            A = A.reshape(len(b), len(c))
-        if A.ndim != 2:
-            raise ValueError(f"constraint matrix must be 2-d, got shape {A.shape}")
         if c.ndim != 1 or c.size == 0:
             raise ValueError("objective must be a non-empty 1-d vector")
         if A.shape != (b.shape[0], c.shape[0]):
             raise ValueError(
                 f"shape mismatch: A is {A.shape}, expected ({b.shape[0]}, {c.shape[0]})"
             )
+        if b.size == 0:
+            raise ValueError("a linear program needs at least one constraint row, got none")
         for name, arr in (("c", c), ("A", A), ("b", b)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains NaN or Inf entries")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
-
-    @property
-    def num_variables(self) -> int:
-        return self.c.shape[0]
-
-    @property
-    def num_constraints(self) -> int:
-        return self.b.shape[0]
 
 
 @dataclass(frozen=True)
@@ -116,27 +109,15 @@ class LpSolution:
     dual_values: np.ndarray | None = None
 
 
-def solve_lp(
-    lp: LinearProgram,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> LpSolution:
-    """Solve an inequality-form LP to the requested tolerance.
+def solve_lp(lp: LinearProgram) -> LpSolution:
+    """Solve an inequality-form LP to TOLERANCE within MAX_ITERATIONS.
 
     `status == "optimal"` guarantees primal feasibility (A x <= b and
     x >= 0 up to tolerance), dual feasibility, and a relative duality gap
-    at most `tolerance`. `iteration_limit` is a non-error outcome: the last
+    at most TOLERANCE. `iteration_limit` is a non-error outcome: the last
     iterate is returned and the caller decides what to do with it.
     """
-    if not (0.0 < tolerance <= 1e-4):
-        raise ValueError(f"tolerance must be in (0, 1e-4], got {tolerance}")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-
-    n = lp.num_variables
-    m = lp.num_constraints
-    if m == 0:
-        return _solve_unconstrained(lp)
+    m, n = lp.A.shape
 
     # Equality form: [A I] [x; s] = b with x, s >= 0.
     op = _Operator(lp.A)
@@ -158,7 +139,7 @@ def solve_lp(
     status = STATUS_ITERATION_LIMIT
     iterations = 0
 
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         d_x, d_y, d_z, d_tau, d_kappa = _search_direction(
             op, b, c, x, y, z, tau, kappa, r_p, r_d, r_g, mu
         )
@@ -181,15 +162,15 @@ def solve_lp(
         rho_g = abs(r_g) / norm_rg0
         rho_mu = mu / mu0
 
-        if report.max_residual() <= tolerance:
+        if report.max_residual() <= TOLERANCE:
             status = STATUS_OPTIMAL
             break
 
-        small_homogeneous = rho_p < tolerance and rho_d < tolerance and rho_g < tolerance
-        tau_collapsed = tau < tolerance * max(1.0, kappa)
-        tau_collapsed_strict = rho_mu < tolerance and tau < tolerance * min(1.0, kappa)
+        small_homogeneous = rho_p < TOLERANCE and rho_d < TOLERANCE and rho_g < TOLERANCE
+        tau_collapsed = tau < TOLERANCE * max(1.0, kappa)
+        tau_collapsed_strict = rho_mu < TOLERANCE and tau < TOLERANCE * min(1.0, kappa)
         if (small_homogeneous and tau_collapsed) or tau_collapsed_strict:
-            status = STATUS_INFEASIBLE if b @ y > tolerance else STATUS_UNBOUNDED
+            status = STATUS_INFEASIBLE if b @ y > TOLERANCE else STATUS_UNBOUNDED
             break
 
     if status in (STATUS_OPTIMAL, STATUS_ITERATION_LIMIT):
@@ -219,16 +200,6 @@ def solve_lp(
         iterations=iterations,
         dual_values=duals,
     )
-
-
-def _solve_unconstrained(lp: LinearProgram) -> LpSolution:
-    # No rows: minimize c.x over x >= 0 directly.
-    if np.all(lp.c >= 0.0):
-        x = np.zeros(lp.num_variables)
-        report = KktReport(0.0, 0.0, 0.0)
-        return LpSolution(x, 0.0, STATUS_OPTIMAL, report, 0, np.zeros(0))
-    report = KktReport(0.0, float(-lp.c.min()), 0.0)
-    return LpSolution(np.full(lp.num_variables, np.nan), np.nan, STATUS_UNBOUNDED, report, 0)
 
 
 def _residuals(op, b, c, x, y, z, tau, kappa):

@@ -71,14 +71,6 @@ class Observation:
 
 
 @dataclass(frozen=True)
-class MeasurementBudget:
-    T: int
-    p: int
-    c: float
-    n_min: int
-
-
-@dataclass(frozen=True)
 class RicEstimate:
     """Restricted isometry constant of order T.
 
@@ -89,7 +81,6 @@ class RicEstimate:
     supports was enumerated, in which case `delta` is a lower bound.
     """
 
-    order: int
     delta: float
     rip_violated: bool
     exact: bool
@@ -171,14 +162,13 @@ def observe(X: ToeplitzTraining, h: SparseChannel, snr_db: float, seed: int) -> 
     return Observation(y=signal + z, noise_variance=sigma2)
 
 
-def measurement_budget(T: int, p: int, c: float = 2.0) -> MeasurementBudget:
+def measurement_budget(T: int, p: int, c: float = 2.0) -> int:
     """Minimum training length n_min = ceil(c * T * ln(p/T))."""
     if not 1 <= T < p:
         raise ValueError(f"need 1 <= T < p, got T={T}, p={p}")
     if c <= 0:
         raise ValueError(f"need c > 0, got c={c}")
-    n_min = math.ceil(c * T * math.log(p / T))
-    return MeasurementBudget(T=T, p=p, c=c, n_min=n_min)
+    return math.ceil(c * T * math.log(p / T))
 
 
 def restricted_isometry_constant(
@@ -221,7 +211,6 @@ def restricted_isometry_constant(
         table.append((tuple(support), lo, hi))
         delta = max(delta, 1.0 - lo, hi - 1.0)
     return RicEstimate(
-        order=T,
         delta=float(delta),
         rip_violated=delta >= 1.0,
         exact=exact,

@@ -90,11 +90,10 @@ class TestSweepCommands:
         assert csv_a == csv_b
 
     def test_failed_cells_exit_three(self, tmp_path, capsys):
-        config = tmp_path / "bad.json"
-        config.write_text(json.dumps({"omp_max_atoms": 50}))
+        # Genie-aided OMP takes T atoms, more than the n = 8 rows allow.
         code, _, err = run_cli(
-            ["sweep-snr", "--config", str(config), "--M", "1", "--methods", "omp",
-             "--snr", "10", "--n", "8", "--L", "16", "--T", "2", "--out", str(tmp_path)],
+            ["sweep-snr", "--M", "1", "--methods", "omp",
+             "--snr", "10", "--n", "8", "--L", "16", "--T", "10", "--out", str(tmp_path)],
             capsys,
         )
         assert code == 3
@@ -102,7 +101,7 @@ class TestSweepCommands:
         meta = json.loads((only_run_dir(tmp_path, "sweep-snr-") / "meta.json").read_text())
         assert meta["excluded_failed_cells"] == {"10.0/omp": 1}
         assert meta["failed_cell_errors"] == {
-            "10.0/omp": ["ValueError: omp_max_atoms=50 exceeds min(N, L)=8"]
+            "10.0/omp": ["ValueError: OMP atom budget 10 exceeds min(N, L)=8"]
         }
 
     def test_nan_or_minus_inf_snr_exit_two(self, tmp_path, capsys):
@@ -157,20 +156,23 @@ class TestConfigHandling:
         assert (first / "result.csv").read_bytes() == (second / "result.csv").read_bytes()
 
     def test_complex_mode_key_of_older_meta(self, tmp_path, capsys):
-        # Older meta.json files record the retired complex_mode, lp_tolerance
-        # and lp_max_iterations at their last defaults; they still load, and
-        # any other value is an unknown key.
-        argv = ["sweep-snr", "--M", "2", "--methods", "ls,ds", "--snr", "12",
+        # Older meta.json files record the retired complex_mode, lp_tolerance,
+        # lp_max_iterations, omp_max_atoms and omp_residual_tol at their last
+        # defaults; they still load, and any other value is an unknown key.
+        argv = ["sweep-snr", "--M", "2", "--methods", "ls,omp,ds", "--snr", "12",
                 "--L", "16", "--T", "2", "--n", "8", "--seed", "4"]
         code, _, _ = run_cli(argv + ["--out", str(tmp_path / "first")], capsys)
         assert code == 0
         first = only_run_dir(tmp_path / "first", "sweep-snr-")
         meta = json.loads((first / "meta.json").read_text())
         retired = {"complex_mode": "real_composite", "lp_tolerance": 1e-08,
-                   "lp_max_iterations": 200}
+                   "lp_max_iterations": 200, "omp_max_atoms": "auto",
+                   "omp_residual_tol": "auto"}
         for name, changed, bad_key in (("old", {}, None),
                                        ("modulus", {"complex_mode": "modulus"}, "complex_mode"),
-                                       ("loose_lp", {"lp_tolerance": 1e-3}, "lp_tolerance")):
+                                       ("loose_lp", {"lp_tolerance": 1e-3}, "lp_tolerance"),
+                                       ("omp_budget", {"omp_max_atoms": 3}, "omp_max_atoms"),
+                                       ("omp_tol", {"omp_residual_tol": 0.5}, "omp_residual_tol")):
             meta["config"]["estimator"].update(retired, **changed)
             old_meta = tmp_path / f"{name}.json"
             old_meta.write_text(json.dumps(meta))
@@ -218,6 +220,9 @@ class TestConfigHandling:
         (["sweep-snr", "--M", "1", "--methods", "ls"], {"distribution": "uniform"},
          "distribution"),
         (["estimate", "--methods", "ls"], {"distribution": "uniform"}, "distribution"),
+        (["estimate", "--methods", "ls"], {"fixed_snr_db": "12"}, "fixed_snr_db"),
+        (["sweep-snr", "--M", "1", "--methods", "ls"], {"snr_grid_db": ["12"]}, "snr_grid_db"),
+        (["estimate", "--methods", "ls"], {"fixed_snr_db": True}, "fixed_snr_db"),
     ])
     def test_out_of_range_values_exit_two(self, tmp_path, capsys, argv, config, named):
         if config is not None:
@@ -239,6 +244,20 @@ class TestConfigHandling:
             cli.main(argv + ["--out", str(tmp_path / "runs")])
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["demo-fig2", "--n", "12"], "--n"),
+        (["demo-fig2", "--methods", "omp"], "--methods"),
+        (["estimate", "--M", "5"], "--M"),
+        (["estimate", "--workers", "2"], "--workers"),
+        (["ric", "--T", "2"], "--T"),
+    ])
+    def test_flags_a_subcommand_does_not_read_exit_two(self, tmp_path, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(tmp_path / "runs")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     def test_every_flag_sets_a_config_field_or_is_cli_only(self):
@@ -282,9 +301,8 @@ class TestEstimateCommand:
         assert all(w >= 0 for w in diag["sds"]["weights"])
 
     def test_failed_method_exit_three_keeps_the_others(self, tmp_path, capsys):
-        config = tmp_path / "bad.json"
-        config.write_text(json.dumps({"omp_max_atoms": 20}))
-        code, _, err = run_cli(["estimate", "--config", str(config), "--n", "8",
+        # Genie-aided OMP takes T = 10 atoms, more than the n = 8 rows allow.
+        code, _, err = run_cli(["estimate", "--L", "16", "--T", "10", "--n", "8",
                                 "--methods", "ls,omp,ds", "--out", str(tmp_path / "runs")], capsys)
         assert code == 3
         assert "solver failure in omp" in err
@@ -292,7 +310,7 @@ class TestEstimateCommand:
         diag = json.loads((run_dir / "diagnostics.json").read_text())
         assert list(diag) == ["ls", "omp", "ds"]
         assert diag["omp"] == {"failed": True,
-                               "error": "ValueError: omp_max_atoms=20 exceeds min(N, L)=8"}
+                               "error": "ValueError: OMP atom budget 10 exceeds min(N, L)=8"}
         assert diag["ls"]["regularized"] is False and diag["ds"]["lambda"] > 0
         assert (run_dir / "estimate_ls.csv").exists() and (run_dir / "estimate_ds.csv").exists()
         assert not (run_dir / "estimate_omp.csv").exists()
@@ -350,6 +368,20 @@ class TestRicCommand:
             assert code == 0
             assert json.loads((only_run_dir(out, "ric-") / "meta.json").read_text())["N"] == n
 
+    def test_metadata_round_trip_reproduces_csv(self, tmp_path, capsys):
+        argv = ["--order", "3", "--max-supports", "40"]
+        code, _, _ = run_cli(["ric", "--n", "9", "--L", "14", "--seed", "6",
+                              "--distribution", "complex_gaussian", *argv,
+                              "--out", str(tmp_path / "first")], capsys)
+        assert code == 0
+        first = only_run_dir(tmp_path / "first", "ric-")
+        code, _, _ = run_cli(["ric", "--config", str(first / "meta.json"), *argv,
+                              "--out", str(tmp_path / "second")], capsys)
+        assert code == 0
+        second = only_run_dir(tmp_path / "second", "ric-")
+        assert (first / "result.csv").read_bytes() == (second / "result.csv").read_bytes()
+        assert (first / "meta.json").read_bytes() == (second / "meta.json").read_bytes()
+
 
 class TestDemoCommand:
     def test_demo_outputs(self, tmp_path, capsys):
@@ -369,6 +401,27 @@ class TestDemoCommand:
         assert "impulses" in script
         meta = json.loads((run_dir / "meta.json").read_text())
         assert meta["instance"]["snr_db"] == 10.0
+
+    def test_config_records_the_fixed_point_it_ran(self, tmp_path, capsys):
+        # A config file cannot move the demo off its point, and the config
+        # block of meta.json records that point.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"L": 20, "T": 2, "fixed_n": 12, "fixed_snr_db": 5,
+                                      "methods": ["omp"]}))
+        for name, extra in (("plain", []), ("file", ["--config", str(config)])):
+            code, _, _ = run_cli(["demo-fig2", "--seed", "1", "--out", str(tmp_path / name),
+                                  *extra], capsys)
+            assert code == 0
+        plain = only_run_dir(tmp_path / "plain", "demo-fig2-")
+        from_file = only_run_dir(tmp_path / "file", "demo-fig2-")
+        for name in ("result.csv", "diagnostics.json", "meta.json"):
+            assert (plain / name).read_bytes() == (from_file / name).read_bytes()
+        meta = json.loads((plain / "meta.json").read_text())
+        config = meta["config"]
+        assert (config["L"], config["T"], config["methods"]) == (60, 5, ["ls", "ds"])
+        assert (config["fixed_n"], config["fixed_snr_db"]) == (meta["instance"]["n"],
+                                                               meta["instance"]["snr_db"])
+        assert (config["fixed_n"], config["fixed_snr_db"]) == (30, 10.0)
 
     def test_demo_support_indices_cover_largest_true_taps(self, tmp_path, capsys):
         code, _, _ = run_cli(["demo-fig2", "--seed", "5", "--out", str(tmp_path)], capsys)

@@ -153,14 +153,14 @@ class TestOmp:
         y = np.zeros(6, dtype=complex)
         y[3] = 2.0 - 1.0j
         obs = Observation(y=y, noise_variance=0.0)
-        est = omp_estimate(X, obs, EstimatorConfig(omp_max_atoms=3, omp_residual_tol=1e-12))
+        est = omp_estimate(X, obs, 3)
         assert est.diagnostics["atoms"] == [3]
         np.testing.assert_allclose(est.h_hat, y, atol=1e-12)
 
     def test_zero_observation(self):
         X = identity_training(4)
         obs = Observation(y=np.zeros(4, dtype=complex), noise_variance=0.0)
-        est = omp_estimate(X, obs, EstimatorConfig(omp_max_atoms=2, omp_residual_tol=0.0))
+        est = omp_estimate(X, obs, 2)
         assert est.diagnostics["atoms"] == []
         np.testing.assert_array_equal(est.h_hat, 0)
 
@@ -169,14 +169,14 @@ class TestOmp:
         trials = 200
         for seed in range(trials):
             channel, X, obs = make_instance(snr_db=np.inf, seed=seed)
-            est = omp_estimate(X, obs, EstimatorConfig(omp_max_atoms=4, omp_residual_tol=1e-10))
+            est = omp_estimate(X, obs, 4)
             hits += set(est.diagnostics["atoms"]) == set(channel.support)
         assert hits / trials >= 0.9
 
     def test_atom_budget_validated(self):
         _, X, obs = make_instance(seed=5)
         with pytest.raises(ValueError):
-            omp_estimate(X, obs, EstimatorConfig(omp_max_atoms=31))
+            omp_estimate(X, obs, 31)
 
 
 class TestLasso:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sparsechan import estimators
-from sparsechan.estimators import Estimate, EstimatorConfig, sds_estimate
+from sparsechan.estimators import Estimate, sds_estimate
 from sparsechan.experiments import (
     ExperimentConfig,
     derive_trial_seed,
@@ -89,11 +89,11 @@ class TestRunTrial:
             run_trial(SMALL, 20.0, 12, 6)
 
     def test_failed_method_does_not_sink_others(self):
-        # Atom budget above min(N, L) makes OMP raise for every trial.
+        # Genie-aided OMP takes T = 10 atoms, more than min(N, L) = 8 allows,
+        # so it raises for every trial.
         bad = ExperimentConfig(
-            L=24, T=2, trials=2, methods=("ls", "omp"), snr_grid_db=(10.0,),
+            L=24, T=10, trials=2, methods=("ls", "omp"), snr_grid_db=(10.0,),
             n_grid=(8,), fixed_n=8, base_seed=0,
-            estimator=EstimatorConfig(omp_max_atoms=20),
         )
         record = run_trial(bad, 10.0, 8, 0)
         assert record["omp"].failed
