@@ -2,10 +2,11 @@
 
 Implements least squares (works in both the overdetermined and the
 minimum-norm underdetermined regime), orthogonal matching pursuit (stopped
-at an atom budget or at the noise-level residual), Lasso by
-cyclic coordinate descent with complex soft-thresholding, the Dantzig
-selector realized as a linear program, its residual-reweighted "sensing"
-variant, and the genie-aided oracle (least squares on the true support).
+at an atom budget or at the noise-level residual), Lasso by coordinate
+descent on the Gram matrix X^H X with active-set passes and complex
+soft-thresholding, the Dantzig selector realized as a linear program, its
+residual-reweighted "sensing" variant, and the genie-aided oracle (least
+squares on the true support).
 Each returns an `Estimate`, the tap vector and a diagnostics dict; the
 reported support is derived from the taps when read. The tall
 least-squares solve shared by `ls`, `omp` and `oracle` is a complex QR
@@ -225,46 +226,60 @@ def omp_estimate(X: ToeplitzTraining, obs: Observation, max_atoms: int | None = 
     return Estimate(h, diagnostics)
 
 
-def _soft_threshold(rho: complex, lam: float) -> complex:
-    mag = abs(rho)
-    if mag <= lam:
-        return 0.0 + 0.0j
-    return (1.0 - lam / mag) * rho
-
-
 def lasso_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig) -> Estimate:
     """L1-penalized least squares, (1/2)||y - Xh||^2 + lambda * sum |h_i|,
-    by cyclic coordinate descent; the threshold shrinks the modulus and
-    keeps the phase."""
+    by coordinate descent on the Gram form G = X^H X, c = X^H y; the
+    threshold shrinks the modulus and keeps the phase.
+
+    Coordinate j's statistic is rho_j = c_j - q_j + G_jj h_j with q = G h,
+    which each change updates by one column of G. One full sweep over all
+    coordinates is followed by passes over the nonzero ones until their
+    largest change falls below LASSO_CONVERGENCE_TOL, then by another full
+    sweep. The call has converged when a full sweep changes no coordinate by
+    that much; LASSO_MAX_SWEEPS caps the passes of either kind, and
+    diagnostics["sweeps"] counts them. Coordinates with G_jj <= 0 (all-zero
+    columns) stay at zero."""
     Xm, y = X.matrix, obs.y
     L = Xm.shape[1]
     sigma = math.sqrt(obs.noise_variance)
     lam = resolve_lambda(sigma, X, cfg.lambda_lasso)
 
-    col_sq = np.real(np.einsum("ij,ij->j", np.conj(Xm), Xm))
-    h = np.zeros(L, dtype=np.complex128)
-    residual = y.astype(np.complex128).copy()
+    Xh = Xm.conj().T
+    G = Xh @ Xm
+    # Per-coordinate scalars live in Python lists: indexing a numpy array
+    # element by element costs more than the arithmetic done on it.
+    c = (Xh @ y).tolist()
+    g_diag = np.real(np.diag(G)).tolist()
+    q = np.zeros(L, dtype=np.complex128)
+    h = [0j] * L
+    coords = [j for j in range(L) if g_diag[j] > 0.0]
+    full = True
     converged = False
     sweeps = 0
-    for sweeps in range(1, LASSO_MAX_SWEEPS + 1):
+    while sweeps < LASSO_MAX_SWEEPS:
+        sweeps += 1
         max_change = 0.0
-        for j in range(L):
-            if col_sq[j] <= 0.0:
-                continue
-            rho = np.vdot(Xm[:, j], residual) + col_sq[j] * h[j]
-            new = _soft_threshold(rho, lam) / col_sq[j]
-            change = new - h[j]
-            if change != 0:
-                residual -= Xm[:, j] * change
+        for j in coords if full else [j for j in coords if h[j]]:
+            d, old = g_diag[j], h[j]
+            rho = c[j] - q.item(j) + d * old
+            mag = abs(rho)
+            new = (1.0 - lam / mag) * rho / d if mag > lam else 0j
+            change = new - old
+            if change:
+                q += G[:, j] * change
                 h[j] = new
                 max_change = max(max_change, abs(change))
         if max_change < LASSO_CONVERGENCE_TOL:
-            converged = True
-            break
+            if full:
+                converged = True
+                break
+            full = True
+        else:
+            full = False
 
     diagnostics = {"lambda": lam, "sweeps": sweeps, "converged": converged,
                    "l1_convention": "complex_modulus"}
-    return Estimate(h, diagnostics)
+    return Estimate(np.array(h, dtype=np.complex128), diagnostics)
 
 
 def _solve_composite_selector(S, Xm, y, lam):

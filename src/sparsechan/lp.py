@@ -271,8 +271,10 @@ class _Operator:
         v1 = (r1 + r2 + S2 w) / (S1 + S2), v2 = v1 - w. This recovery never
         divides by S1 or S2 alone: those go to 0 on active rows while B = X'X
         is rank-deficient, and v1 = S1^-1 (r1 - K w) stalls the iteration
-        there. A failed factor falls back to the dense matrix, then to least
-        squares.
+        there. In exact arithmetic the dense matrix is positive definite
+        exactly when the k x k one is, so a failed k x k factor goes straight
+        to least squares on the dense matrix; any other program tries a dense
+        Cholesky factor first.
         """
         n = self.A.shape[1]
         s = d_inv[n:] + NORMAL_EQ_REGULARIZATION
@@ -295,9 +297,10 @@ class _Operator:
 
         M = (self.A * d_inv[:n]) @ self.A.T
         M[np.diag_indices_from(M)] += s
-        factor, info = dpotrf(M, lower=0, clean=0)
-        if info == 0:
-            return lambda r: dpotrs(factor, r, lower=0)[0]
+        if self.B is None:
+            factor, info = dpotrf(M, lower=0, clean=0)
+            if info == 0:
+                return lambda r: dpotrs(factor, r, lower=0)[0]
         return lambda r: np.linalg.lstsq(M, r, rcond=None)[0]
 
 

@@ -14,6 +14,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsechan import estimators
 from sparsechan.estimators import (
     EstimatorConfig,
     SingularMatrixError,
@@ -50,6 +51,16 @@ def full_support_channel(taps) -> SparseChannel:
     taps = np.asarray(taps, dtype=np.complex128)
     support = tuple(int(i) for i in np.flatnonzero(taps))
     return SparseChannel(taps=taps, support=support)
+
+
+def lasso_kkt_residual(Xm, y, h, lam):
+    """Largest violation of the complex subgradient conditions of the Lasso:
+    x_j^H r = lam * h_j / |h_j| where h_j != 0, |x_j^H r| <= lam elsewhere."""
+    c = Xm.conj().T @ (y - Xm @ h)
+    nz = h != 0
+    on = np.abs(c[nz] - lam * h[nz] / np.abs(h[nz]))
+    off = np.maximum(np.abs(c[~nz]) - lam, 0.0)
+    return float(np.concatenate([on, off]).max(initial=0.0))
 
 
 class TestResolveLambda:
@@ -223,6 +234,46 @@ class TestLasso:
         _, X, obs = make_instance(seed=11)
         est = lasso_estimate(X, obs, EstimatorConfig())
         assert est.diagnostics["converged"]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**31), st.sampled_from(["gaussian", "rademacher", "complex_gaussian"]),
+           st.integers(4, 40), st.sampled_from([0.5, 1.0, 1.5]), st.floats(0.0, 30.0),
+           st.one_of(st.just("auto"), st.floats(0.02, 0.9)))
+    def test_kkt_certificate(self, seed, distribution, L, aspect, snr_db, level):
+        # Wide (N < L), square and tall training; a fixed level is drawn as
+        # a fraction of max |X^H y|, the level at which h = 0.
+        N = max(2, round(aspect * L))
+        _, X, obs = make_instance(L=L, T=min(3, L), N=N, snr_db=snr_db, seed=seed,
+                                  distribution=distribution)
+        if level != "auto":
+            level *= float(np.abs(X.matrix.conj().T @ obs.y).max())
+        est = lasso_estimate(X, obs, EstimatorConfig(lambda_lasso=level))
+        lam = est.diagnostics["lambda"]
+        assert est.diagnostics["converged"]
+        assert lasso_kkt_residual(X.matrix, obs.y, est.h_hat, lam) <= 1e-6 * lam
+
+    def test_sweep_cap(self, monkeypatch):
+        monkeypatch.setattr(estimators, "LASSO_MAX_SWEEPS", 1)
+        _, X, obs = make_instance(seed=11)
+        est = lasso_estimate(X, obs, EstimatorConfig())
+        assert est.diagnostics["sweeps"] == 1
+        assert not est.diagnostics["converged"]
+
+    def test_zero_column_stays_zero(self):
+        # A probe whose first N entries vanish zeroes the last column.
+        N, L = 12, 20
+        rng = np.random.default_rng(27)
+        probe = rng.standard_normal(N + L - 1)
+        probe[:N] = 0.0
+        X = ToeplitzTraining(matrix=probe[np.arange(N)[:, None] - np.arange(L)[None, :] + L - 1])
+        assert not X.matrix[:, L - 1].any() and X.matrix[:, L - 2].any()
+        y = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        lam = 0.05 * float(np.abs(X.matrix.conj().T @ y).max())
+        est = lasso_estimate(X, Observation(y=y, noise_variance=0.0),
+                             EstimatorConfig(lambda_lasso=lam))
+        assert est.h_hat[L - 1] == 0
+        assert est.diagnostics["converged"]
+        assert lasso_kkt_residual(X.matrix, y, est.h_hat, lam) <= 1e-6 * lam
 
 
 class TestDantzigSelector:

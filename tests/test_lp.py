@@ -231,16 +231,27 @@ class TestSelectorStructure:
                     v_dense = np.linalg.solve(M, r)
                     assert np.linalg.norm(v - v_dense) <= 1e-9 * np.linalg.norm(v_dense), name
 
-    def test_failed_factor_falls_back_to_least_squares(self):
-        # Negative scalings make both the k x k and the dense matrix indefinite.
+    def test_failed_factor_falls_back_to_least_squares(self, monkeypatch):
+        # Negative scalings make both the k x k and the dense matrix
+        # indefinite; the dense one is then not factored at all.
+        factored = []
+        dpotrf = lp_module.dpotrf
+
+        def counting_dpotrf(M, **kwargs):
+            factored.append(M.shape)
+            return dpotrf(M, **kwargs)
+
+        monkeypatch.setattr(lp_module, "dpotrf", counting_dpotrf)
         rng = np.random.default_rng(34)
         for name, B, _d in selector_blocks(rng):
             k = B.shape[0]
             d_inv = -np.ones(4 * k)
             A, M = normal_equations(B, d_inv)
             r = rng.standard_normal(2 * k)
+            factored.clear()
             np.testing.assert_array_equal(lp_module._Operator(A).solver(d_inv)(r),
                                           np.linalg.lstsq(M, r, rcond=None)[0], err_msg=name)
+            assert factored == [(k, k)], name
 
     def test_selector_programs_match_highs(self):
         rng = np.random.default_rng(33)
