@@ -225,8 +225,8 @@ def _estimate_all(run_dir: Path, cfg, channel, X, obs, methods) -> dict:
     """Run the methods on one instance; write diagnostics.json for all of
     them and estimate_<method>.csv for each that succeeded. Returns {method:
     Estimate}, or raises SolverFailure once the files are written if any
-    method failed (see `experiments.estimate_instance`)."""
-    estimates, errors = experiments.estimate_instance(cfg, channel, X, obs, methods)
+    method failed (see `experiments.estimate_instances`)."""
+    [(estimates, errors)] = experiments.estimate_instances(cfg, [(channel, X, obs)], methods)
     diagnostics = {}
     for method in methods:
         if method in errors:

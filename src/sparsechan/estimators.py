@@ -20,6 +20,10 @@ imaginary parts separately. That keeps the program an exact LP. For a
 real-valued training matrix the composite program decouples into two
 independent real programs (one for each part of the data), which is how it
 is solved. Lasso uses the modulus-based L1 (shrink modulus, keep phase).
+
+`ds_estimates` and `sds_estimates` run the selectors over many instances
+and solve the selector programs of all of them in one call; `ds_estimate`
+and `sds_estimate` are their batch of one.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from .lp import (
     STATUS_INFEASIBLE,
     STATUS_ITERATION_LIMIT,
     STATUS_UNBOUNDED,
-    LinearProgram,
-    solve_lp,
+    solve_lp,  # noqa: F401  (part of this module's surface: bench/tracing.py wraps it)
+    solve_selectors,
 )
 from .model import Observation, ToeplitzTraining
 
@@ -282,64 +286,108 @@ def lasso_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig) 
     return Estimate(np.array(h, dtype=np.complex128), diagnostics)
 
 
-def _solve_composite_selector(S, Xm, y, lam):
-    """Solve the selector program with correlation operator S^H (y - Xm g)
-    over the real-composite coordinates.
+def _composite_programs(S, Xm, y, lam):
+    """The selector programs (B, d, lam) of one instance, with correlation
+    operator S^H (y - Xm g) over the real-composite coordinates, and
+    whether they are decoupled.
 
     The sensing matrix `S` is Xm itself for the plain selector and the
     reweighted matrix for the sensing variant. With S and C = S^H Xm real
     (real training), the program decouples into independent programs for
-    the real and imaginary parts of y; otherwise one program runs over the
-    stacked operator [[Re C, -Im C], [Im C, Re C]]. Each program minimizes
-    ||g||_1 subject to ||d - B g||_inf <= lam, an LP over the
-    positive/negative parts of g.
+    the real and imaginary parts of y, which share B; otherwise one program
+    runs over the stacked operator [[Re C, -Im C], [Im C, Re C]]. Each
+    program minimizes ||g||_1 subject to ||d - B g||_inf <= lam, an LP over
+    the positive/negative parts of g (see `lp.solve_selectors`).
     """
     # Conjugate before transposing: the product then runs as the same
     # transposed BLAS call as S.T @ Xm, bit for bit, on real inputs.
     C = S.conj().T @ Xm
     decoupled = not S.imag.any() and not C.imag.any()
     if decoupled:
-        programs = [(C.real, S.real.T @ y.real), (C.real, S.real.T @ y.imag)]
+        B = np.ascontiguousarray(C.real)
+        programs = [(B, S.real.T @ y.real, lam), (B, S.real.T @ y.imag, lam)]
     else:
         d = S.conj().T @ y
         programs = [(np.block([[C.real, -C.imag], [C.imag, C.real]]),
-                     np.concatenate([d.real, d.imag]))]
-    parts, sols = [], []
-    for B, d in programs:
-        n = B.shape[0]
-        lp = LinearProgram(c=np.ones(2 * n), A=np.block([[B, -B], [-B, B]]),
-                           b=np.concatenate([lam + d, lam - d]))
-        sol = solve_lp(lp)
-        if sol.status in (STATUS_INFEASIBLE, STATUS_UNBOUNDED):
+                     np.concatenate([d.real, d.imag]), lam)]
+    for B, d, level in programs:
+        if not (np.all(np.isfinite(B)) and np.all(np.isfinite(d)) and math.isfinite(level)):
+            raise ValueError("selector program contains NaN or Inf entries")
+    return programs, decoupled
+
+
+def _solve_composite_selectors(jobs) -> list:
+    """Solve the programs of every job, each a `_composite_programs` result,
+    in one call to `solve_selectors`. Returns per job the composite
+    estimate and its LP diagnostics, or the SelectorLpError of a program
+    that ended infeasible or unbounded."""
+    solutions = iter(solve_selectors([p for programs, _ in jobs for p in programs]))
+    results = []
+    for programs, decoupled in jobs:
+        sols = [next(solutions) for _ in programs]
+        statuses = [sol.status for sol in sols]
+        failed = [s for s in statuses if s in (STATUS_INFEASIBLE, STATUS_UNBOUNDED)]
+        if failed:
             # The constraint set always contains a point with zero correlation
             # residual and the objective is bounded below, so either report
             # indicates a solver malfunction.
-            raise SelectorLpError(f"selector LP reported {sol.status}; this indicates a solver bug")
-        parts.append(sol.x[:n] - sol.x[n:])
-        sols.append(sol)
-    g = np.concatenate(parts)
-    L = Xm.shape[1]
-    statuses = [sol.status for sol in sols]
-    lp_info = {
-        "lp_iterations": sum(sol.iterations for sol in sols),
-        "lp_statuses": statuses,
-        "decoupled": decoupled,
-        "converged": STATUS_ITERATION_LIMIT not in statuses,
-    }
-    return g[:L] + 1j * g[L:], lp_info
+            results.append(SelectorLpError(
+                f"selector LP reported {failed[0]}; this indicates a solver bug"))
+            continue
+        n = programs[0][0].shape[0]
+        g = np.concatenate([sol.x[:n] - sol.x[n:] for sol in sols])
+        L = g.size // 2
+        results.append((g[:L] + 1j * g[L:], {
+            "lp_iterations": sum(sol.iterations for sol in sols),
+            "lp_statuses": statuses,
+            "decoupled": decoupled,
+            "converged": STATUS_ITERATION_LIMIT not in statuses,
+        }))
+    return results
+
+
+def _only(outcomes):
+    """The one outcome of a batch of one: its Estimate, or its failure raised."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def ds_estimates(instances, cfg: EstimatorConfig) -> list:
+    """The Dantzig selector on each (X, obs) of `instances`: minimize the
+    (real-composite) L1 norm subject to a componentwise bound on the
+    residual correlations X^H (y - X h).
+
+    The selector programs of all instances are solved in one call, and each
+    estimate is bit for bit the one its instance gets alone. Returns per
+    instance its Estimate, or the ESTIMATOR_FAILURES exception it raised.
+    """
+    results, pending, jobs = [None] * len(instances), [], []
+    for i, (X, obs) in enumerate(instances):
+        try:
+            sigma = math.sqrt(obs.noise_variance)
+            if cfg.lambda_ds == "auto":
+                lam = COMPOSITE_LAMBDA_CALIBRATION * resolve_lambda(sigma, X, "auto")
+            else:
+                lam = resolve_lambda(sigma, X, cfg.lambda_ds)
+            jobs.append(_composite_programs(X.matrix, X.matrix, obs.y, lam))
+        except ESTIMATOR_FAILURES as exc:
+            results[i] = exc
+            continue
+        pending.append((i, lam))
+    for (i, lam), solved in zip(pending, _solve_composite_selectors(jobs)):
+        if isinstance(solved, Exception):
+            results[i] = solved
+            continue
+        h, lp_info = solved
+        results[i] = Estimate(h, {"lambda": lam, "l1_convention": "real_composite", **lp_info})
+    return results
 
 
 def ds_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig) -> Estimate:
-    """Dantzig selector: minimize the (real-composite) L1 norm subject to a
-    componentwise bound on the residual correlations X^H (y - X h)."""
-    sigma = math.sqrt(obs.noise_variance)
-    if cfg.lambda_ds == "auto":
-        lam = COMPOSITE_LAMBDA_CALIBRATION * resolve_lambda(sigma, X, "auto")
-    else:
-        lam = resolve_lambda(sigma, X, cfg.lambda_ds)
-    h, lp_info = _solve_composite_selector(X.matrix, X.matrix, obs.y, lam)
-    diagnostics = {"lambda": lam, "l1_convention": "real_composite", **lp_info}
-    return Estimate(h, diagnostics)
+    """Dantzig selector on one instance (see `ds_estimates`)."""
+    return _only(ds_estimates([(X, obs)], cfg))
 
 
 def sds_weighting(Xm: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -356,37 +404,65 @@ def sds_weighting(Xm: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, bool
     return Z / col_scale[None, :], regularized
 
 
+def sds_estimates(instances, cfg: EstimatorConfig, bases=None) -> list:
+    """Reweighted ("sensing") selector on each (X, obs) of `instances`: run
+    the plain selector, weight each column by the magnitude of its residual
+    correlation, rebuild the sensing matrix through R = X W^2 X^H, and
+    re-solve with the new constraint.
+
+    `bases[i]`, when given and not None, is the plain selector's estimate
+    of instance i with this `cfg`, used instead of solving it again; the
+    other instances' plain selectors run as one call of `ds_estimates`, and
+    the reweighted programs of all instances as another. Returns per
+    instance its Estimate, or the ESTIMATOR_FAILURES exception it raised.
+    """
+    bases = list(bases) if bases is not None else [None] * len(instances)
+    missing = [i for i, base in enumerate(bases) if base is None]
+    for i, base in zip(missing, ds_estimates([instances[i] for i in missing], cfg)):
+        bases[i] = base
+    results, pending, jobs = [None] * len(instances), [], []
+    for i, ((X, obs), base) in enumerate(zip(instances, bases)):
+        if isinstance(base, Exception):
+            results[i] = base
+            continue
+        Xm, y = X.matrix, obs.y
+        residual = y - Xm @ base.h_hat
+        w = np.abs(Xm.conj().T @ residual)
+        if w.max(initial=0.0) <= 1e-12 * max(1.0, float(np.linalg.norm(y))):
+            results[i] = Estimate(base.h_hat, {**base.diagnostics, "degenerate_weighting": True})
+            continue
+        lam = base.diagnostics["lambda"]
+        try:
+            X_alt, regularized = sds_weighting(Xm, w)
+            jobs.append(_composite_programs(X_alt, Xm, y, lam))
+        except ESTIMATOR_FAILURES as exc:
+            results[i] = exc
+            continue
+        pending.append((i, base, w, regularized))
+    for (i, base, w, regularized), solved in zip(pending, _solve_composite_selectors(jobs)):
+        if isinstance(solved, Exception):
+            results[i] = solved
+            continue
+        h, lp_info = solved
+        results[i] = Estimate(h, {
+            "lambda": base.diagnostics["lambda"],
+            "l1_convention": "real_composite",
+            "degenerate_weighting": False,
+            "weighting_regularized": regularized,
+            "weights": w,
+            "normalization": "columnwise x_alt_i = R^-1 x_i / (x_i^H R^-1 x_i)",
+            "base_lp_iterations": base.diagnostics["lp_iterations"],
+            **lp_info,
+        })
+    return results
+
+
 def sds_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig,
                  base: Estimate | None = None) -> Estimate:
-    """Reweighted ("sensing") selector: run the plain selector, weight each
-    column by the magnitude of its residual correlation, rebuild the sensing
-    matrix through R = X W^2 X^H, and re-solve with the new constraint.
-
-    `base` is the plain selector's estimate when it was already computed on
-    this instance with this `cfg`; it is then used instead of solving again."""
-    if base is None:
-        base = ds_estimate(X, obs, cfg)
-    Xm, y = X.matrix, obs.y
-    residual = y - Xm @ base.h_hat
-    w = np.abs(Xm.conj().T @ residual)
-    if w.max(initial=0.0) <= 1e-12 * max(1.0, float(np.linalg.norm(y))):
-        diagnostics = {**base.diagnostics, "degenerate_weighting": True}
-        return Estimate(base.h_hat, diagnostics)
-
-    X_alt, regularized = sds_weighting(Xm, w)
-    lam = base.diagnostics["lambda"]
-    h, lp_info = _solve_composite_selector(X_alt, Xm, y, lam)
-    diagnostics = {
-        "lambda": lam,
-        "l1_convention": "real_composite",
-        "degenerate_weighting": False,
-        "weighting_regularized": regularized,
-        "weights": w,
-        "normalization": "columnwise x_alt_i = R^-1 x_i / (x_i^H R^-1 x_i)",
-        "base_lp_iterations": base.diagnostics["lp_iterations"],
-        **lp_info,
-    }
-    return Estimate(h, diagnostics)
+    """Reweighted selector on one instance (see `sds_estimates`); `base` is
+    the plain selector's estimate when it was already computed on this
+    instance with this `cfg`."""
+    return _only(sds_estimates([(X, obs)], cfg, [base]))
 
 
 def oracle_estimate(X: ToeplitzTraining, obs: Observation, true_support) -> Estimate:
@@ -411,15 +487,13 @@ def run_estimator(
     cfg: EstimatorConfig,
     true_support=None,
     true_sparsity: int | None = None,
-    base_ds: Estimate | None = None,
 ) -> Estimate:
     """Dispatch a named estimator on one instance.
 
     The oracle requires `true_support`. OMP takes at most `true_sparsity`
     atoms (genie-aided stopping for comparison runs), min(N, L) if it is
-    None. `base_ds`, the
-    `ds` estimate of this instance and `cfg` if one was already made, spares
-    `sds` its first selector solve.
+    None. Runs over many instances, which let `sds` reuse a `ds` estimate,
+    go through `ds_estimates` and `sds_estimates`.
     """
     if method == METHOD_LS:
         return ls_estimate(X, obs)
@@ -430,7 +504,7 @@ def run_estimator(
     if method == METHOD_DS:
         return ds_estimate(X, obs, cfg)
     if method == METHOD_SDS:
-        return sds_estimate(X, obs, cfg, base_ds)
+        return sds_estimate(X, obs, cfg)
     if method == METHOD_ORACLE:
         if true_support is None:
             raise ValueError("oracle estimator needs the true support")

@@ -4,9 +4,14 @@ Every trial draws a fresh channel, a fresh training matrix, and fresh noise
 from seeds derived deterministically from (base seed, sweep point, trial
 index), so any subset of trials can run concurrently and still reproduce
 the serial results bit for bit. `make_instance` builds a trial's instance
-and `estimate_instance` runs the configured methods on it; sweeps score
-that into per-trial cells, and the CLI's `estimate` and `demo-fig2` write
-it out. Failed estimator cells are itemized and excluded from aggregates;
+and `estimate_instances` runs the configured methods on a list of them,
+the selector programs of all of them in one call per method. Sweeps work
+through each point in chunks of trials and score each chunk into
+per-trial cells; with `workers`, threads take chunks in turn. `run_trial`
+is the chunk of one, and a trial's cells do not depend on the chunk it ran
+in. The CLI's `estimate` and `demo-fig2`
+write one instance's estimates out. Failed estimator cells are itemized
+and excluded from aggregates;
 non-converged estimates are included (dropping them would bias the error
 downward) and counted.
 """
@@ -22,14 +27,20 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .estimators import (ALL_METHODS, ESTIMATOR_FAILURES, METHOD_DS, Estimate, EstimatorConfig,
-                         run_estimator)
+from .estimators import (ALL_METHODS, ESTIMATOR_FAILURES, METHOD_DS, METHOD_SDS, Estimate,
+                         EstimatorConfig, ds_estimates, run_estimator, sds_estimates)
 from .model import (TRAINING_DISTRIBUTIONS, SparseChannel, build_toeplitz_training,
                     generate_sparse_channel, observe)
 
 DEFAULT_METHODS = ("ls", "omp", "lasso", "ds", "oracle")
 DEFAULT_SNR_GRID_DB = tuple(float(s) for s in range(3, 31, 3))
 DEFAULT_N_GRID = tuple(range(10, 56, 5))
+
+# Sweeps work through each point in chunks of this many trials: a chunk's
+# instances are built, estimated (the selector programs of all of them in
+# one call) and scored before the next chunk starts, and `workers` threads
+# take chunks in turn.
+TRIALS_PER_CHUNK = 8
 
 AXIS_SNR = "snr_db"
 AXIS_TRAINING = "n_training"
@@ -180,52 +191,82 @@ def make_instance(cfg: ExperimentConfig, snr_db: float, n: int, trial_index: int
     return channel, X, observe(X, channel, snr_db, seed=seed(_STREAM_NOISE))
 
 
-def estimate_instance(cfg: ExperimentConfig, channel: SparseChannel, X, obs, methods):
-    """Run `methods` in order on one instance.
+def estimate_instances(cfg: ExperimentConfig, instances, methods) -> list:
+    """Run `methods` in order on each (channel, X, obs) of `instances`.
 
-    Returns ({method: Estimate}, {method: error text}), each in method order.
-    All methods see the identical (X, y); the oracle additionally receives
-    the true support, OMP takes at most the true sparsity in atoms, and
-    `sds` reuses the `ds` estimate when `ds` ran before it. A
-    method that raises one of `ESTIMATOR_FAILURES` gets its error text and
-    the others still run; any other exception propagates.
+    Returns per instance ({method: Estimate}, {method: error text}), each in
+    method order. All methods see the instance's identical (X, y); the
+    oracle additionally receives the true support, OMP takes at most the
+    true sparsity in atoms, and `sds` reuses the `ds` estimate when `ds`
+    ran before it. `ds` and `sds` solve the selector programs of all the
+    instances in one call each (see `estimators.ds_estimates`); every other
+    method runs instance by instance. A method that raises one of
+    `ESTIMATOR_FAILURES` on an instance gets its error text there, and the
+    other methods and instances still run; any other exception propagates.
     """
-    estimates, errors = {}, {}
+    results = [({}, {}) for _ in instances]
+    pairs = [(X, obs) for _channel, X, obs in instances]
     for method in methods:
-        try:
-            estimates[method] = run_estimator(
-                method, X, obs, cfg.estimator, true_support=channel.support,
-                true_sparsity=channel.sparsity, base_ds=estimates.get(METHOD_DS))
-        except ESTIMATOR_FAILURES as exc:  # must not sink the other methods
-            errors[method] = f"{type(exc).__name__}: {exc}"
-    return estimates, errors
+        if method == METHOD_DS:
+            outcomes = ds_estimates(pairs, cfg.estimator)
+        elif method == METHOD_SDS:
+            outcomes = sds_estimates(pairs, cfg.estimator,
+                                     [estimates.get(METHOD_DS) for estimates, _ in results])
+        else:
+            outcomes = [_attempt(method, cfg, *instance) for instance in instances]
+        for (estimates, errors), outcome in zip(results, outcomes):
+            if isinstance(outcome, Exception):
+                errors[method] = f"{type(outcome).__name__}: {outcome}"
+            else:
+                estimates[method] = outcome
+    return results
+
+
+def _attempt(method, cfg: ExperimentConfig, channel: SparseChannel, X, obs):
+    """`run_estimator` on one instance; an ESTIMATOR_FAILURES exception is
+    returned, not raised."""
+    try:
+        return run_estimator(method, X, obs, cfg.estimator, true_support=channel.support,
+                             true_sparsity=channel.sparsity)
+    except ESTIMATOR_FAILURES as exc:  # must not sink the other methods
+        return exc
+
+
+def _run_trials(cfg: ExperimentConfig, snr_db: float, n: int, trial_indices) -> list[dict]:
+    """Build the seeded instances of `trial_indices` at one sweep point, run
+    every configured method on them and score them: one {method: TrialCell}
+    per trial, in order. A method that failed on a trial (see
+    `estimate_instances`) is a failed cell of that trial only."""
+    for trial_index in trial_indices:
+        if not 0 <= trial_index < cfg.trials:
+            raise ValueError(f"trial_index {trial_index} out of range for trials={cfg.trials}")
+    instances = [make_instance(cfg, snr_db, n, t) for t in trial_indices]
+    records = []
+    for (channel, _X, _obs), (estimates, errors) in zip(
+            instances, estimate_instances(cfg, instances, cfg.methods)):
+        h_norm_sq = float(np.linalg.norm(channel.taps) ** 2)
+        record = {}
+        for method in cfg.methods:
+            if method in errors:
+                record[method] = TrialCell(mse=math.nan, mse_normalized=math.nan,
+                                           converged=False, failed=True, error=errors[method])
+                continue
+            est = estimates[method]
+            err = mse(channel, est)
+            record[method] = TrialCell(
+                mse=err, mse_normalized=err / h_norm_sq if h_norm_sq > 0 else math.nan,
+                converged=bool(est.diagnostics.get("converged", True)), failed=False)
+        records.append(record)
+    return records
 
 
 def run_trial(cfg: ExperimentConfig, snr_db: float, n: int, trial_index: int) -> dict:
     """Run every configured method on one seeded instance and score it.
 
-    Returns {method: TrialCell}; a method that failed (see
-    `estimate_instance`) is a failed cell.
+    Returns {method: TrialCell}, equal to that trial's cells in a sweep; a
+    method that failed (see `estimate_instances`) is a failed cell.
     """
-    if trial_index >= cfg.trials:
-        raise ValueError(f"trial_index {trial_index} out of range for trials={cfg.trials}")
-    channel, X, obs = make_instance(cfg, snr_db, n, trial_index)
-    estimates, errors = estimate_instance(cfg, channel, X, obs, cfg.methods)
-
-    h_norm_sq = float(np.linalg.norm(channel.taps) ** 2)
-    record = {}
-    for method in cfg.methods:
-        if method in errors:
-            record[method] = TrialCell(mse=math.nan, mse_normalized=math.nan, converged=False,
-                                       failed=True, error=errors[method])
-            continue
-        est = estimates[method]
-        err = mse(channel, est)
-        record[method] = TrialCell(mse=err,
-                                   mse_normalized=err / h_norm_sq if h_norm_sq > 0 else math.nan,
-                                   converged=bool(est.diagnostics.get("converged", True)),
-                                   failed=False)
-    return record
+    return _run_trials(cfg, snr_db, n, [trial_index])[0]
 
 
 def _aggregate(cells: list[TrialCell]) -> MethodAggregate:
@@ -260,22 +301,24 @@ def _aggregate(cells: list[TrialCell]) -> MethodAggregate:
 
 
 def _run_sweep(cfg: ExperimentConfig, axis: str, points, snr_of, n_of) -> SweepResult:
-    jobs = [(pi, ti) for pi in range(len(points)) for ti in range(cfg.trials)]
+    chunks = [(point, range(start, min(start + TRIALS_PER_CHUNK, cfg.trials)))
+              for point in points for start in range(0, cfg.trials, TRIALS_PER_CHUNK)]
 
-    def work(job):
-        pi, ti = job
-        return run_trial(cfg, snr_of(points[pi]), n_of(points[pi]), ti)
+    def work(chunk):
+        point, trial_indices = chunk
+        return _run_trials(cfg, snr_of(point), n_of(point), trial_indices)
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(work, jobs))
+            outcomes = list(pool.map(work, chunks))
     else:
-        outcomes = [work(job) for job in jobs]
+        outcomes = map(work, chunks)
 
     per_cell = {(pt, m): [] for pt in points for m in cfg.methods}
-    for (pi, _ti), record in zip(jobs, outcomes):
-        for m in cfg.methods:
-            per_cell[(points[pi], m)].append(record[m])
+    for (point, _trial_indices), records in zip(chunks, outcomes):
+        for record in records:
+            for m in cfg.methods:
+                per_cell[(point, m)].append(record[m])
 
     cells = {key: _aggregate(trials) for key, trials in per_cell.items()}
     return SweepResult(

@@ -1,4 +1,4 @@
-"""Self-contained dense linear-program solver.
+"""Self-contained dense linear-program solver, run on stacks of programs.
 
 Solves   minimize c.x   subject to   A x <= b,  x >= 0
 
@@ -10,17 +10,29 @@ internally to equality form [A I] with slack variables; the normal equations
 get a small diagonal regularization so redundant or degenerate constraints
 do not need presolving.
 
-A program needs at least one row. The tolerance and the iteration cap are
-the module constants TOLERANCE and MAX_ITERATIONS, read at each call.
+A program needs at least one row. The tolerance, the iteration cap and the
+batch cap are the module constants TOLERANCE, MAX_ITERATIONS and
+BATCH_BYTES, read at each call.
 
-Each solve builds one operator from A, and the iteration reaches A only
-through it: products with [A I] and its transpose, and the normal-equation
-solve. For a constraint matrix of the Dantzig-selector form
-[[B, -B], [-B, B]] (k x k blocks), recognised once per solve, the operator
-works through B alone and solves the 2k x 2k normal equations through one
-k x k Cholesky factor by block elimination, as l1-magic's `l1dantzig_pd`
-does; any other matrix is applied densely. One product with [A I] and one
-with its transpose per iterate give both its residuals and its KKT report.
+One loop runs a whole stack of programs of the same shape, as OptNet (Amos
+& Kolter, 2017) batches its primal-dual method: each program is one row of
+the stacked iterates, residuals, step lengths and stopping tests, has its
+own normal-equation factor, and leaves the stack as soon as it is optimal,
+infeasible, unbounded or non-finite. All arithmetic is row by row, so a
+program's result does not depend, to the bit, on the stack it ran in.
+`solve_lp` is the stack of one; `solve_selectors` runs Dantzig-selector
+programs in stacks whose matrices take at most BATCH_BYTES together. Sweeps
+hand it the programs of one chunk of trials at a time, and with `workers`
+threads take those chunks in turn (see `experiments`).
+
+The loop reaches the constraint matrices only through an operator: products
+with [A I] and its transpose, and the normal-equation solve. For matrices
+of the Dantzig-selector form [[B, -B], [-B, B]] (k x k blocks) the operator
+holds the stacked B alone and solves the 2k x 2k normal equations through
+one k x k Cholesky factor per program by block elimination, as l1-magic's
+`l1dantzig_pd` does; any other matrices are applied densely. One product
+with [A I] and one with its transpose per iterate give both its residuals
+and its KKT report.
 
 No external optimization library is used; linear algebra is numpy/scipy
 factorizations only.
@@ -35,6 +47,11 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 TOLERANCE = 1e-8
 MAX_ITERATIONS = 200
+
+# Bytes of k x k matrices (each program's block B and its normal matrix)
+# that one stack of selector programs may hold; larger calls run as several
+# stacks of near-equal size.
+BATCH_BYTES = 1 << 20
 
 # Added to the diagonal of the normal equations each iteration; large enough
 # to survive duplicated/degenerate rows, small enough not to perturb optima
@@ -117,110 +134,167 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     at most TOLERANCE. `iteration_limit` is a non-error outcome: the last
     iterate is returned and the caller decides what to do with it.
     """
-    m, n = lp.A.shape
+    B = _selector_block(lp.A)
+    op = _Operator(A=lp.A[None].copy()) if B is None else _Operator(B=B[None].copy())
+    return _solve_stack(op, lp.b[None], lp.c[None])[0]
 
+
+def solve_selectors(programs) -> list[LpSolution]:
+    """Solve Dantzig-selector programs, each a triple (B, d, lam) with B
+    square: minimize ||g||_1 subject to ||d - B g||_inf <= lam.
+
+    Each is the LP of `solve_lp` over g = u - v with c = 1,
+    A = [[B, -B], [-B, B]] and b = [lam + d; lam - d], and its solution is
+    bit for bit the one `solve_lp` would return. Programs with the same
+    size of B run as stacks (see BATCH_BYTES); the solutions come back in
+    the order of `programs`.
+    """
+    solutions = [None] * len(programs)
+    by_size = {}
+    for i, (B, _d, _lam) in enumerate(programs):
+        by_size.setdefault(np.shape(B)[0], []).append(i)
+    for k, members in by_size.items():
+        per_stack = max(1, BATCH_BYTES // (2 * 8 * k * k))
+        for batch in np.array_split(members, -(-len(members) // per_stack)):
+            B = np.array([programs[i][0] for i in batch], dtype=np.float64)
+            d = np.array([programs[i][1] for i in batch], dtype=np.float64)
+            lam = np.array([programs[i][2] for i in batch], dtype=np.float64)[:, None]
+            b = np.concatenate([lam + d, lam - d], axis=1)
+            stack = _solve_stack(_Operator(B=B), b, np.ones((len(batch), 2 * k)))
+            for i, solution in zip(batch, stack):
+                solutions[i] = solution
+    return solutions
+
+
+def _dot(a, b):
+    """Row-wise inner products of two stacks of vectors, each as the BLAS
+    dot product of its two rows."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _norm(a):
+    """Row-wise 2-norms, each as np.linalg.norm of its row alone."""
+    return np.sqrt(_dot(a, a))
+
+
+def _solve_stack(op, b, c) -> list[LpSolution]:
+    """Run the iteration on the stack of programs with constraint operator
+    `op`, right-hand sides b (P, m) and objectives c (P, n); one solution
+    per program, in order. A program leaves the stack when it stops, and
+    `op` with it."""
+    P, m = b.shape
+    n = c.shape[1]
+    b_all, c_all = b, c
     # Equality form: [A I] [x; s] = b with x, s >= 0.
-    op = _Operator(lp.A)
-    b = lp.b
-    c = np.concatenate([lp.c, np.zeros(m)])
+    c = np.concatenate([c, np.zeros((P, m))], axis=1)
 
-    x = np.ones(n + m)
-    y = np.zeros(m)
-    z = np.ones(n + m)
-    tau = 1.0
-    kappa = 1.0
+    x = np.ones((P, n + m))
+    y = np.zeros((P, m))
+    z = np.ones((P, n + m))
+    tau = np.ones(P)
+    kappa = np.ones(P)
 
     r_p, r_d, r_g, mu, report = _residuals(op, b, c, x, y, z, tau, kappa)
     mu0 = mu
-    norm_rp0 = max(1.0, np.linalg.norm(r_p))
-    norm_rd0 = max(1.0, np.linalg.norm(r_d))
-    norm_rg0 = max(1.0, abs(r_g))
+    norm_rp0 = np.maximum(1.0, _norm(r_p))
+    norm_rd0 = np.maximum(1.0, _norm(r_d))
+    norm_rg0 = np.maximum(1.0, np.abs(r_g))
 
-    status = STATUS_ITERATION_LIMIT
+    rows = np.arange(P)  # the program in each row of the stack
+    status = np.full(P, STATUS_ITERATION_LIMIT, dtype=object)
+    solutions = [None] * P
+
+    def finish(done, iterations):
+        for row in np.flatnonzero(done):
+            i = rows[row]
+            if status[row] in (STATUS_OPTIMAL, STATUS_ITERATION_LIMIT):
+                tau_safe = max(tau[row], np.finfo(float).tiny)
+                x_out = x[row, :n] / tau_safe
+                duals = -y[row] / tau_safe
+                kkt = KktReport(*(float(v) for v in report[:, row]))
+            else:
+                # Certificate residuals of the homogeneous iterate.
+                x_out = np.full(n, np.nan)
+                duals = None
+                kkt = KktReport(
+                    primal_infeasibility=float(
+                        np.linalg.norm(r_p[row], np.inf) / (1.0 + np.linalg.norm(b_all[i], np.inf))
+                    ),
+                    dual_infeasibility=float(
+                        np.linalg.norm(r_d[row], np.inf) / (1.0 + np.linalg.norm(c_all[i], np.inf))
+                    ),
+                    complementarity_gap=float(mu[row]),
+                )
+            objective = float(c_all[i] @ x_out) if np.all(np.isfinite(x_out)) else np.nan
+            solutions[i] = LpSolution(x=x_out, objective_value=objective, status=status[row],
+                                      kkt_report=kkt, iterations=iterations, dual_values=duals)
+
     iterations = 0
-
     for iterations in range(1, MAX_ITERATIONS + 1):
         d_x, d_y, d_z, d_tau, d_kappa = _search_direction(
             op, b, c, x, y, z, tau, kappa, r_p, r_d, r_g, mu
         )
         alpha = _step_to_boundary(x, d_x, z, d_z, tau, d_tau, kappa, d_kappa, STEP_SCALE)
-        x = x + alpha * d_x
-        y = y + alpha * d_y
-        z = z + alpha * d_z
+        x = x + alpha[:, None] * d_x
+        y = y + alpha[:, None] * d_y
+        z = z + alpha[:, None] * d_z
         tau = tau + alpha * d_tau
         kappa = kappa + alpha * d_kappa
 
-        if not (
-            np.all(np.isfinite(x)) and np.all(np.isfinite(z)) and np.isfinite(tau) and tau > 0
-        ):
-            report = KktReport(np.nan, np.nan, np.nan)
-            break
-
+        finite = (np.isfinite(x).all(axis=1) & np.isfinite(z).all(axis=1)
+                  & np.isfinite(tau) & (tau > 0))
         r_p, r_d, r_g, mu, report = _residuals(op, b, c, x, y, z, tau, kappa)
-        rho_p = np.linalg.norm(r_p) / norm_rp0
-        rho_d = np.linalg.norm(r_d) / norm_rd0
-        rho_g = abs(r_g) / norm_rg0
+        report[:, ~finite] = np.nan
+        rho_p = _norm(r_p) / norm_rp0
+        rho_d = _norm(r_d) / norm_rd0
+        rho_g = np.abs(r_g) / norm_rg0
         rho_mu = mu / mu0
 
-        if report.max_residual() <= TOLERANCE:
-            status = STATUS_OPTIMAL
-            break
+        optimal = finite & (report.max(axis=0) <= TOLERANCE)
+        small_homogeneous = (rho_p < TOLERANCE) & (rho_d < TOLERANCE) & (rho_g < TOLERANCE)
+        tau_collapsed = tau < TOLERANCE * np.maximum(1.0, kappa)
+        tau_collapsed_strict = (rho_mu < TOLERANCE) & (tau < TOLERANCE * np.minimum(1.0, kappa))
+        certified = finite & ~optimal & ((small_homogeneous & tau_collapsed) | tau_collapsed_strict)
+        status[optimal] = STATUS_OPTIMAL
+        status[certified] = np.where(_dot(b, y) > TOLERANCE, STATUS_INFEASIBLE,
+                                     STATUS_UNBOUNDED)[certified]
+        done = ~finite | optimal | certified
+        if not done.any():
+            continue
+        finish(done, iterations)
+        if done.all():
+            return solutions
+        keep = ~done
+        op.keep(keep)
+        rows, status = rows[keep], status[keep]
+        b, c, x, y, z, r_p, r_d = (a[keep] for a in (b, c, x, y, z, r_p, r_d))
+        tau, kappa, r_g, mu, mu0 = (a[keep] for a in (tau, kappa, r_g, mu, mu0))
+        norm_rp0, norm_rd0, norm_rg0 = (a[keep] for a in (norm_rp0, norm_rd0, norm_rg0))
+        report = report[:, keep]
 
-        small_homogeneous = rho_p < TOLERANCE and rho_d < TOLERANCE and rho_g < TOLERANCE
-        tau_collapsed = tau < TOLERANCE * max(1.0, kappa)
-        tau_collapsed_strict = rho_mu < TOLERANCE and tau < TOLERANCE * min(1.0, kappa)
-        if (small_homogeneous and tau_collapsed) or tau_collapsed_strict:
-            status = STATUS_INFEASIBLE if b @ y > TOLERANCE else STATUS_UNBOUNDED
-            break
-
-    if status in (STATUS_OPTIMAL, STATUS_ITERATION_LIMIT):
-        tau_safe = max(tau, np.finfo(float).tiny)
-        x_out = x[:n] / tau_safe
-        duals = -y / tau_safe
-    else:
-        # Certificate residuals of the homogeneous iterate.
-        x_out = np.full(n, np.nan)
-        duals = None
-        report = KktReport(
-            primal_infeasibility=float(
-                np.linalg.norm(r_p, np.inf) / (1.0 + np.linalg.norm(b, np.inf))
-            ),
-            dual_infeasibility=float(
-                np.linalg.norm(r_d, np.inf) / (1.0 + np.linalg.norm(lp.c, np.inf))
-            ),
-            complementarity_gap=float(mu),
-        )
-
-    objective = float(lp.c @ x_out) if np.all(np.isfinite(x_out)) else np.nan
-    return LpSolution(
-        x=x_out,
-        objective_value=objective,
-        status=status,
-        kkt_report=report,
-        iterations=iterations,
-        dual_values=duals,
-    )
+    finish(np.ones(rows.size, dtype=bool), iterations)
+    return solutions
 
 
 def _residuals(op, b, c, x, y, z, tau, kappa):
     """Primal, dual and gap residuals and the barrier parameter mu of the
-    homogeneous iterate, and the KktReport of its de-homogenized point, from
-    one product each with [A I] and its transpose. With s the slack part of
-    x, A x/tau - b = -(r_p + s)/tau; r_d/tau is the stationarity residual of
-    the equality form, covering the reduced costs and the sign of the
-    inequality multipliers. Iterates are interior, so x/tau >= 0 holds."""
-    cx, by = c @ x, b @ y
-    r_p = b * tau - op(x)
-    r_d = c * tau - op.T(y) - z
-    primal = -(r_p + x[x.shape[0] - b.shape[0]:]) / tau
-    report = KktReport(
-        primal_infeasibility=float(np.max(primal, initial=0.0))
-        / (1.0 + np.linalg.norm(b, np.inf)),
-        dual_infeasibility=float(np.linalg.norm(r_d, np.inf))
-        / (tau * (1.0 + np.linalg.norm(c, np.inf))),
-        complementarity_gap=float(abs(cx - by) / (tau + abs(cx))),
-    )
-    mu = (x @ z + tau * kappa) / (x.shape[0] + 1)
+    homogeneous iterates, and the KKT report of their de-homogenized points
+    as rows (primal, dual, gap) of one array, from one product each with
+    [A I] and its transpose. With s the slack part of x, A x/tau - b =
+    -(r_p + s)/tau; r_d/tau is the stationarity residual of the equality
+    form, covering the reduced costs and the sign of the inequality
+    multipliers. Iterates are interior, so x/tau >= 0 holds."""
+    m = b.shape[1]
+    cx, by = _dot(c, x), _dot(b, y)
+    r_p = b * tau[:, None] - op(x)
+    r_d = c * tau[:, None] - op.T(y) - z
+    primal = -(r_p + x[:, x.shape[1] - m:]) / tau[:, None]
+    report = np.stack([
+        np.max(primal, axis=1, initial=0.0) / (1.0 + np.linalg.norm(b, np.inf, axis=1)),
+        np.linalg.norm(r_d, np.inf, axis=1) / (tau * (1.0 + np.linalg.norm(c, np.inf, axis=1))),
+        np.abs(cx - by) / (tau + np.abs(cx)),
+    ])
+    mu = (_dot(x, z) + tau * kappa) / (x.shape[1] + 1)
     return r_p, r_d, cx - by + kappa, mu, report
 
 
@@ -238,31 +312,56 @@ def _selector_block(A):
 
 
 class _Operator:
-    """The equality-form matrix [A I] of one program, never formed: op(x) is
-    [A I] x and op.T(y) is [A I]' y, applied through A, or through B alone
-    when A = [[B, -B], [-B, B]], where A [u; v] = [B (u - v); -B (u - v)]."""
+    """The equality-form matrices [A_p I] of a stack of programs, never
+    formed: op(x) stacks the [A_p I] x_p and op.T(y) the [A_p I]' y_p.
 
-    def __init__(self, A):
-        self.A = A
-        self.B = _selector_block(A)
+    It holds either A, a (P, m, n) stack applied as it is, or B, a
+    (P, k, k) stack of selector blocks with A_p = [[B_p, -B_p], [-B_p, B_p]],
+    applied through B alone: A_p [u; v] = [B_p (u - v); -B_p (u - v)]. The
+    stack is the operator's own; `keep` compacts it in place.
+    """
+
+    def __init__(self, A=None, B=None):
+        self.A, self.B = A, B
+        if B is None:
+            self.n = A.shape[2]
+        else:
+            self.n = 2 * B.shape[2]
+            self._scaled = np.empty_like(B[0])
+            self._normal = np.empty_like(B)
+
+    def keep(self, mask):
+        """Drop the programs where `mask` is False, moving the others
+        forward in the same buffer."""
+        stack = self.A if self.B is None else self.B
+        kept = np.flatnonzero(mask)
+        for j, i in enumerate(kept):
+            if i != j:
+                stack[j] = stack[i]
+        if self.B is None:
+            self.A = stack[:kept.size]
+        else:
+            self.B = stack[:kept.size]
 
     def __call__(self, x):
-        n = self.A.shape[1]
+        n = self.n
         if self.B is None:
-            return self.A @ x[:n] + x[n:]
-        t = self.B @ (x[:n // 2] - x[n // 2:n])
-        return np.concatenate([t, -t]) + x[n:]
+            return np.matmul(self.A, x[:, :n, None])[:, :, 0] + x[:, n:]
+        t = np.matmul(self.B, (x[:, :n // 2] - x[:, n // 2:n])[:, :, None])[:, :, 0]
+        return np.concatenate([t, -t], axis=1) + x[:, n:]
 
     def T(self, y):
         if self.B is None:
-            return np.concatenate([self.A.T @ y, y])
-        t = self.B.T @ (y[:y.shape[0] // 2] - y[y.shape[0] // 2:])
-        return np.concatenate([t, -t, y])
+            return np.concatenate([np.matmul(y[:, None, :], self.A)[:, 0], y], axis=1)
+        k = y.shape[1] // 2
+        t = np.matmul((y[:, :k] - y[:, k:])[:, None, :], self.B)[:, 0]
+        return np.concatenate([t, -t, y], axis=1)
 
     def solver(self, d_inv):
-        """solve(r) for the regularized normal equations
+        """solve(r) for the regularized normal equations of every program,
         [A I] D [A I]' v + eps v = (A D_x A' + D_s + eps I) v = r, with
-        D = diag(d_inv) = diag(D_x, D_s).
+        D = diag(d_inv) = diag(D_x, D_s); rows of d_inv, r and v belong to
+        the programs of the stack.
 
         With A = [[B, -B], [-B, B]] the matrix is [[K + S1, -K], [-K, K + S2]]
         with K = B diag(d_u + d_v) B' and S1, S2 the slack scalings plus eps.
@@ -272,40 +371,72 @@ class _Operator:
         divides by S1 or S2 alone: those go to 0 on active rows while B = X'X
         is rank-deficient, and v1 = S1^-1 (r1 - K w) stalls the iteration
         there. In exact arithmetic the dense matrix is positive definite
-        exactly when the k x k one is, so a failed k x k factor goes straight
-        to least squares on the dense matrix; any other program tries a dense
-        Cholesky factor first.
+        exactly when the k x k one is, so a program whose k x k factor fails
+        goes straight to least squares on its dense matrix; any other
+        program tries a dense Cholesky factor first. Each program's failure
+        stays its own.
         """
-        n = self.A.shape[1]
-        s = d_inv[n:] + NORMAL_EQ_REGULARIZATION
+        P = d_inv.shape[0]
+        n = self.n
+        s = d_inv[:, n:] + NORMAL_EQ_REGULARIZATION
+        factors = [None] * P
+        dense = {}
         if self.B is not None:
             k = n // 2
-            s1, s2 = s[:k], s[k:]
+            s1, s2 = s[:, :k], s[:, k:]
             s_sum = s1 + s2
-            G = (self.B * (d_inv[:k] + d_inv[k:n])) @ self.B.T
-            G[np.diag_indices_from(G)] += s1 * s2 / s_sum
-            factor, info = dpotrf(G, lower=0, clean=0)
-            if info == 0:
+            scale = d_inv[:, :k] + d_inv[:, k:n]
+            shift = s1 * s2 / s_sum
+            for i in range(P):
+                # B (B D)' is the transpose of (B D) B', to the bit, so the
+                # slice read in Fortran order is K itself, factored in place.
+                np.multiply(self.B[i], scale[i], out=self._scaled)
+                G = np.matmul(self.B[i], self._scaled.T, out=self._normal[i])
+                G.reshape(-1)[::k + 1] += shift[i]
+                factor, info = dpotrf(G.T, lower=0, clean=0, overwrite_a=1)
+                if info == 0:
+                    factors[i] = factor
+                else:
+                    A = np.block([[self.B[i], -self.B[i]], [-self.B[i], self.B[i]]])
+                    M = (A * d_inv[i, :n]) @ A.T
+                    M[np.diag_indices_from(M)] += s[i]
+                    dense[i] = M
+        else:
+            M = np.matmul(self.A * d_inv[:, None, :n], self.A.transpose(0, 2, 1))
+            M.reshape(P, -1)[:, ::M.shape[1] + 1] += s
+            for i in range(P):
+                factor, info = dpotrf(M[i], lower=0, clean=0)
+                if info == 0:
+                    factors[i] = factor
+                else:
+                    dense[i] = M[i]
 
-                def solve(r):
-                    r1, r2 = r[:k], r[k:]
-                    w = dpotrs(factor, (s2 * r1 - s1 * r2) / s_sum, lower=0)[0]
-                    v1 = (r1 + r2 + s2 * w) / s_sum
-                    return np.concatenate([v1, v1 - w])
+        selector = self.B is not None
 
-                return solve
+        def solve(r):
+            if selector:
+                r1, r2 = r[:, :k], r[:, k:]
+                rhs = (s2 * r1 - s1 * r2) / s_sum
+            else:
+                rhs = r
+            w = np.zeros_like(rhs)
+            for i, factor in enumerate(factors):
+                if factor is not None:
+                    w[i] = dpotrs(factor, rhs[i], lower=0)[0]
+            if selector:
+                v1 = (r1 + r2 + s2 * w) / s_sum
+                v = np.concatenate([v1, v1 - w], axis=1)
+            else:
+                v = w
+            for i, M in dense.items():
+                v[i] = np.linalg.lstsq(M, r[i], rcond=None)[0]
+            return v
 
-        M = (self.A * d_inv[:n]) @ self.A.T
-        M[np.diag_indices_from(M)] += s
-        if self.B is None:
-            factor, info = dpotrf(M, lower=0, clean=0)
-            if info == 0:
-                return lambda r: dpotrs(factor, r, lower=0)[0]
-        return lambda r: np.linalg.lstsq(M, r, rcond=None)[0]
+        return solve
 
 
 def _search_direction(op, b, c, x, y, z, tau, kappa, r_p, r_d, r_g, mu):
-    """Mehrotra predictor-corrector direction for the homogeneous system."""
+    """Mehrotra predictor-corrector directions for the homogeneous systems."""
     d_inv = x / z
     solve = op.solver(d_inv)
 
@@ -315,37 +446,41 @@ def _search_direction(op, b, c, x, y, z, tau, kappa, r_p, r_d, r_g, mu):
         return u, v
 
     p, q = sym_solve(c, b)
-    denom_tau = kappa / tau + (-c @ p + b @ q)
+    denom_tau = kappa / tau + (_dot(-c, p) + _dot(b, q))
 
-    gamma = 0.0
+    gamma = np.zeros_like(tau)
     d_x = d_z = np.zeros_like(x)
-    d_tau = d_kappa = 0.0
+    d_tau = d_kappa = np.zeros_like(tau)
     for stage in range(2):
         eta = 1.0 - gamma
-        rhat_p = eta * r_p
-        rhat_d = eta * r_d
+        rhat_p = eta[:, None] * r_p
+        rhat_d = eta[:, None] * r_d
         rhat_g = eta * r_g
         # The predictor's direction is zero, so its products drop out there.
-        rhat_xz = gamma * mu - x * z - d_x * d_z
-        rhat_tk = gamma * mu - tau * kappa - d_tau * d_kappa
+        gamma_mu = gamma * mu
+        rhat_xz = gamma_mu[:, None] - x * z - d_x * d_z
+        rhat_tk = gamma_mu - tau * kappa - d_tau * d_kappa
 
         u, v = sym_solve(rhat_d - rhat_xz / x, rhat_p)
-        d_tau = (rhat_g + rhat_tk / tau - (-c @ u + b @ v)) / denom_tau
-        d_x = u + p * d_tau
-        d_y = v + q * d_tau
+        d_tau = (rhat_g + rhat_tk / tau - (_dot(-c, u) + _dot(b, v))) / denom_tau
+        d_x = u + p * d_tau[:, None]
+        d_y = v + q * d_tau[:, None]
         d_z = (rhat_xz - z * d_x) / x
         d_kappa = (rhat_tk - kappa * d_tau) / tau
 
         if stage == 0:
             alpha = _step_to_boundary(x, d_x, z, d_z, tau, d_tau, kappa, d_kappa, 1.0)
-            gamma = (1.0 - alpha) ** 2 * min(0.1, 1.0 - alpha)
+            # Per row in floats: C pow, which sets the published outputs,
+            # can differ in the last bit from numpy's exact array square.
+            gamma = np.array([(1.0 - a) ** 2 * min(0.1, 1.0 - a) for a in alpha.tolist()])
 
     return d_x, d_y, d_z, d_tau, d_kappa
 
 
 def _step_to_boundary(x, d_x, z, d_z, tau, d_tau, kappa, d_kappa, scale):
-    """Largest step in [0, 1] keeping (x, z, tau, kappa) positive."""
-    v = np.concatenate([x, z, [tau, kappa]])
-    d = np.concatenate([d_x, d_z, [d_tau, d_kappa]])
+    """Largest step in [0, 1] per program keeping (x, z, tau, kappa) positive."""
+    v = np.concatenate([x, z, tau[:, None], kappa[:, None]], axis=1)
+    d = np.concatenate([d_x, d_z, d_tau[:, None], d_kappa[:, None]], axis=1)
     neg = d < 0
-    return min(1.0, scale * float(np.min(v[neg] / -d[neg], initial=np.inf)))
+    ratio = np.divide(v, -d, out=np.full(v.shape, np.inf), where=neg)
+    return np.minimum(1.0, scale * ratio.min(axis=1))

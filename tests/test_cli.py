@@ -12,7 +12,7 @@ import pytest
 from conftest import read_taps_csv
 
 from sparsechan import cli, estimators
-from sparsechan.experiments import ExperimentConfig, run_trial
+from sparsechan.experiments import ExperimentConfig, run_trial, sweep_snr
 from sparsechan.model import DEMO_TAP_VALUES
 
 
@@ -337,10 +337,13 @@ class TestEstimateCommand:
         )
         assert code == 0
         diag = json.loads((only_run_dir(tmp_path, "estimate-") / "diagnostics.json").read_text())
-        cfg = ExperimentConfig(L=16, T=2, trials=1, methods=methods, base_seed=2)
-        cells = run_trial(cfg, 15.0, 8, 0)
+        # Trial 0 of a sweep point with more trials, whose selector programs
+        # are solved together with those of the other trials.
+        cfg = ExperimentConfig(L=16, T=2, trials=4, methods=methods, base_seed=2,
+                               snr_grid_db=(15.0,), fixed_n=8)
+        trials = sweep_snr(cfg).trials
         for method in methods:
-            assert diag[method]["mse"] == cells[method].mse
+            assert diag[method]["mse"] == trials[(15.0, method)][0].mse
 
 
 class TestRicCommand:

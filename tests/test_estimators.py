@@ -334,6 +334,17 @@ class TestDantzigSelector:
             hits += rel <= 1e-6
         assert hits / trials >= 0.95
 
+    def test_bad_instance_fails_alone(self):
+        # Instances whose programs are solved in one call keep their own
+        # failures: a non-finite observation fails only its own estimate.
+        _, X, obs = make_instance(seed=31)
+        bad = replace(obs, y=np.full_like(obs.y, np.nan))
+        for method, batch in (("ds", estimators.ds_estimates), ("sds", estimators.sds_estimates)):
+            failed, good = batch([(X, bad), (X, obs)], EstimatorConfig())
+            assert isinstance(failed, ValueError)
+            alone = run_estimator(method, X, obs, EstimatorConfig())
+            np.testing.assert_array_equal(good.h_hat, alone.h_hat)
+
     def test_deterministic(self):
         _, X, obs = make_instance(seed=20)
         a = ds_estimate(X, obs, EstimatorConfig())

@@ -1,12 +1,13 @@
 """Tests for the Monte Carlo harness: determinism, aggregation, trends."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sparsechan import estimators
-from sparsechan.estimators import Estimate, sds_estimate
+from sparsechan import estimators, experiments
+from sparsechan.estimators import Estimate, run_estimator, sds_estimate
 from sparsechan.experiments import (
     ExperimentConfig,
     derive_trial_seed,
@@ -87,6 +88,11 @@ class TestRunTrial:
     def test_trial_index_validated(self):
         with pytest.raises(ValueError):
             run_trial(SMALL, 20.0, 12, 6)
+        # A negative index must not wrap to the trial 2**64 - 1.
+        with pytest.raises(ValueError, match="trial_index -1 out of range"):
+            run_trial(SMALL, 20.0, 12, -1)
+        with pytest.raises(ValueError, match="trial_index -1 out of range"):
+            experiments._run_trials(SMALL, 20.0, 12, [0, -1])
 
     def test_failed_method_does_not_sink_others(self):
         # Genie-aided OMP takes T = 10 atoms, more than min(N, L) = 8 allows,
@@ -100,18 +106,70 @@ class TestRunTrial:
         assert "ValueError" in record["omp"].error
         assert not record["ls"].failed and math.isfinite(record["ls"].mse)
 
-    @pytest.mark.parametrize("distribution, solves", [("complex_gaussian", 2), ("gaussian", 4)])
-    def test_sds_reuses_the_ds_solve(self, monkeypatch, distribution, solves):
-        # A standalone sds solves the ds programs again: 3 and 6 solves.
+    @pytest.mark.parametrize("distribution, programs", [("complex_gaussian", 2), ("gaussian", 4)])
+    def test_sds_reuses_the_ds_solve(self, monkeypatch, distribution, programs):
+        # A standalone sds solves the ds programs again: 3 and 6 programs.
         cfg = ExperimentConfig(L=16, T=2, trials=2, methods=("ds", "sds"), fixed_n=8,
                                base_seed=5, distribution=distribution)
-        calls = []
-        solve_lp = estimators.solve_lp
-        monkeypatch.setattr(estimators, "solve_lp", lambda lp: calls.append(lp) or solve_lp(lp))
+        counts = []
+        solve_selectors = estimators.solve_selectors
+        monkeypatch.setattr(estimators, "solve_selectors",
+                            lambda batch: counts.append(len(batch)) or solve_selectors(batch))
         record = run_trial(cfg, 15.0, 8, 1)
-        assert len(calls) == solves
+        assert sum(counts) == programs
         channel, X, obs = make_instance(cfg, 15.0, 8, 1)
         assert record["sds"].mse == mse(channel, sds_estimate(X, obs, cfg.estimator))
+
+
+def selector_config(distribution, methods=("ds", "sds")) -> ExperimentConfig:
+    return ExperimentConfig(L=16, T=2, trials=6, methods=methods, snr_grid_db=(15.0,),
+                            fixed_n=8, base_seed=9, distribution=distribution)
+
+
+class TestSelectorBatches:
+    """Sweeps solve the selector programs of a chunk of trials together; a
+    trial's cells must not depend on that."""
+
+    @pytest.mark.parametrize("distribution", ["gaussian", "complex_gaussian"])
+    def test_sweep_cell_equals_instance_alone(self, distribution):
+        cfg = selector_config(distribution)
+        result = sweep_snr(cfg)
+        for trial in range(cfg.trials):
+            channel, X, obs = make_instance(cfg, 15.0, cfg.fixed_n, trial)
+            for method in cfg.methods:
+                cell = result.trials[(15.0, method)][trial]
+                assert not cell.failed
+                assert cell.mse == mse(channel, run_estimator(method, X, obs, cfg.estimator))
+
+    def test_failure_stays_in_its_trial(self, monkeypatch):
+        cfg = selector_config("gaussian", methods=("ls", "ds"))
+        reference = sweep_snr(cfg).trials
+        _channel, X, obs = make_instance(cfg, 15.0, cfg.fixed_n, 3)
+        target = X.matrix.real.T @ obs.y.real  # d of trial 3's real-part program
+        solve_selectors = estimators.solve_selectors
+
+        def failing(programs):
+            solutions = solve_selectors(programs)
+            return [replace(sol, status="infeasible") if np.array_equal(d, target) else sol
+                    for (_B, d, _lam), sol in zip(programs, solutions)]
+
+        monkeypatch.setattr(estimators, "solve_selectors", failing)
+        trials = sweep_snr(cfg).trials
+        for t in range(cfg.trials):
+            assert trials[(15.0, "ls")][t] == reference[(15.0, "ls")][t]
+            cell = trials[(15.0, "ds")][t]
+            if t == 3:
+                assert cell.failed and cell.error.startswith("SelectorLpError: ")
+            else:
+                assert cell == reference[(15.0, "ds")][t]
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(programs):
+            raise TypeError("broken selector")
+
+        monkeypatch.setattr(estimators, "solve_selectors", broken)
+        with pytest.raises(TypeError, match="broken selector"):
+            sweep_snr(selector_config("gaussian"))
 
 
 class TestSweeps:

@@ -1,7 +1,7 @@
 """Tests for the interior-point LP solver, checked against brute-force
 vertex enumeration on small problems."""
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -123,8 +123,9 @@ class TestSolutionProperties:
     def test_nonfinite_iterate_reports_nan(self, monkeypatch):
         # A direction that turns the iterate non-finite ends the solve; its
         # report must not be the previous iterate's residuals.
-        def nan_direction(op, b, c, x, *rest):
-            return np.full_like(x, np.nan), np.zeros_like(b), np.ones_like(x), 0.0, 0.0
+        def nan_direction(op, b, c, x, y, z, tau, *rest):
+            return (np.full_like(x, np.nan), np.zeros_like(b), np.ones_like(x),
+                    np.zeros_like(tau), np.zeros_like(tau))
 
         monkeypatch.setattr(lp_module, "_search_direction", nan_direction)
         sol = solve_lp(random_bounded_lp(np.random.default_rng(26)))
@@ -175,6 +176,26 @@ def normal_equations(B, d_inv):
     return A, M
 
 
+def operator_stacks(rng, dense=True):
+    """Stacked operators over three draws of `selector_blocks`: the six
+    10 x 10 real and non-symmetric blocks, the three 20 x 20 stacked
+    complex ones, and, with `dense`, three dense random programs."""
+    blocks = [B for _ in range(3) for _name, B, _d in selector_blocks(rng)]
+    stacks = [lp_module._Operator(B=np.array([B for B in blocks if B.shape[0] == k]))
+              for k in (10, 20)]
+    if dense:
+        stacks.append(lp_module._Operator(A=np.array([random_bounded_lp(rng).A
+                                                      for _ in range(3)])))
+    return stacks
+
+
+def dense_matrices(op):
+    """The inequality matrix A of each program of a stacked operator."""
+    if op.B is None:
+        return list(op.A)
+    return [np.block([[B, -B], [-B, B]]) for B in op.B]
+
+
 def selector_lp(B, d, lam):
     return LinearProgram(c=np.ones(2 * B.shape[0]), A=np.block([[B, -B], [-B, B]]),
                          b=np.concatenate([lam + d, lam - d]))
@@ -196,19 +217,20 @@ class TestSelectorStructure:
         assert lp_module._selector_block(np.eye(2)) is None
 
     def test_operator_matches_dense_equality_form(self):
-        # Both paths of the operator against the formed [A I].
+        # Both paths of the stacked operator against each program's formed [A I].
         rng = np.random.default_rng(35)
-        programs = [selector_lp(B, d, 0.1).A for _name, B, d in selector_blocks(rng)]
-        programs += [random_bounded_lp(rng).A for _ in range(3)]
-        for A in programs:
-            m, n = A.shape
-            A_eq = np.hstack([A, np.eye(m)])
-            op = lp_module._Operator(A)
-            assert (op.B is None) == (n != m)
-            x, y = rng.standard_normal(n + m), rng.standard_normal(m)
-            scale = np.abs(A_eq).sum()
-            np.testing.assert_allclose(op(x), A_eq @ x, rtol=0, atol=1e-13 * scale)
-            np.testing.assert_allclose(op.T(y), A_eq.T @ y, rtol=0, atol=1e-13 * scale)
+        for op in operator_stacks(rng):
+            matrices = dense_matrices(op)
+            P, (m, n) = len(matrices), matrices[0].shape
+            for A in matrices:
+                assert (lp_module._selector_block(A) is None) == (op.B is None) == (n != m)
+            x, y = rng.standard_normal((P, n + m)), rng.standard_normal((P, m))
+            ox, oty = op(x), op.T(y)
+            for p, A in enumerate(matrices):
+                A_eq = np.hstack([A, np.eye(m)])
+                scale = np.abs(A_eq).sum()
+                np.testing.assert_allclose(ox[p], A_eq @ x[p], rtol=0, atol=1e-13 * scale)
+                np.testing.assert_allclose(oty[p], A_eq.T @ y[p], rtol=0, atol=1e-13 * scale)
 
     @pytest.mark.parametrize("spread", [False, True])
     def test_solve_matches_dense_normal_equations(self, spread):
@@ -217,23 +239,25 @@ class TestSelectorStructure:
         # pins v itself. There the check is the normwise backward error, which
         # a stable solve keeps near machine precision at any conditioning.
         rng = np.random.default_rng(32)
-        for _ in range(20):
-            for name, B, _d in selector_blocks(rng):
-                k = B.shape[0]
-                d_inv = 10.0 ** rng.uniform(-8, 8, 4 * k) if spread else np.ones(4 * k)
-                A, M = normal_equations(B, d_inv)
-                r = rng.standard_normal(2 * k)
-                v = lp_module._Operator(A).solver(d_inv)(r)
-                backward = np.linalg.norm(M @ v - r) / (
-                    np.linalg.norm(M, 2) * np.linalg.norm(v) + np.linalg.norm(r))
-                assert backward <= 1e-12, name
-                if not spread:
-                    v_dense = np.linalg.solve(M, r)
-                    assert np.linalg.norm(v - v_dense) <= 1e-9 * np.linalg.norm(v_dense), name
+        for _ in range(7):
+            for op in operator_stacks(rng, dense=False):
+                P, k = op.B.shape[:2]
+                d_inv = 10.0 ** rng.uniform(-8, 8, (P, 4 * k)) if spread else np.ones((P, 4 * k))
+                r = rng.standard_normal((P, 2 * k))
+                v = op.solver(d_inv)(r)
+                for p, B in enumerate(op.B):
+                    _A, M = normal_equations(B, d_inv[p])
+                    backward = np.linalg.norm(M @ v[p] - r[p]) / (
+                        np.linalg.norm(M, 2) * np.linalg.norm(v[p]) + np.linalg.norm(r[p]))
+                    assert backward <= 1e-12
+                    if not spread:
+                        v_dense = np.linalg.solve(M, r[p])
+                        assert np.linalg.norm(v[p] - v_dense) <= 1e-9 * np.linalg.norm(v_dense)
 
     def test_failed_factor_falls_back_to_least_squares(self, monkeypatch):
         # Negative scalings make both the k x k and the dense matrix
-        # indefinite; the dense one is then not factored at all.
+        # indefinite; the dense one is then not factored at all. Only the
+        # programs with such scalings leave the Cholesky path.
         factored = []
         dpotrf = lp_module.dpotrf
 
@@ -243,15 +267,17 @@ class TestSelectorStructure:
 
         monkeypatch.setattr(lp_module, "dpotrf", counting_dpotrf)
         rng = np.random.default_rng(34)
-        for name, B, _d in selector_blocks(rng):
-            k = B.shape[0]
-            d_inv = -np.ones(4 * k)
-            A, M = normal_equations(B, d_inv)
-            r = rng.standard_normal(2 * k)
+        for op in operator_stacks(rng, dense=False):
+            P, k = op.B.shape[:2]
+            d_inv = np.ones((P, 4 * k))
+            d_inv[::2] = -1.0
+            r = rng.standard_normal((P, 2 * k))
             factored.clear()
-            np.testing.assert_array_equal(lp_module._Operator(A).solver(d_inv)(r),
-                                          np.linalg.lstsq(M, r, rcond=None)[0], err_msg=name)
-            assert factored == [(k, k)], name
+            v = op.solver(d_inv)(r)
+            assert factored == [(k, k)] * P
+            for p in range(0, P, 2):
+                _A, M = normal_equations(op.B[p], d_inv[p])
+                np.testing.assert_array_equal(v[p], np.linalg.lstsq(M, r[p], rcond=None)[0])
 
     def test_selector_programs_match_highs(self):
         rng = np.random.default_rng(33)
@@ -265,6 +291,80 @@ class TestSelectorStructure:
                     assert ref.status == 0
                     assert sol.status == "optimal", name
                     assert abs(sol.objective_value - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun)), name
+
+
+def assert_same_solution(a, b):
+    """Two solutions equal to the bit, NaN entries included."""
+    assert (a.status, a.iterations) == (b.status, b.iterations)
+    np.testing.assert_array_equal(a.x, b.x)
+    np.testing.assert_array_equal(a.objective_value, b.objective_value)
+    np.testing.assert_array_equal(astuple(a.kkt_report), astuple(b.kkt_report))
+    assert (a.dual_values is None) == (b.dual_values is None)
+    if a.dual_values is not None:
+        np.testing.assert_array_equal(a.dual_values, b.dual_values)
+
+
+class TestStacks:
+    """A program's result does not depend, to the bit, on the stack it runs in."""
+
+    @pytest.mark.parametrize("max_iterations", [None, 7])
+    def test_selector_results_independent_of_stack(self, monkeypatch, max_iterations):
+        # Two sizes of B, three levels each, and one infeasible level; with
+        # the iteration cap at 7 some programs stop at it and others do not.
+        rng = np.random.default_rng(41)
+        programs = [(B, d, lam) for _ in range(2) for _name, B, d in selector_blocks(rng)
+                    for lam in (0.0, 0.05, 0.5)]
+        programs.append((programs[0][0], programs[0][1], -0.1))
+        if max_iterations is not None:
+            monkeypatch.setattr(lp_module, "MAX_ITERATIONS", max_iterations)
+        alone = [lp_module.solve_selectors([program])[0] for program in programs]
+        statuses = {sol.status for sol in alone}
+        assert {"optimal", "infeasible"} <= statuses
+        assert ("iteration_limit" in statuses) == (max_iterations is not None)
+        for (B, d, lam), sol in zip(programs, alone):
+            assert_same_solution(solve_lp(selector_lp(B, d, lam)), sol)
+        for batch_bytes in (lp_module.BATCH_BYTES, 2 * 8 * 20 * 20 * 3):
+            monkeypatch.setattr(lp_module, "BATCH_BYTES", batch_bytes)
+            order = rng.permutation(len(programs))
+            for i, sol in zip(order, lp_module.solve_selectors([programs[i] for i in order])):
+                assert_same_solution(sol, alone[i])
+
+    def test_dense_results_independent_of_stack(self):
+        rng = np.random.default_rng(42)
+        programs = [random_bounded_lp(rng) for _ in range(5)]
+        programs.append(replace(programs[0], b=np.concatenate([programs[0].b[:-1], [-1.0]])))
+        alone = [solve_lp(lp) for lp in programs]
+        assert alone[-1].status == "infeasible"
+        order = rng.permutation(len(programs))
+        stacked = lp_module._solve_stack(
+            lp_module._Operator(A=np.array([programs[i].A for i in order])),
+            np.array([programs[i].b for i in order]), np.array([programs[i].c for i in order]))
+        for i, sol in zip(order, stacked):
+            assert_same_solution(sol, alone[i])
+
+    def test_operator_rows_independent_of_stack(self):
+        # Every other program has negative scalings, which send its normal
+        # equations to the least-squares fallback.
+        rng = np.random.default_rng(43)
+        for op in operator_stacks(rng):
+            P, (m, n) = len(dense_matrices(op)), dense_matrices(op)[0].shape
+            d_inv = rng.uniform(0.5, 2.0, (P, n + m))
+            d_inv[1::2] *= -1.0
+            x, y, r = (rng.standard_normal((P, size)) for size in (n + m, m, m))
+            stacked = op(x), op.T(y), op.solver(d_inv)(r)
+            for p in range(P):
+                one = (lp_module._Operator(A=op.A[p:p + 1].copy()) if op.B is None
+                       else lp_module._Operator(B=op.B[p:p + 1].copy()))
+                alone = one(x[p:p + 1]), one.T(y[p:p + 1]), one.solver(d_inv[p:p + 1])(r[p:p + 1])
+                for a, b in zip(stacked, alone):
+                    np.testing.assert_array_equal(a[p], b[0])
+
+    def test_compaction_moves_programs_forward(self):
+        rng = np.random.default_rng(44)
+        (op, *_rest) = operator_stacks(rng, dense=False)
+        blocks = op.B.copy()
+        op.keep(np.array([False, True, False, True, True, False]))
+        np.testing.assert_array_equal(op.B, blocks[[1, 3, 4]])
 
 
 # Hypothesis properties of the KktReport that the solver derives from its
