@@ -19,7 +19,12 @@ One loop runs a whole stack of programs of the same shape, as OptNet (Amos
 the stacked iterates, residuals, step lengths and stopping tests, has its
 own normal-equation factor, and leaves the stack as soon as it is optimal,
 infeasible, unbounded or non-finite. All arithmetic is row by row, so a
-program's result does not depend, to the bit, on the stack it ran in.
+program's result does not depend, to the bit, on the stack it ran in. Each
+iteration factors every program's normal equations once, as in Andersen &
+Andersen, "The MOSEK interior point optimizer for linear programming"
+(2000), and solves with the factor twice: once with two columns, for the
+(c, b) system and the predictor, which do not depend on each other, and
+once for the corrector.
 `solve_lp` is the stack of one; `solve_selectors` runs Dantzig-selector
 programs in stacks whose matrices take at most BATCH_BYTES together. Sweeps
 hand it the programs of one chunk of trials at a time, and with `workers`
@@ -30,7 +35,9 @@ with [A I] and its transpose, and the normal-equation solve. For matrices
 of the Dantzig-selector form [[B, -B], [-B, B]] (k x k blocks) the operator
 holds the stacked B alone and solves the 2k x 2k normal equations through
 one k x k Cholesky factor per program by block elimination, as l1-magic's
-`l1dantzig_pd` does; any other matrices are applied densely. One product
+`l1dantzig_pd` does. The k x k matrix B diag(d) B' is formed as a symmetric
+rank-k update (BLAS syrk) of B diag(sqrt(d)) and factored as L L' with L
+lower triangular. Any other matrices are applied densely. One product
 with [A I] and one with its transpose per iterate give both its residuals
 and its KKT report.
 
@@ -50,8 +57,9 @@ MAX_ITERATIONS = 200
 
 # Bytes of k x k matrices (each program's block B and its normal matrix)
 # that one stack of selector programs may hold; larger calls run as several
-# stacks of near-equal size.
-BATCH_BYTES = 1 << 20
+# stacks of near-equal size. At 2 MiB the 8 complex programs (k = 120) of a
+# sweep chunk make one stack.
+BATCH_BYTES = 2 << 20
 
 # Added to the diagonal of the normal equations each iteration; large enough
 # to survive duplicated/degenerate rows, small enough not to perturb optima
@@ -344,24 +352,29 @@ class _Operator:
             self.B = stack[:kept.size]
 
     def __call__(self, x):
+        if x.ndim == 2:
+            return self(x[:, None])[:, 0]
         n = self.n
         if self.B is None:
-            return np.matmul(self.A, x[:, :n, None])[:, :, 0] + x[:, n:]
-        t = np.matmul(self.B, (x[:, :n // 2] - x[:, n // 2:n])[:, :, None])[:, :, 0]
-        return np.concatenate([t, -t], axis=1) + x[:, n:]
+            return np.matmul(x[..., :n], self.A.transpose(0, 2, 1)) + x[..., n:]
+        t = np.matmul(x[..., :n // 2] - x[..., n // 2:n], self.B.transpose(0, 2, 1))
+        return np.concatenate([t, -t], axis=2) + x[..., n:]
 
     def T(self, y):
+        if y.ndim == 2:
+            return self.T(y[:, None])[:, 0]
         if self.B is None:
-            return np.concatenate([np.matmul(y[:, None, :], self.A)[:, 0], y], axis=1)
-        k = y.shape[1] // 2
-        t = np.matmul((y[:, :k] - y[:, k:])[:, None, :], self.B)[:, 0]
-        return np.concatenate([t, -t, y], axis=1)
+            return np.concatenate([np.matmul(y, self.A), y], axis=2)
+        k = y.shape[2] // 2
+        t = np.matmul(y[..., :k] - y[..., k:], self.B)
+        return np.concatenate([t, -t, y], axis=2)
 
     def solver(self, d_inv):
         """solve(r) for the regularized normal equations of every program,
         [A I] D [A I]' v + eps v = (A D_x A' + D_s + eps I) v = r, with
-        D = diag(d_inv) = diag(D_x, D_s); rows of d_inv, r and v belong to
-        the programs of the stack.
+        D = diag(d_inv) = diag(D_x, D_s); rows of d_inv belong to the
+        programs of the stack, and r and v are (P, m) or stacks of columns
+        (P, j, m), all j columns solved with one factor per program.
 
         With A = [[B, -B], [-B, B]] the matrix is [[K + S1, -K], [-K, K + S2]]
         with K = B diag(d_u + d_v) B' and S1, S2 the slack scalings plus eps.
@@ -370,11 +383,18 @@ class _Operator:
         v1 = (r1 + r2 + S2 w) / (S1 + S2), v2 = v1 - w. This recovery never
         divides by S1 or S2 alone: those go to 0 on active rows while B = X'X
         is rank-deficient, and v1 = S1^-1 (r1 - K w) stalls the iteration
-        there. In exact arithmetic the dense matrix is positive definite
-        exactly when the k x k one is, so a program whose k x k factor fails
-        goes straight to least squares on its dense matrix; any other
-        program tries a dense Cholesky factor first. Each program's failure
-        stays its own.
+        there. K is formed as C C' with C = B diag(sqrt(d_u + d_v)), which
+        numpy computes as a symmetric rank-k update (BLAS syrk), and factored
+        as L L' with L lower triangular. In exact arithmetic the dense matrix
+        is positive definite exactly when the k x k one is, so a program whose
+        k x k factor fails goes straight to least squares on its dense
+        matrix; any other program tries a dense Cholesky factor first. A
+        negative scaling has no square root, so its program fails the k x k
+        factor. A factor fails when LAPACK reports it or its diagonal is not
+        finite (OpenBLAS reports success on NaN and inf input); a program
+        whose dense matrix or right-hand side is not finite gets a NaN
+        solution, which ends it as non-finite. Each program's failure stays
+        its own.
         """
         P = d_inv.shape[0]
         n = self.n
@@ -383,20 +403,20 @@ class _Operator:
         dense = {}
         if self.B is not None:
             k = n // 2
-            s1, s2 = s[:, :k], s[:, k:]
+            s1, s2 = s[:, None, :k], s[:, None, k:]
             s_sum = s1 + s2
-            scale = d_inv[:, :k] + d_inv[:, k:n]
-            shift = s1 * s2 / s_sum
+            shift = (s1 * s2 / s_sum)[:, 0]
+            with np.errstate(invalid="ignore"):
+                root = np.sqrt(d_inv[:, :k] + d_inv[:, k:n])
             for i in range(P):
-                # B (B D)' is the transpose of (B D) B', to the bit, so the
-                # slice read in Fortran order is K itself, factored in place.
-                np.multiply(self.B[i], scale[i], out=self._scaled)
-                G = np.matmul(self.B[i], self._scaled.T, out=self._normal[i])
-                G.reshape(-1)[::k + 1] += shift[i]
-                factor, info = dpotrf(G.T, lower=0, clean=0, overwrite_a=1)
-                if info == 0:
-                    factors[i] = factor
-                else:
+                # The syrk product fills both triangles, so K is symmetric to
+                # the bit and its buffer read in Fortran order is K itself,
+                # factored in place.
+                np.multiply(self.B[i], root[i], out=self._scaled)
+                K = np.matmul(self._scaled, self._scaled.T, out=self._normal[i])
+                K.reshape(-1)[::k + 1] += shift[i]
+                factors[i] = _cholesky(K.T, overwrite=True)
+                if factors[i] is None:
                     A = np.block([[self.B[i], -self.B[i]], [-self.B[i], self.B[i]]])
                     M = (A * d_inv[i, :n]) @ A.T
                     M[np.diag_indices_from(M)] += s[i]
@@ -405,48 +425,58 @@ class _Operator:
             M = np.matmul(self.A * d_inv[:, None, :n], self.A.transpose(0, 2, 1))
             M.reshape(P, -1)[:, ::M.shape[1] + 1] += s
             for i in range(P):
-                factor, info = dpotrf(M[i], lower=0, clean=0)
-                if info == 0:
-                    factors[i] = factor
-                else:
+                factors[i] = _cholesky(M[i])
+                if factors[i] is None:
                     dense[i] = M[i]
 
         selector = self.B is not None
 
         def solve(r):
+            cols = r if r.ndim == 3 else r[:, None]
             if selector:
-                r1, r2 = r[:, :k], r[:, k:]
+                r1, r2 = cols[..., :k], cols[..., k:]
                 rhs = (s2 * r1 - s1 * r2) / s_sum
             else:
-                rhs = r
+                rhs = cols
             w = np.zeros_like(rhs)
             for i, factor in enumerate(factors):
                 if factor is not None:
-                    w[i] = dpotrs(factor, rhs[i], lower=0)[0]
+                    w[i] = dpotrs(factor, rhs[i].T, lower=1)[0].T
             if selector:
                 v1 = (r1 + r2 + s2 * w) / s_sum
-                v = np.concatenate([v1, v1 - w], axis=1)
+                v = np.concatenate([v1, v1 - w], axis=2)
             else:
                 v = w
             for i, M in dense.items():
-                v[i] = np.linalg.lstsq(M, r[i], rcond=None)[0]
-            return v
+                # Column by column: a column's least-squares solution then
+                # does not depend on the others.
+                if np.isfinite(M).all() and np.isfinite(cols[i]).all():
+                    v[i] = [np.linalg.lstsq(M, col, rcond=None)[0] for col in cols[i]]
+                else:
+                    v[i] = np.nan
+            return v if r.ndim == 3 else v[:, 0]
 
         return solve
 
 
+def _cholesky(M, overwrite=False):
+    """The lower Cholesky factor of symmetric M, or None if it fails."""
+    factor, info = dpotrf(M, lower=1, clean=0, overwrite_a=overwrite)
+    return factor if info == 0 and np.isfinite(factor.diagonal()).all() else None
+
+
 def _search_direction(op, b, c, x, y, z, tau, kappa, r_p, r_d, r_g, mu):
-    """Mehrotra predictor-corrector directions for the homogeneous systems."""
+    """Mehrotra predictor-corrector directions for the homogeneous systems.
+    The (c, b) system and the predictor do not depend on each other and
+    share one two-column solve; the corrector is a second, one-column one."""
     d_inv = x / z
     solve = op.solver(d_inv)
 
     def sym_solve(r1, r2):
-        v = solve(r2 + op(d_inv * r1))
-        u = d_inv * (op.T(v) - r1)
+        # Stacks of columns: r1 is (P, j, n + m) and r2 is (P, j, m).
+        v = solve(r2 + op(d_inv[:, None] * r1))
+        u = d_inv[:, None] * (op.T(v) - r1)
         return u, v
-
-    p, q = sym_solve(c, b)
-    denom_tau = kappa / tau + (_dot(-c, p) + _dot(b, q))
 
     gamma = np.zeros_like(tau)
     d_x = d_z = np.zeros_like(x)
@@ -461,7 +491,14 @@ def _search_direction(op, b, c, x, y, z, tau, kappa, r_p, r_d, r_g, mu):
         rhat_xz = gamma_mu[:, None] - x * z - d_x * d_z
         rhat_tk = gamma_mu - tau * kappa - d_tau * d_kappa
 
-        u, v = sym_solve(rhat_d - rhat_xz / x, rhat_p)
+        if stage == 0:
+            u, v = sym_solve(np.stack([c, rhat_d - rhat_xz / x], axis=1),
+                             np.stack([b, rhat_p], axis=1))
+            p, u, q, v = u[:, 0], u[:, 1], v[:, 0], v[:, 1]
+            denom_tau = kappa / tau + (_dot(-c, p) + _dot(b, q))
+        else:
+            u, v = (a[:, 0] for a in sym_solve((rhat_d - rhat_xz / x)[:, None],
+                                                rhat_p[:, None]))
         d_tau = (rhat_g + rhat_tk / tau - (_dot(-c, u) + _dot(b, v))) / denom_tau
         d_x = u + p * d_tau[:, None]
         d_y = v + q * d_tau[:, None]

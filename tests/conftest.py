@@ -8,11 +8,19 @@ by as many active constraint rows.
 """
 
 import itertools
+import os
 
-import numpy as np
+# One BLAS thread unless the environment says otherwise: the suite's
+# matrices are small, and BLAS threads only contend for the cores. OpenBLAS
+# reads these when numpy first loads it, so they take effect as long as no
+# pytest plugin imports numpy before this conftest.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from sparsechan.lp import LinearProgram
-from sparsechan.model import ToeplitzTraining
+import numpy as np  # noqa: E402
+
+from sparsechan.lp import LinearProgram  # noqa: E402
+from sparsechan.model import ToeplitzTraining  # noqa: E402
 
 
 def enumerate_lp_vertices(c, A, b, feas_tol=1e-9):

@@ -1,7 +1,13 @@
 """Tests for the interior-point LP solver, checked against brute-force
 vertex enumeration on small problems."""
 
+import gc
+import os
+import subprocess
+import sys
+import weakref
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,6 +285,35 @@ class TestSelectorStructure:
                 _A, M = normal_equations(op.B[p], d_inv[p])
                 np.testing.assert_array_equal(v[p], np.linalg.lstsq(M, r[p], rcond=None)[0])
 
+    @pytest.mark.parametrize("spread", [False, True])
+    def test_multi_column_solve_matches_one_column_solves(self, spread):
+        # Columns share each program's factor and solve as they would alone,
+        # to the bit. Every third program has negative scalings and goes to
+        # least squares; the others must be backward stable at any scaling.
+        rng = np.random.default_rng(36)
+        for op in operator_stacks(rng):
+            matrices = dense_matrices(op)
+            P, (m, n) = len(matrices), matrices[0].shape
+            d_inv = (10.0 ** rng.uniform(-8, 8, (P, n + m)) if spread
+                     else rng.uniform(0.5, 2.0, (P, n + m)))
+            d_inv[::3] *= -1.0
+            R = rng.standard_normal((P, 2, m))
+            solve = op.solver(d_inv)
+            V = solve(R)
+            assert V.shape == R.shape
+            for j in range(2):
+                np.testing.assert_array_equal(V[:, j], solve(R[:, j]))
+            for p, A in enumerate(matrices):
+                M = (A * d_inv[p, :n]) @ A.T
+                M[np.diag_indices_from(M)] += d_inv[p, n:] + lp_module.NORMAL_EQ_REGULARIZATION
+                for v, r in zip(V[p], R[p]):
+                    if p % 3 == 0:
+                        np.testing.assert_array_equal(v, np.linalg.lstsq(M, r, rcond=None)[0])
+                        continue
+                    backward = np.linalg.norm(M @ v - r) / (
+                        np.linalg.norm(M, 2) * np.linalg.norm(v) + np.linalg.norm(r))
+                    assert backward <= 1e-12
+
     def test_selector_programs_match_highs(self):
         rng = np.random.default_rng(33)
         for _ in range(3):
@@ -359,12 +394,89 @@ class TestStacks:
                 for a, b in zip(stacked, alone):
                     np.testing.assert_array_equal(a[p], b[0])
 
+    def test_nonfinite_scalings_end_only_their_programs(self):
+        # LAPACK's least squares can spin without end on a matrix with NaN
+        # entries, so the check runs in a subprocess under a timeout.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(lp_module.__file__).parents[1]), str(Path(__file__).parent)])}
+        subprocess.run([sys.executable, "-c", "import test_lp; test_lp.check_nonfinite_scalings()"],
+                       env=env, check=True, timeout=120)
+
+    def test_no_reference_cycle_holds_a_stack(self, monkeypatch):
+        # A cycle would keep each stack's operator and normal-matrix buffer
+        # alive until the cyclic collector runs.
+        refs = []
+
+        class Recorded(lp_module._Operator):
+            def __init__(self, **stack):
+                super().__init__(**stack)
+                refs.extend([weakref.ref(self), weakref.ref(self._normal)])
+
+        monkeypatch.setattr(lp_module, "_Operator", Recorded)
+        rng = np.random.default_rng(45)
+        programs = [(B, d, lam) for _name, B, d in selector_blocks(rng) for lam in (0.0, 0.5)]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            lp_module.solve_selectors(programs)
+            assert len(refs) == 4
+            assert all(ref() is None for ref in refs)
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_compaction_moves_programs_forward(self):
         rng = np.random.default_rng(44)
         (op, *_rest) = operator_stacks(rng, dense=False)
         blocks = op.B.copy()
         op.keep(np.array([False, True, False, True, True, False]))
         np.testing.assert_array_equal(op.B, blocks[[1, 3, 4]])
+
+
+def check_nonfinite_scalings():
+    """Programs whose scalings hold inf or NaN get NaN solutions, also when
+    their factor fails, and a loop that meets such scalings ends those
+    programs as non-finite; the finite programs of the same stacks solve as
+    they would alone, to the bit."""
+    rng = np.random.default_rng(46)
+    for op in operator_stacks(rng):
+        P, (m, n) = len(dense_matrices(op)), dense_matrices(op)[0].shape
+        d_inv = rng.uniform(0.5, 2.0, (P, n + m))
+        d_inv[0, 0] = np.inf
+        d_inv[1, -1] = np.nan
+        d_inv[2] = -1.0
+        d_inv[2, 1] = -np.inf
+        r = rng.standard_normal((P, m))
+        v = op.solver(d_inv)(r)
+        assert np.isnan(v[:3]).all()
+        for p in range(3, P):
+            one = (lp_module._Operator(A=op.A[p:p + 1].copy()) if op.B is None
+                   else lp_module._Operator(B=op.B[p:p + 1].copy()))
+            np.testing.assert_array_equal(v[p], one.solver(d_inv[p:p + 1])(r[p:p + 1])[0])
+
+    programs = [(B, d, lam) for _name, B, d in selector_blocks(rng) for lam in (0.1, 0.5)]
+    alone = [lp_module.solve_selectors([program])[0] for program in programs]
+    solver = lp_module._Operator.solver
+    calls = []
+
+    def poisoned(self, d_inv):
+        # The first iteration's scalings of programs 0 and 1 are not finite.
+        if not calls:
+            d_inv = d_inv.copy()
+            d_inv[0, 0], d_inv[1, -1] = np.inf, np.nan
+        calls.append(d_inv.shape[0])
+        return solver(self, d_inv)
+
+    lp_module._Operator.solver = poisoned
+    try:
+        stacked = lp_module.solve_selectors(programs)
+    finally:
+        lp_module._Operator.solver = solver
+    for sol in stacked[:2]:
+        assert (sol.status, sol.iterations) == ("iteration_limit", 1)
+        assert np.isnan(astuple(sol.kkt_report)).all()
+    for sol, ref in zip(stacked[2:], alone[2:]):
+        assert_same_solution(sol, ref)
 
 
 # Hypothesis properties of the KktReport that the solver derives from its
