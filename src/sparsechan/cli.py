@@ -45,12 +45,6 @@ class ConfigError(Exception):
     pass
 
 
-class SolverFailure(Exception):
-    def __init__(self, message: str, diagnostics_path: Path):
-        super().__init__(message)
-        self.diagnostics_path = diagnostics_path
-
-
 def _auto_or_real(text: str):
     return text if text == "auto" else float(text)
 
@@ -221,14 +215,25 @@ def _run_sweep_command(args, cfg, run_dir: Path) -> int:
     return EXIT_OK
 
 
-def _estimate_all(run_dir: Path, cfg, channel, X, obs, methods) -> dict:
-    """Run the methods on one instance; write diagnostics.json for all of
-    them and estimate_<method>.csv for each that succeeded. Returns {method:
-    Estimate}, or raises SolverFailure once the files are written if any
-    method failed (see `experiments.estimate_instances`)."""
-    [(estimates, errors)] = experiments.estimate_instances(cfg, [(channel, X, obs)], methods)
+def _run_instance(run_dir: Path, subcommand: str, cfg, channel=None):
+    """Run the configured methods on trial 0 of the fixed point, with
+    `channel` in place of the drawn one if given; write channel_true.csv,
+    meta.json, diagnostics.json and estimate_<method>.csv for each method
+    that succeeded, and print the failed ones. Returns (channel,
+    {method: Estimate}, {method: error text})."""
+    snr, n = cfg.fixed_snr_db, cfg.fixed_n
+    instance = experiments.make_instance(cfg, snr, n, 0, channel=channel)
+    channel, _X, obs = instance
+    model.save_taps_csv(run_dir / "channel_true.csv", channel.taps)
+    _write_meta(run_dir, {
+        "subcommand": subcommand,
+        "config": asdict(cfg),
+        "instance": {"snr_db": snr, "n": n, "true_support": list(channel.support),
+                     "noise_variance": obs.noise_variance},
+    })
+    [(estimates, errors)] = experiments.estimate_instances(cfg, [instance])
     diagnostics = {}
-    for method in methods:
+    for method in cfg.methods:
         if method in errors:
             diagnostics[method] = {"failed": True, "error": errors[method]}
             continue
@@ -243,22 +248,12 @@ def _estimate_all(run_dir: Path, cfg, channel, X, obs, methods) -> dict:
     # Array-valued diagnostics (the sds weights) are written as lists.
     path.write_text(json.dumps(diagnostics, indent=2, default=lambda v: v.tolist()) + "\n")
     if errors:
-        raise SolverFailure(f"solver failure in {', '.join(errors)}", path)
-    return estimates
+        print(f"solver failure in {', '.join(errors)}; diagnostics at {path}", file=sys.stderr)
+    return channel, estimates, errors
 
 
 def _run_estimate(args, cfg, run_dir: Path) -> int:
-    snr, n = cfg.fixed_snr_db, cfg.fixed_n
-    channel, X, obs = experiments.make_instance(cfg, snr, n, 0)
-    model.save_taps_csv(run_dir / "channel_true.csv", channel.taps)
-    _write_meta(run_dir, {
-        "subcommand": "estimate",
-        "config": asdict(cfg),
-        "instance": {"snr_db": snr, "n": n, "true_support": list(channel.support),
-                     "noise_variance": obs.noise_variance},
-    })
-    _estimate_all(run_dir, cfg, channel, X, obs, cfg.methods)
-    return EXIT_OK
+    return EXIT_SOLVER if _run_instance(run_dir, "estimate", cfg)[2] else EXIT_OK
 
 
 def _run_ric(args, cfg, run_dir: Path) -> int:
@@ -304,11 +299,10 @@ def _run_demo(args, cfg, run_dir: Path) -> int:
     # The demo's fixed point, whatever the config file sets; meta.json records it.
     cfg = replace(cfg, L=model.DEMO_CHANNEL_LENGTH, T=len(model.DEMO_TAP_VALUES), fixed_n=30,
                   fixed_snr_db=10.0, methods=("ls", "ds"))
-    channel, X, obs = experiments.make_instance(
-        cfg, cfg.fixed_snr_db, cfg.fixed_n, 0,
-        channel=model.fixed_channel_figure_demo(seed=cfg.base_seed))
-    model.save_taps_csv(run_dir / "channel_true.csv", channel.taps)
-    estimates = _estimate_all(run_dir, cfg, channel, X, obs, cfg.methods)
+    channel, estimates, errors = _run_instance(
+        run_dir, "demo-fig2", cfg, model.fixed_channel_figure_demo(seed=cfg.base_seed))
+    if errors:
+        return EXIT_SOLVER
     est_ls, est_ds = estimates["ls"], estimates["ds"]
     with open(run_dir / "result.csv", "w", newline="") as fh:
         fh.write("index,true_mod,ls_mod,ds_mod\n")
@@ -321,15 +315,6 @@ def _run_demo(args, cfg, run_dir: Path) -> int:
             v = complex(est_ds.h_hat[i])
             fh.write(f"{i},{v.real!r},{v.imag!r},{abs(v)!r}\n")
     (run_dir / "plot.gp").write_text(_demo_plot_script())
-    _write_meta(run_dir, {
-        "subcommand": "demo-fig2",
-        "config": asdict(cfg),
-        "instance": {
-            "n": cfg.fixed_n, "snr_db": cfg.fixed_snr_db, "true_support": list(channel.support),
-            "ds_support": list(est_ds.support_hat),
-            "ds_lambda": est_ds.diagnostics["lambda"],
-        },
-    })
     return EXIT_OK
 
 
@@ -373,11 +358,7 @@ def main(argv=None) -> int:
 
     run_dir = _make_run_dir(args.out, args.subcommand)
     print(run_dir)
-    try:
-        return RUNNERS[args.subcommand](args, cfg, run_dir)
-    except SolverFailure as exc:
-        print(f"{exc}; diagnostics at {exc.diagnostics_path}", file=sys.stderr)
-        return EXIT_SOLVER
+    return RUNNERS[args.subcommand](args, cfg, run_dir)
 
 
 if __name__ == "__main__":

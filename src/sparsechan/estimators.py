@@ -29,6 +29,7 @@ and `sds_estimate` are their batch of one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,7 +103,10 @@ class EstimatorConfig:
     def __post_init__(self):
         for name in ("lambda_ds", "lambda_lasso"):
             value = getattr(self, name)
-            if value != "auto" and not (np.isreal(value) and 0 <= value < math.inf):
+            if value == "auto":
+                continue
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0 <= value < math.inf):
                 raise ValueError(
                     f"{name} must be 'auto' or a finite non-negative real, got {value!r}")
 

@@ -22,6 +22,7 @@ import csv
 import math
 import numbers
 import struct
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -95,6 +96,10 @@ class ExperimentConfig:
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
 
     def __post_init__(self):
+        for name in ("methods", "snr_grid_db", "n_grid"):
+            value = getattr(self, name)
+            if isinstance(value, str) or not isinstance(value, Iterable):
+                raise ValueError(f"{name} must be a list, got {value!r}")
         counts = [("L", self.L), ("T", self.T), ("trials", self.trials), ("fixed_n", self.fixed_n),
                   ("workers", self.workers), *(("n_grid entry", n) for n in self.n_grid)]
         for name, value in counts:
@@ -191,8 +196,9 @@ def make_instance(cfg: ExperimentConfig, snr_db: float, n: int, trial_index: int
     return channel, X, observe(X, channel, snr_db, seed=seed(_STREAM_NOISE))
 
 
-def estimate_instances(cfg: ExperimentConfig, instances, methods) -> list:
-    """Run `methods` in order on each (channel, X, obs) of `instances`.
+def estimate_instances(cfg: ExperimentConfig, instances) -> list:
+    """Run the configured methods in order on each (channel, X, obs) of
+    `instances`.
 
     Returns per instance ({method: Estimate}, {method: error text}), each in
     method order. All methods see the instance's identical (X, y); the
@@ -206,7 +212,7 @@ def estimate_instances(cfg: ExperimentConfig, instances, methods) -> list:
     """
     results = [({}, {}) for _ in instances]
     pairs = [(X, obs) for _channel, X, obs in instances]
-    for method in methods:
+    for method in cfg.methods:
         if method == METHOD_DS:
             outcomes = ds_estimates(pairs, cfg.estimator)
         elif method == METHOD_SDS:
@@ -243,7 +249,7 @@ def _run_trials(cfg: ExperimentConfig, snr_db: float, n: int, trial_indices) -> 
     instances = [make_instance(cfg, snr_db, n, t) for t in trial_indices]
     records = []
     for (channel, _X, _obs), (estimates, errors) in zip(
-            instances, estimate_instances(cfg, instances, cfg.methods)):
+            instances, estimate_instances(cfg, instances)):
         h_norm_sq = float(np.linalg.norm(channel.taps) ** 2)
         record = {}
         for method in cfg.methods:

@@ -25,21 +25,19 @@ Andersen, "The MOSEK interior point optimizer for linear programming"
 (2000), and solves with the factor twice: once with two columns, for the
 (c, b) system and the predictor, which do not depend on each other, and
 once for the corrector.
-`solve_lp` is the stack of one; `solve_selectors` runs Dantzig-selector
-programs in stacks whose matrices take at most BATCH_BYTES together. Sweeps
-hand it the programs of one chunk of trials at a time, and with `workers`
-threads take those chunks in turn (see `experiments`).
 
 The loop reaches the constraint matrices only through an operator: products
-with [A I] and its transpose, and the normal-equation solve. For matrices
-of the Dantzig-selector form [[B, -B], [-B, B]] (k x k blocks) the operator
-holds the stacked B alone and solves the 2k x 2k normal equations through
-one k x k Cholesky factor per program by block elimination, as l1-magic's
-`l1dantzig_pd` does. The k x k matrix B diag(d) B' is formed as a symmetric
-rank-k update (BLAS syrk) of B diag(sqrt(d)) and factored as L L' with L
-lower triangular. Any other matrices are applied densely. One product
-with [A I] and one with its transpose per iterate give both its residuals
-and its KKT report.
+with [A I] and its transpose, and the normal-equation solve. `solve_lp`
+applies its A densely, as a stack of one. `solve_selectors` is the one way
+to the Dantzig-selector operator: for matrices [[B, -B], [-B, B]] (k x k
+blocks) it holds the stacked B alone and solves the 2k x 2k normal
+equations through one k x k Cholesky factor per program by block
+elimination, as l1-magic's `l1dantzig_pd` does. The k x k matrix
+B diag(d) B' is formed as a symmetric rank-k update (BLAS syrk) of
+B diag(sqrt(d)) and factored as L L' with L lower triangular. Sweeps hand
+it the programs of one chunk of trials at a time (see `experiments`). One
+product with [A I] and one with its transpose per iterate give both its
+residuals and its KKT report.
 
 No external optimization library is used; linear algebra is numpy/scipy
 factorizations only.
@@ -140,22 +138,22 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     `status == "optimal"` guarantees primal feasibility (A x <= b and
     x >= 0 up to tolerance), dual feasibility, and a relative duality gap
     at most TOLERANCE. `iteration_limit` is a non-error outcome: the last
-    iterate is returned and the caller decides what to do with it.
+    iterate is returned and the caller decides what to do with it. A is
+    applied densely, whatever its structure.
     """
-    B = _selector_block(lp.A)
-    op = _Operator(A=lp.A[None].copy()) if B is None else _Operator(B=B[None].copy())
-    return _solve_stack(op, lp.b[None], lp.c[None])[0]
+    return _solve_stack(_Operator(A=lp.A[None].copy()), lp.b[None], lp.c[None])[0]
 
 
 def solve_selectors(programs) -> list[LpSolution]:
     """Solve Dantzig-selector programs, each a triple (B, d, lam) with B
     square: minimize ||g||_1 subject to ||d - B g||_inf <= lam.
 
-    Each is the LP of `solve_lp` over g = u - v with c = 1,
-    A = [[B, -B], [-B, B]] and b = [lam + d; lam - d], and its solution is
-    bit for bit the one `solve_lp` would return. Programs with the same
-    size of B run as stacks (see BATCH_BYTES); the solutions come back in
-    the order of `programs`.
+    Each is the LP minimize 1.x, A x <= b, x >= 0 over x = [u; v], g = u - v,
+    with A = [[B, -B], [-B, B]] and b = [lam + d; lam - d], solved as by
+    `solve_lp` but through the k x k normal equations of B: both meet the
+    same stopping test, not the same bits. Programs with the same size of B
+    run as stacks (see BATCH_BYTES); the solutions come back in the order
+    of `programs`.
     """
     solutions = [None] * len(programs)
     by_size = {}
@@ -192,7 +190,6 @@ def _solve_stack(op, b, c) -> list[LpSolution]:
     `op` with it."""
     P, m = b.shape
     n = c.shape[1]
-    b_all, c_all = b, c
     # Equality form: [A I] [x; s] = b with x, s >= 0.
     c = np.concatenate([c, np.zeros((P, m))], axis=1)
 
@@ -214,7 +211,6 @@ def _solve_stack(op, b, c) -> list[LpSolution]:
 
     def finish(done, iterations):
         for row in np.flatnonzero(done):
-            i = rows[row]
             if status[row] in (STATUS_OPTIMAL, STATUS_ITERATION_LIMIT):
                 tau_safe = max(tau[row], np.finfo(float).tiny)
                 x_out = x[row, :n] / tau_safe
@@ -225,17 +221,16 @@ def _solve_stack(op, b, c) -> list[LpSolution]:
                 x_out = np.full(n, np.nan)
                 duals = None
                 kkt = KktReport(
-                    primal_infeasibility=float(
-                        np.linalg.norm(r_p[row], np.inf) / (1.0 + np.linalg.norm(b_all[i], np.inf))
-                    ),
-                    dual_infeasibility=float(
-                        np.linalg.norm(r_d[row], np.inf) / (1.0 + np.linalg.norm(c_all[i], np.inf))
-                    ),
+                    primal_infeasibility=float(np.linalg.norm(r_p[row], np.inf)
+                                               / (1.0 + np.linalg.norm(b[row], np.inf))),
+                    dual_infeasibility=float(np.linalg.norm(r_d[row], np.inf)
+                                             / (1.0 + np.linalg.norm(c[row, :n], np.inf))),
                     complementarity_gap=float(mu[row]),
                 )
-            objective = float(c_all[i] @ x_out) if np.all(np.isfinite(x_out)) else np.nan
-            solutions[i] = LpSolution(x=x_out, objective_value=objective, status=status[row],
-                                      kkt_report=kkt, iterations=iterations, dual_values=duals)
+            objective = float(c[row, :n] @ x_out) if np.all(np.isfinite(x_out)) else np.nan
+            solutions[rows[row]] = LpSolution(
+                x=x_out, objective_value=objective, status=status[row], kkt_report=kkt,
+                iterations=iterations, dual_values=duals)
 
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
@@ -304,19 +299,6 @@ def _residuals(op, b, c, x, y, z, tau, kappa):
     ])
     mu = (_dot(x, z) + tau * kappa) / (x.shape[1] + 1)
     return r_p, r_d, cx - by + kappa, mu, report
-
-
-def _selector_block(A):
-    """B when A is exactly [[B, -B], [-B, B]] with square blocks, else None."""
-    m, n = A.shape
-    if m != n or m % 2:
-        return None
-    k = m // 2
-    B = A[:k, :k]
-    if (np.array_equal(A[:k, k:], -B) and np.array_equal(A[k:, :k], -B)
-            and np.array_equal(A[k:, k:], B)):
-        return B
-    return None
 
 
 class _Operator:

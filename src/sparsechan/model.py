@@ -166,9 +166,12 @@ def measurement_budget(T: int, p: int, c: float = 2.0) -> int:
     """Minimum training length n_min = ceil(c * T * ln(p/T))."""
     if not 1 <= T < p:
         raise ValueError(f"need 1 <= T < p, got T={T}, p={p}")
-    if c <= 0:
-        raise ValueError(f"need c > 0, got c={c}")
-    return math.ceil(c * T * math.log(p / T))
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"need a finite c > 0, got c={c}")
+    budget = c * T * math.log(p / T)
+    if not math.isfinite(budget):
+        raise ValueError(f"c={c} gives a non-finite budget c * T * ln(p/T) for T={T}, p={p}")
+    return math.ceil(budget)
 
 
 def restricted_isometry_constant(

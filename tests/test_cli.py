@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from conftest import read_taps_csv
 
-from sparsechan import cli, estimators
+from sparsechan import cli, estimators, experiments
 from sparsechan.experiments import ExperimentConfig, run_trial, sweep_snr
 from sparsechan.model import DEMO_TAP_VALUES
 
@@ -38,6 +38,13 @@ class TestBudget:
         code, _, err = run_cli(["budget", "--T", "60", "--p", "60"], capsys)
         assert code == 2
         assert "config error" in err
+
+    @pytest.mark.parametrize("c", ["inf", "nan", "1e308"])
+    def test_non_finite_c_or_budget_exit_two(self, capsys, c):
+        code, out, err = run_cli(["budget", "--T", "4", "--p", "60", "--c", c], capsys)
+        assert code == 2
+        assert "config error" in err and f"c={float(c)}" in err
+        assert out == ""
 
     def test_console_entry_point(self):
         # The child must import the package under test, installed or not.
@@ -223,6 +230,14 @@ class TestConfigHandling:
         (["estimate", "--methods", "ls"], {"fixed_snr_db": "12"}, "fixed_snr_db"),
         (["sweep-snr", "--M", "1", "--methods", "ls"], {"snr_grid_db": ["12"]}, "snr_grid_db"),
         (["estimate", "--methods", "ls"], {"fixed_snr_db": True}, "fixed_snr_db"),
+        (["estimate"], {"lambda_ds": True}, "lambda_ds"),
+        (["estimate"], {"lambda_lasso": None}, "lambda_lasso"),
+        (["estimate"], {"lambda_lasso": [1]}, "lambda_lasso"),
+        (["estimate"], {"methods": "ds"}, "methods must be a list"),
+        (["sweep-snr", "--M", "1", "--methods", "ls"], {"snr_grid_db": "12"},
+         "snr_grid_db must be a list"),
+        (["sweep-n", "--M", "1", "--methods", "ls"], {"n_grid": "30"}, "n_grid must be a list"),
+        (["sweep-n", "--M", "1", "--methods", "ls"], {"n_grid": 30}, "n_grid must be a list"),
     ])
     def test_out_of_range_values_exit_two(self, tmp_path, capsys, argv, config, named):
         if config is not None:
@@ -425,6 +440,22 @@ class TestDemoCommand:
         assert (config["fixed_n"], config["fixed_snr_db"]) == (meta["instance"]["n"],
                                                                meta["instance"]["snr_db"])
         assert (config["fixed_n"], config["fixed_snr_db"]) == (30, 10.0)
+
+    def test_failed_method_exit_three_keeps_meta(self, tmp_path, capsys, monkeypatch):
+        def failing(instances, cfg):
+            return [estimators.SelectorLpError("selector LP reported infeasible")
+                    for _ in instances]
+
+        monkeypatch.setattr(experiments, "ds_estimates", failing)
+        code, _, err = run_cli(["demo-fig2", "--out", str(tmp_path)], capsys)
+        assert code == 3
+        assert "solver failure in ds" in err
+        run_dir = only_run_dir(tmp_path, "demo-fig2-")
+        meta = json.loads((run_dir / "meta.json").read_text())
+        assert meta["config"]["methods"] == ["ls", "ds"]
+        diag = json.loads((run_dir / "diagnostics.json").read_text())
+        assert diag["ds"]["failed"] is True and "ls" in diag
+        assert not (run_dir / "result.csv").exists()
 
     def test_demo_support_indices_cover_largest_true_taps(self, tmp_path, capsys):
         code, _, _ = run_cli(["demo-fig2", "--seed", "5", "--out", str(tmp_path)], capsys)

@@ -210,26 +210,13 @@ def selector_lp(B, d, lam):
 class TestSelectorStructure:
     """The k x k Newton solve of selector programs A = [[B, -B], [-B, B]]."""
 
-    def test_detects_selector_block(self):
-        rng = np.random.default_rng(31)
-        for name, B, d in selector_blocks(rng):
-            A = selector_lp(B, d, 0.1).A
-            assert np.array_equal(lp_module._selector_block(A), B), name
-            near_miss = A.copy()
-            near_miss[-1, -1] += 1e-12
-            assert lp_module._selector_block(near_miss) is None, name
-        for _ in range(10):
-            assert lp_module._selector_block(random_bounded_lp(rng).A) is None
-        assert lp_module._selector_block(np.eye(2)) is None
-
     def test_operator_matches_dense_equality_form(self):
         # Both paths of the stacked operator against each program's formed [A I].
         rng = np.random.default_rng(35)
         for op in operator_stacks(rng):
             matrices = dense_matrices(op)
             P, (m, n) = len(matrices), matrices[0].shape
-            for A in matrices:
-                assert (lp_module._selector_block(A) is None) == (op.B is None) == (n != m)
+            assert (op.B is None) == (n != m)
             x, y = rng.standard_normal((P, n + m)), rng.standard_normal((P, m))
             ox, oty = op(x), op.T(y)
             for p, A in enumerate(matrices):
@@ -315,17 +302,20 @@ class TestSelectorStructure:
                     assert backward <= 1e-12
 
     def test_selector_programs_match_highs(self):
+        # Through the k x k operator of solve_selectors and, as any LP,
+        # through solve_lp's dense one.
         rng = np.random.default_rng(33)
         for _ in range(3):
             for name, B, d in selector_blocks(rng):
                 for lam in (0.0, 0.1, 1.0):
                     lp = selector_lp(B, d, lam)
-                    sol = solve_lp(lp)
                     ref = scipy.optimize.linprog(lp.c, A_ub=lp.A, b_ub=lp.b, bounds=(0, None),
                                                  method="highs")
                     assert ref.status == 0
-                    assert sol.status == "optimal", name
-                    assert abs(sol.objective_value - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun)), name
+                    tol = 1e-7 * max(1.0, abs(ref.fun))
+                    for sol in (lp_module.solve_selectors([(B, d, lam)])[0], solve_lp(lp)):
+                        assert sol.status == "optimal", name
+                        assert abs(sol.objective_value - ref.fun) <= tol, name
 
 
 def assert_same_solution(a, b):
@@ -356,8 +346,6 @@ class TestStacks:
         statuses = {sol.status for sol in alone}
         assert {"optimal", "infeasible"} <= statuses
         assert ("iteration_limit" in statuses) == (max_iterations is not None)
-        for (B, d, lam), sol in zip(programs, alone):
-            assert_same_solution(solve_lp(selector_lp(B, d, lam)), sol)
         for batch_bytes in (lp_module.BATCH_BYTES, 2 * 8 * 20 * 20 * 3):
             monkeypatch.setattr(lp_module, "BATCH_BYTES", batch_bytes)
             order = rng.permutation(len(programs))
@@ -498,14 +486,13 @@ def selector_programs(draw):
     L = draw(st.integers(2, 10))
     blocks = selector_blocks(rng, n=draw(st.integers(1, L)), L=L)
     _name, B, d = blocks[draw(st.integers(0, len(blocks) - 1))]
-    return selector_lp(B, d, draw(st.floats(0.0, 2.0)))
+    return B, d, draw(st.floats(0.0, 2.0))
 
 
 class TestDerivedReport:
     """The report of an optimal solve, recomputed from what it returns."""
 
-    def check_report(self, lp):
-        sol = solve_lp(lp)
+    def check_report(self, lp, sol):
         assert sol.status == "optimal"
         report, x, duals = sol.kkt_report, sol.x, sol.dual_values
         primal = max(np.max(lp.A @ x - lp.b, initial=0.0), np.max(-x, initial=0.0))
@@ -519,14 +506,12 @@ class TestDerivedReport:
     @PROPERTIES
     @given(bounded_lps())
     def test_dense_programs(self, lp):
-        assert lp_module._selector_block(lp.A) is None
-        self.check_report(lp)
+        self.check_report(lp, solve_lp(lp))
 
     @PROPERTIES
     @given(selector_programs())
-    def test_selector_programs(self, lp):
-        assert lp_module._selector_block(lp.A) is not None
-        self.check_report(lp)
+    def test_selector_programs(self, program):
+        self.check_report(selector_lp(*program), lp_module.solve_selectors([program])[0])
 
     # A known defect, kept visible: the stopping test scales its residuals by
     # 1 + |.| floors, which are absolute for data much smaller than 1, so at
