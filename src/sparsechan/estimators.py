@@ -11,7 +11,9 @@ Each returns an `Estimate`, the tap vector and a diagnostics dict; the
 reported support is derived from the taps when read. The tall
 least-squares solve shared by `ls`, `omp` and `oracle` is a complex QR
 that rejects rank-deficient systems with SingularMatrixError; `ls` then
-falls back to a small ridge, the other two fail the instance.
+falls back to a small ridge, the other two fail the instance. Non-finite
+training or observation data fails an instance with a ValueError before
+any factorization sees it.
 
 Complex data is handled in a real-composite convention for the Dantzig
 selector: each complex coefficient contributes |Re| + |Im| to the L1
@@ -21,9 +23,16 @@ real-valued training matrix the composite program decouples into two
 independent real programs (one for each part of the data), which is how it
 is solved. Lasso uses the modulus-based L1 (shrink modulus, keep phase).
 
-`ds_estimates` and `sds_estimates` run the selectors over many instances
-and solve the selector programs of all of them in one call; `ds_estimate`
-and `sds_estimate` are their batch of one.
+Every method has a stack function that runs it over many instances and
+returns per instance an `Estimate` or the ESTIMATOR_FAILURES exception it
+raised; the single-instance functions (`ls_estimate`, ...) are their
+batch of one, and an instance's estimate has the same bits in a batch of
+any size. `ls_estimates`, `omp_estimates` and `oracle_estimates` stack the
+instances of one shape into numpy's batched QR, solve and Cholesky (OMP
+runs its rounds over the instances still going); `ds_estimates` and
+`sds_estimates` solve the selector programs of all instances in one call.
+`lasso_estimates` loops: coordinate descent takes a data-dependent number
+of passes, so a stack would wait for its slowest member.
 """
 
 from __future__ import annotations
@@ -139,99 +148,234 @@ def resolve_lambda(sigma: float, X: ToeplitzTraining, rule) -> float:
     return value
 
 
-def _solve_psd(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Solve G x = rhs for Hermitian PSD G by Cholesky. A singular G gets a
-    small diagonal ridge; returns (x, whether the ridge was needed)."""
+def _only(outcomes):
+    """The one outcome of a batch of one: its Estimate, or its failure raised."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _check_finite(X: ToeplitzTraining, obs: Observation) -> None:
+    """Reject non-finite data before any factorization sees it."""
+    if not (np.isfinite(X.matrix).all() and np.isfinite(obs.y).all()):
+        raise ValueError("training matrix or observation contains NaN or Inf entries")
+
+
+def _stacks(instances, check=None, key=None) -> tuple[list, list]:
+    """Screen `instances` and stack the ones that pass.
+
+    An instance fails the screen when its X or y is not finite or when
+    `check(i, X, obs)` raises one of ESTIMATOR_FAILURES. Returns the results
+    list, holding each failed instance's exception and None elsewhere, and
+    the others in groups of the same training-matrix shape and dtypes (and
+    the same `key(i)`), each as (indices, X stack (P, N, L), y stack (P, N)).
+    """
+    results, groups = [None] * len(instances), {}
+    for i, (X, obs) in enumerate(instances):
+        try:
+            _check_finite(X, obs)
+            if check is not None:
+                check(i, X, obs)
+        except ESTIMATOR_FAILURES as exc:
+            results[i] = exc
+            continue
+        group_key = (X.matrix.shape, X.matrix.dtype, obs.y.dtype, key(i) if key else None)
+        groups.setdefault(group_key, []).append(i)
+    return results, [(group, np.stack([instances[i][0].matrix for i in group]),
+                      np.stack([instances[i][1].y for i in group]))
+                     for group in groups.values()]
+
+
+def _solve_psd(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve G_p x_p = rhs_p for each p of a stack of Hermitian PSD matrices
+    G (P, n, n) by an upper Cholesky factor. A singular G_p gets a small
+    diagonal ridge; returns (x, per system whether the ridge was needed)."""
+    factored = np.ones(len(G), dtype=bool)
     try:
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(G), rhs), False
-    except scipy.linalg.LinAlgError:
-        G = G.copy()
-        G[np.diag_indices_from(G)] += RIDGE_REGULARIZATION
-        return np.linalg.solve(G, rhs), True
+        U = np.linalg.cholesky(G, upper=True)
+    except np.linalg.LinAlgError:
+        # One singular matrix fails the whole stack: factor each alone.
+        U = np.zeros_like(G)
+        for p, Gp in enumerate(G):
+            try:
+                U[p] = np.linalg.cholesky(Gp, upper=True)
+            except np.linalg.LinAlgError:
+                factored[p] = False
+    # numpy has no stacked Cholesky solve, so LAPACK's runs matrix by matrix.
+    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (U, rhs))
+    x = []
+    for p, ok in enumerate(factored):
+        if ok:
+            x.append(potrs(U[p], rhs[p], lower=0)[0])
+        else:
+            Gp = G[p].copy()
+            Gp[np.diag_indices_from(Gp)] += RIDGE_REGULARIZATION
+            x.append(np.linalg.solve(Gp, rhs[p]))
+    return np.stack(x), ~factored
+
+
+def _least_squares(M: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list]:
+    """Solve argmin_x ||M_p x - b_p||_2 for each p of a stack of finite tall
+    matrices M (P, N, r), r <= N, and right-hand sides b (P, N).
+
+    Each system is factored by its own complex QR, and one whose R has a
+    diagonal entry below PIVOT_RTOL times the largest one is rank deficient.
+    Returns the solutions (P, r) and per system None, or the
+    SingularMatrixError carrying its first failing pivot index (its row of
+    solutions is then meaningless). numpy's QR and solve work matrix by
+    matrix, so a solution has the same bits in a stack of any size.
+    """
+    Q, R = np.linalg.qr(np.asarray(M, dtype=np.complex128), mode="reduced")
+    pivots = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    largest = pivots.max(axis=1, keepdims=True)
+    bad = (pivots < PIVOT_RTOL * largest) | (largest == 0.0)
+    singular = bad.any(axis=1)
+    R[singular] = np.eye(R.shape[1])  # keeps the stacked solve from raising
+    x = np.linalg.solve(R, np.conj(Q).swapaxes(1, 2) @ b[..., None])[..., 0]
+    return x, [SingularMatrixError(int(np.argmax(pivot_bad))) if failed else None
+               for pivot_bad, failed in zip(bad, singular)]
 
 
 def least_squares_solve(M, b) -> np.ndarray:
-    """Solve argmin_x ||Mx - b||_2 for a tall (rows >= cols) matrix M.
+    """Solve argmin_x ||Mx - b||_2 for a tall (rows >= cols) matrix M: the
+    stack of one of the solve that `ls`, `omp` and `oracle` share.
 
-    Uses a complex QR factorization and rejects rank-deficient systems: any
-    diagonal entry of R below PIVOT_RTOL times the largest one raises
-    SingularMatrixError carrying the failing pivot index. A wide M or
-    non-finite entries raise ValueError from the triangular solve.
+    Rejects rank-deficient systems: any diagonal entry of M's QR factor R
+    below PIVOT_RTOL times the largest one raises SingularMatrixError
+    carrying the failing pivot index. A wide M or non-finite entries raise
+    ValueError.
     """
-    Q, R = np.linalg.qr(np.asarray(M, dtype=np.complex128), mode="reduced")
-    pivots = np.abs(np.diag(R))
-    largest = pivots.max()
-    if largest == 0.0:
-        raise SingularMatrixError(0)
-    bad = np.flatnonzero(pivots < PIVOT_RTOL * largest)
-    if bad.size:
-        raise SingularMatrixError(int(bad[0]))
-    return scipy.linalg.solve_triangular(R, Q.conj().T @ b)
+    M, b = np.asarray(M), np.asarray(b)
+    if M.ndim != 2 or M.shape[0] < M.shape[1]:
+        raise ValueError(f"least squares needs a tall matrix, got shape {M.shape}")
+    if not (np.isfinite(M).all() and np.isfinite(b).all()):
+        raise ValueError("least-squares system contains NaN or Inf entries")
+    x, (error,) = _least_squares(M[None], b[None])
+    if error is not None:
+        raise error
+    return x[0]
+
+
+def ls_estimates(instances) -> list:
+    """Plain least squares on each (X, obs) of `instances`; the minimum-L2-norm
+    solution when N < L, through a Cholesky factor of X X^H.
+
+    A rank-deficient tall system falls back to a small ridge on X^H X, as a
+    singular X X^H does to one on X X^H, and reports "regularized".
+    Instances of the same shape are solved as one stack. Returns per
+    instance its Estimate, or the ValueError of a non-finite X or y.
+    """
+    results, stacks = _stacks(instances)
+    for group, Xm, y in stacks:
+        N, L = Xm.shape[1:]
+        # np.conj copies Xm, so on real Xm the Gram products below run as gemm
+        # rather than as syrk on a transposed view of Xm itself.
+        Xh = np.conj(Xm).swapaxes(1, 2)
+        if N >= L:
+            h, errors = _least_squares(Xm, y)
+            regularized = [error is not None for error in errors]
+            for p in np.flatnonzero(regularized):
+                gram = Xh[p] @ Xm[p]
+                gram[np.diag_indices_from(gram)] += RIDGE_REGULARIZATION
+                h[p] = np.linalg.solve(gram, Xh[p] @ y[p])
+        else:
+            w, regularized = _solve_psd(Xm @ Xh, y)
+            h = (Xh @ w[..., None])[..., 0]
+        for i, h_i, ridge in zip(group, h, regularized):
+            results[i] = Estimate(h_i, {"regularized": bool(ridge)})
+    return results
 
 
 def ls_estimate(X: ToeplitzTraining, obs: Observation) -> Estimate:
-    """Plain least squares; minimum-L2-norm solution when N < L."""
-    Xm, y = X.matrix, obs.y
-    N, L = Xm.shape
-    # np.conj copies Xm, so on real Xm the Gram products below run as gemm
-    # rather than as syrk on a transposed view of Xm itself.
-    Xh = np.conj(Xm).T
-    diagnostics = {"regularized": False}
-    if N >= L:
-        try:
-            h = least_squares_solve(Xm, y)
-        except SingularMatrixError:
-            gram = Xh @ Xm
-            gram[np.diag_indices_from(gram)] += RIDGE_REGULARIZATION
-            h = np.linalg.solve(gram, Xh @ y)
-            diagnostics["regularized"] = True
-    else:
-        w, diagnostics["regularized"] = _solve_psd(Xm @ Xh, y)
-        h = Xh @ w
-    return Estimate(h, diagnostics)
+    """Plain least squares on one instance (see `ls_estimates`)."""
+    return _only(ls_estimates([(X, obs)]))
+
+
+def omp_estimates(instances, max_atoms=None) -> list:
+    """Orthogonal matching pursuit on each (X, obs) of `instances`: greedy
+    atom selection with a full least-squares refit each round, for at most
+    `max_atoms[i]` atoms (min(N, L) when that or `max_atoms` is None) and
+    until the residual norm falls to the noise level sqrt(N sigma^2).
+
+    Instances of the same shape run their rounds together: each round picks
+    one atom for every instance still running and refits them as one stack.
+    Returns per instance its Estimate, or the ESTIMATOR_FAILURES exception
+    it raised: a non-finite X or y, a budget above min(N, L), or a
+    rank-deficient refit (SingularMatrixError).
+    """
+    budgets = list(max_atoms) if max_atoms is not None else [None] * len(instances)
+
+    def check(i, X, obs):
+        limit = min(X.matrix.shape)
+        if budgets[i] is None:
+            budgets[i] = limit
+        elif budgets[i] > limit:
+            raise ValueError(f"OMP atom budget {budgets[i]} exceeds min(N, L)={limit}")
+
+    results, stacks = _stacks(instances, check)
+    for group, Xm, y in stacks:
+        tols = [math.sqrt(Xm.shape[1] * instances[i][1].noise_variance) for i in group]
+        for i, outcome in zip(group, _omp_stack(Xm, y, np.array([budgets[i] for i in group]),
+                                                np.array(tols))):
+            results[i] = outcome
+    return results
+
+
+def _omp_stack(Xm, y, budgets, tols) -> list:
+    """OMP on a stack of same-shape instances (see `omp_estimates`). In round
+    k every instance still running holds k atoms."""
+    P, N, L = Xm.shape
+    Xh = np.conj(Xm).swapaxes(1, 2).astype(np.complex128, copy=False)
+    residual = y.astype(np.complex128)
+    atoms = np.zeros((P, min(N, L)), dtype=np.intp)
+    count = np.zeros(P, dtype=np.intp)
+    coeffs = [None] * P
+    degenerate = np.zeros(P, dtype=bool)
+    results = [None] * P
+    running = np.arange(P)
+    for k in range(min(N, L)):
+        norms = np.linalg.norm(residual[running], axis=1)
+        keep = (k < np.take(budgets, running)) & (norms > np.take(tols, running))
+        running, norms = running[keep], norms[keep]
+        if not running.size:
+            break
+        corr = np.abs(Xh @ residual[..., None])[running, :, 0]
+        best = np.argmax(corr, axis=1)
+        keep = corr.max(axis=1) > 1e-14 * np.maximum(1.0, norms)
+        running, best = running[keep], best[keep]
+        repeated = (atoms[running, :k] == best[:, None]).any(axis=1)
+        degenerate[running[repeated]] = True
+        running, best = running[~repeated], best[~repeated]
+        if not running.size:
+            break
+        atoms[running, k] = best
+        count[running] = k + 1
+        M = Xm[running[:, None], :, atoms[running, :k + 1]].swapaxes(1, 2)
+        x, errors = _least_squares(M, y[running])
+        residual[running] = y[running] - (M @ x[..., None])[..., 0]
+        for p, x_p, error in zip(running, x, errors):
+            coeffs[p] = x_p
+            results[p] = error
+        running = running[[error is None for error in errors]]
+    for p, outcome in enumerate(results):
+        if outcome is not None:
+            continue
+        h = np.zeros(L, dtype=np.complex128)
+        if count[p]:
+            h[atoms[p, :count[p]]] = coeffs[p]
+        results[p] = Estimate(h, {
+            "atoms": atoms[p, :count[p]].tolist(),
+            "residual_norm": float(np.linalg.norm(residual[p])),
+            "residual_tol": float(tols[p]),
+            "degenerate_reselection": bool(degenerate[p]),
+        })
+    return results
 
 
 def omp_estimate(X: ToeplitzTraining, obs: Observation, max_atoms: int | None = None) -> Estimate:
-    """Orthogonal matching pursuit: greedy atom selection with a full least-
-    squares refit each round, for at most `max_atoms` atoms (min(N, L) when
-    None) and until the residual norm falls to the noise level sqrt(N sigma^2)."""
-    Xm, y = X.matrix, obs.y
-    N, L = Xm.shape
-    limit = min(N, L)
-    if max_atoms is None:
-        max_atoms = limit
-    elif max_atoms > limit:
-        raise ValueError(f"OMP atom budget {max_atoms} exceeds min(N, L)={limit}")
-    residual_tol = math.sqrt(N * obs.noise_variance)
-
-    residual = y.copy()
-    selected: list[int] = []
-    coeffs = np.zeros(0, dtype=np.complex128)
-    degenerate = False
-    while len(selected) < max_atoms:
-        if np.linalg.norm(residual) <= residual_tol:
-            break
-        corr = np.abs(Xm.conj().T @ residual)
-        best = int(np.argmax(corr))
-        if corr[best] <= 1e-14 * max(1.0, float(np.linalg.norm(residual))):
-            break
-        if best in selected:
-            degenerate = True
-            break
-        selected.append(best)
-        coeffs = least_squares_solve(Xm[:, selected], y)
-        residual = y - Xm[:, selected] @ coeffs
-
-    h = np.zeros(L, dtype=np.complex128)
-    if selected:
-        h[selected] = coeffs
-    diagnostics = {
-        "atoms": list(selected),
-        "residual_norm": float(np.linalg.norm(residual)),
-        "residual_tol": residual_tol,
-        "degenerate_reselection": degenerate,
-    }
-    return Estimate(h, diagnostics)
+    """Orthogonal matching pursuit on one instance (see `omp_estimates`)."""
+    return _only(omp_estimates([(X, obs)], [max_atoms]))
 
 
 def lasso_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig) -> Estimate:
@@ -247,6 +391,7 @@ def lasso_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig) 
     that much; LASSO_MAX_SWEEPS caps the passes of either kind, and
     diagnostics["sweeps"] counts them. Coordinates with G_jj <= 0 (all-zero
     columns) stay at zero."""
+    _check_finite(X, obs)
     Xm, y = X.matrix, obs.y
     L = Xm.shape[1]
     sigma = math.sqrt(obs.noise_variance)
@@ -288,6 +433,23 @@ def lasso_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig) 
     diagnostics = {"lambda": lam, "sweeps": sweeps, "converged": converged,
                    "l1_convention": "complex_modulus"}
     return Estimate(np.array(h, dtype=np.complex128), diagnostics)
+
+
+def lasso_estimates(instances, cfg: EstimatorConfig) -> list:
+    """`lasso_estimate` on each (X, obs) of `instances`, one after another.
+
+    The Lasso is not stacked: its pass count depends on the data (from a
+    median of 14 at N=55 to hundreds at N=10, L=60), so a stack would wait
+    for its slowest member. Returns per instance its Estimate, or the
+    ESTIMATOR_FAILURES exception it raised.
+    """
+    results = []
+    for X, obs in instances:
+        try:
+            results.append(lasso_estimate(X, obs, cfg))
+        except ESTIMATOR_FAILURES as exc:
+            results.append(exc)
+    return results
 
 
 def _composite_programs(S, Xm, y, lam):
@@ -350,14 +512,6 @@ def _solve_composite_selectors(jobs) -> list:
     return results
 
 
-def _only(outcomes):
-    """The one outcome of a batch of one: its Estimate, or its failure raised."""
-    (outcome,) = outcomes
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def ds_estimates(instances, cfg: EstimatorConfig) -> list:
     """The Dantzig selector on each (X, obs) of `instances`: minimize the
     (real-composite) L1 norm subject to a componentwise bound on the
@@ -403,9 +557,9 @@ def sds_weighting(Xm: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, bool
     weights = np.asarray(weights, dtype=np.float64)
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
-    Z, regularized = _solve_psd((Xm * (weights**2)[None, :]) @ Xm.conj().T, Xm)
-    col_scale = np.real(np.einsum("ij,ij->j", np.conj(Xm), Z))
-    return Z / col_scale[None, :], regularized
+    Z, regularized = _solve_psd(((Xm * (weights**2)[None, :]) @ Xm.conj().T)[None], Xm[None])
+    col_scale = np.real(np.einsum("ij,ij->j", np.conj(Xm), Z[0]))
+    return Z[0] / col_scale[None, :], bool(regularized[0])
 
 
 def sds_estimates(instances, cfg: EstimatorConfig, bases=None) -> list:
@@ -469,19 +623,41 @@ def sds_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig,
     return _only(sds_estimates([(X, obs)], cfg, [base]))
 
 
+def oracle_estimates(instances, true_supports) -> list:
+    """Least squares on each (X, obs) of `instances` restricted to the columns
+    of its true support `true_supports[i]`, zero elsewhere.
+
+    Instances of the same shape and support size are solved as one stack.
+    Returns per instance its Estimate, or the ESTIMATOR_FAILURES exception
+    it raised: a non-finite X or y, a support larger than N or out of range,
+    or rank-deficient support columns (SingularMatrixError).
+    """
+    supports = list(true_supports)
+
+    def check(i, X, obs):
+        N, L = X.matrix.shape
+        supports[i] = support = sorted(int(j) for j in set(supports[i]))
+        if len(support) > N:
+            raise ValueError(f"support size {len(support)} exceeds N={N}")
+        if support and (support[0] < 0 or support[-1] >= L):
+            raise ValueError("support indices out of range")
+
+    results, stacks = _stacks(instances, check, key=lambda i: len(supports[i]))
+    for group, Xm, y in stacks:
+        columns = np.array([supports[i] for i in group], dtype=np.intp).reshape(len(group), -1)
+        h = np.zeros((len(group), Xm.shape[2]), dtype=np.complex128)
+        errors = [None] * len(group)
+        if columns.shape[1]:
+            x, errors = _least_squares(np.take_along_axis(Xm, columns[:, None, :], axis=2), y)
+            np.put_along_axis(h, columns, x, axis=1)
+        for i, h_i, error in zip(group, h, errors):
+            results[i] = error if error is not None else Estimate(h_i, {"support": supports[i]})
+    return results
+
+
 def oracle_estimate(X: ToeplitzTraining, obs: Observation, true_support) -> Estimate:
-    """Least squares restricted to the true support columns, zero elsewhere."""
-    support = sorted(int(i) for i in set(true_support))
-    Xm, y = X.matrix, obs.y
-    N, L = Xm.shape
-    if len(support) > N:
-        raise ValueError(f"support size {len(support)} exceeds N={N}")
-    if support and (support[0] < 0 or support[-1] >= L):
-        raise ValueError("support indices out of range")
-    h = np.zeros(L, dtype=np.complex128)
-    if support:
-        h[support] = least_squares_solve(Xm[:, support], y)
-    return Estimate(h, {"support": support})
+    """Least squares on the true support of one instance (see `oracle_estimates`)."""
+    return _only(oracle_estimates([(X, obs)], [true_support]))
 
 
 def run_estimator(
@@ -496,8 +672,8 @@ def run_estimator(
 
     The oracle requires `true_support`. OMP takes at most `true_sparsity`
     atoms (genie-aided stopping for comparison runs), min(N, L) if it is
-    None. Runs over many instances, which let `sds` reuse a `ds` estimate,
-    go through `ds_estimates` and `sds_estimates`.
+    None. Runs over many instances go through the stack functions
+    (`ls_estimates`, ...), which also let `sds` reuse a `ds` estimate.
     """
     if method == METHOD_LS:
         return ls_estimate(X, obs)

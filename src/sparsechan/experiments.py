@@ -4,14 +4,13 @@ Every trial draws a fresh channel, a fresh training matrix, and fresh noise
 from seeds derived deterministically from (base seed, sweep point, trial
 index), so any subset of trials can run concurrently and still reproduce
 the serial results bit for bit. `make_instance` builds a trial's instance
-and `estimate_instances` runs the configured methods on a list of them,
-the selector programs of all of them in one call per method. Sweeps work
+and `estimate_instances` runs each configured method once on a list of
+them, through the method's stack function in `estimators`. Sweeps work
 through each point in chunks of trials and score each chunk into
 per-trial cells; with `workers`, threads take chunks in turn. `run_trial`
 is the chunk of one, and a trial's cells do not depend on the chunk it ran
-in. The CLI's `estimate` and `demo-fig2`
-write one instance's estimates out. Failed estimator cells are itemized
-and excluded from aggregates;
+in. The CLI's `estimate` and `demo-fig2` write one instance's estimates
+out. Failed estimator cells are itemized and excluded from aggregates;
 non-converged estimates are included (dropping them would bias the error
 downward) and counted.
 """
@@ -28,8 +27,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .estimators import (ALL_METHODS, ESTIMATOR_FAILURES, METHOD_DS, METHOD_SDS, Estimate,
-                         EstimatorConfig, ds_estimates, run_estimator, sds_estimates)
+from .estimators import (ALL_METHODS, METHOD_DS, METHOD_LASSO, METHOD_LS, METHOD_OMP,
+                         METHOD_SDS, Estimate, EstimatorConfig, ds_estimates, lasso_estimates,
+                         ls_estimates, omp_estimates, oracle_estimates, sds_estimates)
+from .estimators import run_estimator  # noqa: F401  (bench/tracing.py wraps it here)
 from .model import (TRAINING_DISTRIBUTIONS, SparseChannel, build_toeplitz_training,
                     generate_sparse_channel, observe)
 
@@ -38,9 +39,9 @@ DEFAULT_SNR_GRID_DB = tuple(float(s) for s in range(3, 31, 3))
 DEFAULT_N_GRID = tuple(range(10, 56, 5))
 
 # Sweeps work through each point in chunks of this many trials: a chunk's
-# instances are built, estimated (the selector programs of all of them in
-# one call) and scored before the next chunk starts, and `workers` threads
-# take chunks in turn.
+# instances are built, estimated (each method once on all of them) and
+# scored before the next chunk starts, and `workers` threads take chunks in
+# turn.
 TRIALS_PER_CHUNK = 8
 
 AXIS_SNR = "snr_db"
@@ -204,38 +205,35 @@ def estimate_instances(cfg: ExperimentConfig, instances) -> list:
     method order. All methods see the instance's identical (X, y); the
     oracle additionally receives the true support, OMP takes at most the
     true sparsity in atoms, and `sds` reuses the `ds` estimate when `ds`
-    ran before it. `ds` and `sds` solve the selector programs of all the
-    instances in one call each (see `estimators.ds_estimates`); every other
-    method runs instance by instance. A method that raises one of
+    ran before it. Each method runs once on all the instances, through its
+    stack function in `estimators` (`ls_estimates`, ...), and an instance's
+    estimate does not depend on the others. A method that raises one of
     `ESTIMATOR_FAILURES` on an instance gets its error text there, and the
     other methods and instances still run; any other exception propagates.
     """
     results = [({}, {}) for _ in instances]
     pairs = [(X, obs) for _channel, X, obs in instances]
+    channels = [channel for channel, _X, _obs in instances]
     for method in cfg.methods:
-        if method == METHOD_DS:
+        if method == METHOD_LS:
+            outcomes = ls_estimates(pairs)
+        elif method == METHOD_OMP:
+            outcomes = omp_estimates(pairs, [channel.sparsity for channel in channels])
+        elif method == METHOD_LASSO:
+            outcomes = lasso_estimates(pairs, cfg.estimator)
+        elif method == METHOD_DS:
             outcomes = ds_estimates(pairs, cfg.estimator)
         elif method == METHOD_SDS:
             outcomes = sds_estimates(pairs, cfg.estimator,
                                      [estimates.get(METHOD_DS) for estimates, _ in results])
-        else:
-            outcomes = [_attempt(method, cfg, *instance) for instance in instances]
+        else:  # METHOD_ORACLE
+            outcomes = oracle_estimates(pairs, [channel.support for channel in channels])
         for (estimates, errors), outcome in zip(results, outcomes):
             if isinstance(outcome, Exception):
                 errors[method] = f"{type(outcome).__name__}: {outcome}"
             else:
                 estimates[method] = outcome
     return results
-
-
-def _attempt(method, cfg: ExperimentConfig, channel: SparseChannel, X, obs):
-    """`run_estimator` on one instance; an ESTIMATOR_FAILURES exception is
-    returned, not raised."""
-    try:
-        return run_estimator(method, X, obs, cfg.estimator, true_support=channel.support,
-                             true_sparsity=channel.sparsity)
-    except ESTIMATOR_FAILURES as exc:  # must not sink the other methods
-        return exc
 
 
 def _run_trials(cfg: ExperimentConfig, snr_db: float, n: int, trial_indices) -> list[dict]:

@@ -332,10 +332,11 @@ class TestEstimateCommand:
 
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         # Only expected estimator failures become failed cells or exit 3.
-        def broken(X, obs):
+        def broken(*args):
             raise TypeError("broken estimator")
 
-        monkeypatch.setattr(estimators, "ls_estimate", broken)
+        # The minimum-norm solve inside `ls` (N=8 < L=16) breaks.
+        monkeypatch.setattr(estimators, "_solve_psd", broken)
         cfg = ExperimentConfig(L=16, T=2, trials=1, methods=("ls",), fixed_n=8)
         with pytest.raises(TypeError, match="broken estimator"):
             run_trial(cfg, 10.0, 8, 0)

@@ -123,6 +123,10 @@ class TestLeastSquares:
         with pytest.raises(ValueError):
             least_squares_solve(np.ones((2, 3)), np.ones(2))
 
+    def test_non_finite_rejected_by_name(self):
+        with pytest.raises(ValueError, match="contains NaN or Inf entries"):
+            least_squares_solve(np.eye(2), np.array([1.0, np.nan]))
+
 
 class TestLeastSquaresEstimator:
     def test_identity(self):
@@ -437,6 +441,96 @@ class TestOracle:
         channel, X, obs = make_instance(L=12, T=2, N=4, seed=27)
         with pytest.raises(ValueError):
             oracle_estimate(X, obs, range(5))
+
+
+def finite_only(factorization):
+    """`factorization`, failing the test when it is handed non-finite data."""
+    def guarded(M, *args, **kwargs):
+        assert np.all(np.isfinite(M)), "non-finite data reached a factorization"
+        return factorization(M, *args, **kwargs)
+    return guarded
+
+
+class TestStackedBaselines:
+    """`ls_estimates`, `omp_estimates` and `oracle_estimates` solve instances
+    of the same shape as one stack; each instance keeps its own outcome, and
+    its estimate has the bits of its solo run."""
+
+    def instances(self, count=4, **kwargs):
+        return [make_instance(seed=40 + s, **kwargs) for s in range(count)]
+
+    def assert_alone(self, outcomes, instances, solo, bad=None):
+        for i, (outcome, (channel, X, obs)) in enumerate(zip(outcomes, instances)):
+            if i == bad:
+                continue
+            alone = solo(channel, X, obs)
+            np.testing.assert_array_equal(outcome.h_hat, alone.h_hat)
+            assert outcome.diagnostics == alone.diagnostics
+
+    @pytest.mark.parametrize("field", ["y", "matrix"])
+    def test_non_finite_data_fails_alone_at_the_boundary(self, monkeypatch, field):
+        instances = self.instances(N=30)
+        channel, X, obs = instances[1]
+        if field == "y":
+            instances[1] = (channel, X, replace(obs, y=np.where(np.arange(X.N) == 3, np.nan, obs.y)))
+        else:
+            instances[1] = (channel, replace(X, matrix=np.where(X.matrix == X.matrix[0, 0],
+                                                                np.inf, X.matrix)), obs)
+        pairs = [(X, obs) for _channel, X, obs in instances]
+        supports = [channel.support for channel, _X, _obs in instances]
+        for name in ("qr", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, finite_only(getattr(np.linalg, name)))
+        message = "training matrix or observation contains NaN or Inf entries"
+        cases = [
+            (estimators.ls_estimates(pairs), lambda ch, X, obs: ls_estimate(X, obs)),
+            (estimators.omp_estimates(pairs, [4] * 4),
+             lambda ch, X, obs: omp_estimate(X, obs, 4)),
+            (estimators.oracle_estimates(pairs, supports),
+             lambda ch, X, obs: oracle_estimate(X, obs, ch.support)),
+            (estimators.lasso_estimates(pairs, EstimatorConfig()),
+             lambda ch, X, obs: lasso_estimate(X, obs, EstimatorConfig())),
+        ]
+        for outcomes, solo in cases:
+            assert isinstance(outcomes[1], ValueError) and str(outcomes[1]) == message
+            self.assert_alone(outcomes, instances, solo, bad=1)
+
+    def test_rank_deficient_oracle_support_fails_alone(self):
+        instances = self.instances()
+        channel, X, obs = instances[2]
+        # Equal columns: the second support column adds no rank.
+        instances[2] = (channel, replace(X, matrix=np.ones_like(X.matrix)), obs)
+        outcomes = estimators.oracle_estimates([(X, obs) for _ch, X, obs in instances],
+                                               [ch.support for ch, _X, _obs in instances])
+        failed = outcomes[2]
+        assert isinstance(failed, SingularMatrixError) and failed.pivot_index == 1
+        assert str(failed) == "matrix is singular within tolerance at pivot 1"
+        self.assert_alone(outcomes, instances,
+                          lambda ch, X, obs: oracle_estimate(X, obs, ch.support), bad=2)
+
+    def test_omp_budget_above_limit_fails_alone(self):
+        instances = self.instances(N=30)
+        outcomes = estimators.omp_estimates([(X, obs) for _ch, X, obs in instances],
+                                            [4, 31, None, 2])
+        failed = outcomes[1]
+        assert type(failed) is ValueError
+        assert str(failed) == "OMP atom budget 31 exceeds min(N, L)=30"
+        budgets = {0: 4, 2: None, 3: 2}
+        for i in budgets:
+            _channel, X, obs = instances[i]
+            alone = omp_estimate(X, obs, budgets[i])
+            np.testing.assert_array_equal(outcomes[i].h_hat, alone.h_hat)
+            assert outcomes[i].diagnostics == alone.diagnostics
+
+    @pytest.mark.parametrize("N", [30, 80])
+    def test_ls_ridge_stays_with_its_instance(self, N):
+        # Equal columns (N >= L) or equal rows (N < L) make the system
+        # singular; only that instance falls back to the ridge.
+        instances = self.instances(N=N)
+        channel, X, obs = instances[0]
+        instances[0] = (channel, replace(X, matrix=np.ones_like(X.matrix)), obs)
+        outcomes = estimators.ls_estimates([(X, obs) for _ch, X, obs in instances])
+        assert [est.diagnostics["regularized"] for est in outcomes] == [True, False, False, False]
+        self.assert_alone(outcomes, instances, lambda ch, X, obs: ls_estimate(X, obs))
 
 
 class TestDispatch:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sparsechan import estimators, experiments
-from sparsechan.estimators import Estimate, run_estimator, sds_estimate
+from sparsechan.estimators import ALL_METHODS, Estimate, run_estimator, sds_estimate
 from sparsechan.experiments import (
     ExperimentConfig,
     derive_trial_seed,
@@ -130,16 +130,20 @@ class TestSelectorBatches:
     """Sweeps solve the selector programs of a chunk of trials together; a
     trial's cells must not depend on that."""
 
-    @pytest.mark.parametrize("distribution", ["gaussian", "complex_gaussian"])
+    @pytest.mark.parametrize("distribution", ["gaussian", "complex_gaussian", "rademacher"])
     def test_sweep_cell_equals_instance_alone(self, distribution):
-        cfg = selector_config(distribution)
+        # Every method runs once per chunk (of 8 trials and then of 3 here);
+        # each cell is the bits of its instance estimated alone.
+        cfg = replace(selector_config(distribution, methods=ALL_METHODS), trials=11)
         result = sweep_snr(cfg)
         for trial in range(cfg.trials):
             channel, X, obs = make_instance(cfg, 15.0, cfg.fixed_n, trial)
             for method in cfg.methods:
                 cell = result.trials[(15.0, method)][trial]
                 assert not cell.failed
-                assert cell.mse == mse(channel, run_estimator(method, X, obs, cfg.estimator))
+                alone = run_estimator(method, X, obs, cfg.estimator, true_support=channel.support,
+                                      true_sparsity=channel.sparsity)
+                assert cell.mse == mse(channel, alone)
 
     def test_failure_stays_in_its_trial(self, monkeypatch):
         cfg = selector_config("gaussian", methods=("ls", "ds"))
