@@ -28,9 +28,11 @@ returns per instance an `Estimate` or the ESTIMATOR_FAILURES exception it
 raised; the single-instance functions (`ls_estimate`, ...) are their
 batch of one, and an instance's estimate has the same bits in a batch of
 any size. `ls_estimates`, `omp_estimates` and `oracle_estimates` stack the
-instances of one shape into numpy's batched QR, solve and Cholesky (OMP
-runs its rounds over the instances still going); `ds_estimates` and
-`sds_estimates` solve the selector programs of all instances in one call.
+instances of one shape into numpy's batched QR and solve (OMP runs its
+rounds over the instances still going; the minimum-norm `ls` forms its
+Gram matrices as one stack and factors them one at a time);
+`ds_estimates` and `sds_estimates` solve the selector programs of all
+instances in one call.
 `lasso_estimates` loops: coordinate descent takes a data-dependent number
 of passes, so a stack would wait for its slowest member.
 """
@@ -188,31 +190,23 @@ def _stacks(instances, check=None, key=None) -> tuple[list, list]:
 
 
 def _solve_psd(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve G_p x_p = rhs_p for each p of a stack of Hermitian PSD matrices
-    G (P, n, n) by an upper Cholesky factor. A singular G_p gets a small
-    diagonal ridge; returns (x, per system whether the ridge was needed)."""
-    factored = np.ones(len(G), dtype=bool)
-    try:
-        U = np.linalg.cholesky(G, upper=True)
-    except np.linalg.LinAlgError:
-        # One singular matrix fails the whole stack: factor each alone.
-        U = np.zeros_like(G)
-        for p, Gp in enumerate(G):
-            try:
-                U[p] = np.linalg.cholesky(Gp, upper=True)
-            except np.linalg.LinAlgError:
-                factored[p] = False
-    # numpy has no stacked Cholesky solve, so LAPACK's runs matrix by matrix.
-    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (U, rhs))
-    x = []
-    for p, ok in enumerate(factored):
-        if ok:
-            x.append(potrs(U[p], rhs[p], lower=0)[0])
+    """Solve G_p x_p = rhs_p for each p of a stack of finite Hermitian PSD
+    matrices G (P, n, n), one upper Cholesky factor (LAPACK potrf/potrs) at
+    a time. A singular G_p gets a small diagonal ridge; returns (x, per
+    system whether the ridge was needed)."""
+    potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (G,))
+    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (G, rhs))
+    x, regularized = [], np.zeros(len(G), dtype=bool)
+    for p, Gp in enumerate(G):
+        U, info = potrf(Gp, lower=0, clean=0)
+        if info == 0:
+            x.append(potrs(U, rhs[p], lower=0)[0])
         else:
-            Gp = G[p].copy()
+            Gp = Gp.copy()
             Gp[np.diag_indices_from(Gp)] += RIDGE_REGULARIZATION
             x.append(np.linalg.solve(Gp, rhs[p]))
-    return np.stack(x), ~factored
+            regularized[p] = True
+    return np.stack(x), regularized
 
 
 def _least_squares(M: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list]:
@@ -340,7 +334,7 @@ def _omp_stack(Xm, y, budgets, tols) -> list:
         running, norms = running[keep], norms[keep]
         if not running.size:
             break
-        corr = np.abs(Xh @ residual[..., None])[running, :, 0]
+        corr = np.abs(Xh[running] @ residual[running][..., None])[..., 0]
         best = np.argmax(corr, axis=1)
         keep = corr.max(axis=1) > 1e-14 * np.maximum(1.0, norms)
         running, best = running[keep], best[keep]
@@ -555,6 +549,8 @@ def sds_weighting(Xm: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, bool
     by 1 / (x_i^H R^{-1} x_i). A singular R gets a small diagonal ridge.
     Returns (reweighted matrix, whether the ridge was needed)."""
     weights = np.asarray(weights, dtype=np.float64)
+    if not (np.isfinite(weights).all() and np.isfinite(Xm).all()):
+        raise ValueError("weights or training matrix contain NaN or Inf entries")
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
     Z, regularized = _solve_psd(((Xm * (weights**2)[None, :]) @ Xm.conj().T)[None], Xm[None])

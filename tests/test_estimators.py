@@ -385,6 +385,12 @@ class TestSensingSelector:
         with pytest.raises(ValueError):
             sds_weighting(X.matrix, -np.ones(9))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        X = build_toeplitz_training(6, 9, "gaussian", seed=23)
+        with pytest.raises(ValueError, match="weights or training matrix contain NaN or Inf"):
+            sds_weighting(X.matrix, np.where(np.arange(9) == 4, bad, 1.0))
+
     def test_reweighted_constraint_feasible(self):
         channel, X, obs = make_instance(seed=24)
         est = sds_estimate(X, obs, EstimatorConfig())
@@ -478,8 +484,8 @@ class TestStackedBaselines:
                                                                 np.inf, X.matrix)), obs)
         pairs = [(X, obs) for _channel, X, obs in instances]
         supports = [channel.support for channel, _X, _obs in instances]
-        for name in ("qr", "cholesky"):
-            monkeypatch.setattr(np.linalg, name, finite_only(getattr(np.linalg, name)))
+        monkeypatch.setattr(np.linalg, "qr", finite_only(np.linalg.qr))
+        monkeypatch.setattr(estimators, "_solve_psd", finite_only(estimators._solve_psd))
         message = "training matrix or observation contains NaN or Inf entries"
         cases = [
             (estimators.ls_estimates(pairs), lambda ch, X, obs: ls_estimate(X, obs)),
