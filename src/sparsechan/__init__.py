@@ -11,14 +11,8 @@ from .estimators import (
     ALL_METHODS,
     Estimate,
     EstimatorConfig,
-    ds_estimate,
-    lasso_estimate,
-    ls_estimate,
-    omp_estimate,
-    oracle_estimate,
     resolve_lambda,
     run_estimator,
-    sds_estimate,
 )
 from .experiments import (
     ExperimentConfig,
@@ -59,21 +53,15 @@ __all__ = [
     "SweepResult",
     "ToeplitzTraining",
     "build_toeplitz_training",
-    "ds_estimate",
     "fixed_channel_figure_demo",
     "generate_sparse_channel",
-    "lasso_estimate",
-    "ls_estimate",
     "measurement_budget",
     "mse",
     "observe",
-    "omp_estimate",
-    "oracle_estimate",
     "resolve_lambda",
     "restricted_isometry_constant",
     "run_estimator",
     "run_trial",
-    "sds_estimate",
     "solve_lp",
     "sweep_snr",
     "sweep_training_length",

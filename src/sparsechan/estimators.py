@@ -25,16 +25,16 @@ is solved. Lasso uses the modulus-based L1 (shrink modulus, keep phase).
 
 Every method has a stack function that runs it over many instances and
 returns per instance an `Estimate` or the ESTIMATOR_FAILURES exception it
-raised; the single-instance functions (`ls_estimate`, ...) are their
-batch of one, and an instance's estimate has the same bits in a batch of
-any size. `ls_estimates`, `omp_estimates` and `oracle_estimates` stack the
-instances of one shape into numpy's batched QR and solve (OMP runs its
-rounds over the instances still going; the minimum-norm `ls` forms its
-Gram matrices as one stack and factors them one at a time);
-`ds_estimates` and `sds_estimates` solve the selector programs of all
-instances in one call.
-`lasso_estimates` loops: coordinate descent takes a data-dependent number
-of passes, so a stack would wait for its slowest member.
+raised, and an instance's estimate has the same bits in a batch of any
+size. `run_estimators` is the one place a method name picks its stack
+function, and `run_estimator` is its batch of one. `ls_estimates`,
+`omp_estimates` and `oracle_estimates` stack the instances of one shape
+into numpy's batched QR and solve (OMP runs its rounds over the instances
+still going; the minimum-norm `ls` forms its Gram matrices as one stack
+and factors them one at a time); `ds_estimates` and `sds_estimates` solve
+the selector programs of all instances in one call. `lasso_estimates`
+loops: coordinate descent takes a data-dependent number of passes, so a
+stack would wait for its slowest member.
 """
 
 from __future__ import annotations
@@ -150,14 +150,6 @@ def resolve_lambda(sigma: float, X: ToeplitzTraining, rule) -> float:
     return value
 
 
-def _only(outcomes):
-    """The one outcome of a batch of one: its Estimate, or its failure raised."""
-    (outcome,) = outcomes
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def _check_finite(X: ToeplitzTraining, obs: Observation) -> None:
     """Reject non-finite data before any factorization sees it."""
     if not (np.isfinite(X.matrix).all() and np.isfinite(obs.y).all()):
@@ -189,24 +181,35 @@ def _stacks(instances, check=None, key=None) -> tuple[list, list]:
                      for group in groups.values()]
 
 
-def _solve_psd(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ridge_solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (G + RIDGE_REGULARIZATION I) x = rhs; raises LinAlgError when
+    the ridge is lost to rounding and the matrix stays singular."""
+    G = G.copy()
+    G[np.diag_indices_from(G)] += RIDGE_REGULARIZATION
+    return np.linalg.solve(G, rhs)
+
+
+def _solve_psd(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """Solve G_p x_p = rhs_p for each p of a stack of finite Hermitian PSD
     matrices G (P, n, n), one upper Cholesky factor (LAPACK potrf/potrs) at
-    a time. A singular G_p gets a small diagonal ridge; returns (x, per
-    system whether the ridge was needed)."""
+    a time. A singular G_p gets a small diagonal ridge. Returns x, per
+    system whether the ridge was needed, and per system None or the
+    LinAlgError of a ridge solve that failed too (its row of x is then 0)."""
     potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (G,))
     potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (G, rhs))
-    x, regularized = [], np.zeros(len(G), dtype=bool)
+    x, regularized, errors = [], np.zeros(len(G), dtype=bool), [None] * len(G)
     for p, Gp in enumerate(G):
         U, info = potrf(Gp, lower=0, clean=0)
         if info == 0:
             x.append(potrs(U, rhs[p], lower=0)[0])
-        else:
-            Gp = Gp.copy()
-            Gp[np.diag_indices_from(Gp)] += RIDGE_REGULARIZATION
-            x.append(np.linalg.solve(Gp, rhs[p]))
-            regularized[p] = True
-    return np.stack(x), regularized
+            continue
+        regularized[p] = True
+        try:
+            x.append(_ridge_solve(Gp, rhs[p]))
+        except np.linalg.LinAlgError as exc:
+            x.append(np.zeros_like(rhs[p]))
+            errors[p] = exc
+    return np.stack(x), regularized, errors
 
 
 def _least_squares(M: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list]:
@@ -258,7 +261,8 @@ def ls_estimates(instances) -> list:
     A rank-deficient tall system falls back to a small ridge on X^H X, as a
     singular X X^H does to one on X X^H, and reports "regularized".
     Instances of the same shape are solved as one stack. Returns per
-    instance its Estimate, or the ValueError of a non-finite X or y.
+    instance its Estimate, the ValueError of a non-finite X or y, or the
+    LinAlgError of a ridge solve that stayed singular.
     """
     results, stacks = _stacks(instances)
     for group, Xm, y in stacks:
@@ -267,23 +271,20 @@ def ls_estimates(instances) -> list:
         # rather than as syrk on a transposed view of Xm itself.
         Xh = np.conj(Xm).swapaxes(1, 2)
         if N >= L:
-            h, errors = _least_squares(Xm, y)
-            regularized = [error is not None for error in errors]
+            h, singular = _least_squares(Xm, y)
+            regularized = [error is not None for error in singular]
+            errors = [None] * len(group)
             for p in np.flatnonzero(regularized):
-                gram = Xh[p] @ Xm[p]
-                gram[np.diag_indices_from(gram)] += RIDGE_REGULARIZATION
-                h[p] = np.linalg.solve(gram, Xh[p] @ y[p])
+                try:
+                    h[p] = _ridge_solve(Xh[p] @ Xm[p], Xh[p] @ y[p])
+                except np.linalg.LinAlgError as exc:
+                    errors[p] = exc
         else:
-            w, regularized = _solve_psd(Xm @ Xh, y)
+            w, regularized, errors = _solve_psd(Xm @ Xh, y)
             h = (Xh @ w[..., None])[..., 0]
-        for i, h_i, ridge in zip(group, h, regularized):
-            results[i] = Estimate(h_i, {"regularized": bool(ridge)})
+        for i, h_i, ridge, error in zip(group, h, regularized, errors):
+            results[i] = error if error is not None else Estimate(h_i, {"regularized": bool(ridge)})
     return results
-
-
-def ls_estimate(X: ToeplitzTraining, obs: Observation) -> Estimate:
-    """Plain least squares on one instance (see `ls_estimates`)."""
-    return _only(ls_estimates([(X, obs)]))
 
 
 def omp_estimates(instances, max_atoms=None) -> list:
@@ -367,12 +368,7 @@ def _omp_stack(Xm, y, budgets, tols) -> list:
     return results
 
 
-def omp_estimate(X: ToeplitzTraining, obs: Observation, max_atoms: int | None = None) -> Estimate:
-    """Orthogonal matching pursuit on one instance (see `omp_estimates`)."""
-    return _only(omp_estimates([(X, obs)], [max_atoms]))
-
-
-def lasso_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig) -> Estimate:
+def _lasso_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig) -> Estimate:
     """L1-penalized least squares, (1/2)||y - Xh||^2 + lambda * sum |h_i|,
     by coordinate descent on the Gram form G = X^H X, c = X^H y; the
     threshold shrinks the modulus and keeps the phase.
@@ -430,7 +426,7 @@ def lasso_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig) 
 
 
 def lasso_estimates(instances, cfg: EstimatorConfig) -> list:
-    """`lasso_estimate` on each (X, obs) of `instances`, one after another.
+    """`_lasso_estimate` on each (X, obs) of `instances`, one after another.
 
     The Lasso is not stacked: its pass count depends on the data (from a
     median of 14 at N=55 to hundreds at N=10, L=60), so a stack would wait
@@ -440,7 +436,7 @@ def lasso_estimates(instances, cfg: EstimatorConfig) -> list:
     results = []
     for X, obs in instances:
         try:
-            results.append(lasso_estimate(X, obs, cfg))
+            results.append(_lasso_estimate(X, obs, cfg))
         except ESTIMATOR_FAILURES as exc:
             results.append(exc)
     return results
@@ -476,14 +472,14 @@ def _composite_programs(S, Xm, y, lam):
     return programs, decoupled
 
 
-def _solve_composite_selectors(jobs) -> list:
-    """Solve the programs of every job, each a `_composite_programs` result,
-    in one call to `solve_selectors`. Returns per job the composite
-    estimate and its LP diagnostics, or the SelectorLpError of a program
-    that ended infeasible or unbounded."""
-    solutions = iter(solve_selectors([p for programs, _ in jobs for p in programs]))
-    results = []
-    for programs, decoupled in jobs:
+def _solve_composite_selectors(results: list, jobs) -> list:
+    """Solve the programs of every job (i, lam, `_composite_programs` result,
+    extra diagnostics) in one call to `solve_selectors`, and set results[i]
+    to the job's Estimate, whose diagnostics are lambda, the l1 convention,
+    the extra ones and the LP's, or to the SelectorLpError of a program
+    that ended infeasible or unbounded. Returns `results`."""
+    solutions = iter(solve_selectors([p for _, _, (programs, _), _ in jobs for p in programs]))
+    for i, lam, (programs, decoupled), extra in jobs:
         sols = [next(solutions) for _ in programs]
         statuses = [sol.status for sol in sols]
         failed = [s for s in statuses if s in (STATUS_INFEASIBLE, STATUS_UNBOUNDED)]
@@ -491,18 +487,21 @@ def _solve_composite_selectors(jobs) -> list:
             # The constraint set always contains a point with zero correlation
             # residual and the objective is bounded below, so either report
             # indicates a solver malfunction.
-            results.append(SelectorLpError(
-                f"selector LP reported {failed[0]}; this indicates a solver bug"))
+            results[i] = SelectorLpError(
+                f"selector LP reported {failed[0]}; this indicates a solver bug")
             continue
         n = programs[0][0].shape[0]
         g = np.concatenate([sol.x[:n] - sol.x[n:] for sol in sols])
         L = g.size // 2
-        results.append((g[:L] + 1j * g[L:], {
+        results[i] = Estimate(g[:L] + 1j * g[L:], {
+            "lambda": lam,
+            "l1_convention": "real_composite",
+            **extra,
             "lp_iterations": sum(sol.iterations for sol in sols),
             "lp_statuses": statuses,
             "decoupled": decoupled,
             "converged": STATUS_ITERATION_LIMIT not in statuses,
-        }))
+        })
     return results
 
 
@@ -515,7 +514,7 @@ def ds_estimates(instances, cfg: EstimatorConfig) -> list:
     estimate is bit for bit the one its instance gets alone. Returns per
     instance its Estimate, or the ESTIMATOR_FAILURES exception it raised.
     """
-    results, pending, jobs = [None] * len(instances), [], []
+    results, jobs = [None] * len(instances), []
     for i, (X, obs) in enumerate(instances):
         try:
             sigma = math.sqrt(obs.noise_variance)
@@ -523,23 +522,10 @@ def ds_estimates(instances, cfg: EstimatorConfig) -> list:
                 lam = COMPOSITE_LAMBDA_CALIBRATION * resolve_lambda(sigma, X, "auto")
             else:
                 lam = resolve_lambda(sigma, X, cfg.lambda_ds)
-            jobs.append(_composite_programs(X.matrix, X.matrix, obs.y, lam))
+            jobs.append((i, lam, _composite_programs(X.matrix, X.matrix, obs.y, lam), {}))
         except ESTIMATOR_FAILURES as exc:
             results[i] = exc
-            continue
-        pending.append((i, lam))
-    for (i, lam), solved in zip(pending, _solve_composite_selectors(jobs)):
-        if isinstance(solved, Exception):
-            results[i] = solved
-            continue
-        h, lp_info = solved
-        results[i] = Estimate(h, {"lambda": lam, "l1_convention": "real_composite", **lp_info})
-    return results
-
-
-def ds_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig) -> Estimate:
-    """Dantzig selector on one instance (see `ds_estimates`)."""
-    return _only(ds_estimates([(X, obs)], cfg))
+    return _solve_composite_selectors(results, jobs)
 
 
 def sds_weighting(Xm: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -553,7 +539,10 @@ def sds_weighting(Xm: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, bool
         raise ValueError("weights or training matrix contain NaN or Inf entries")
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
-    Z, regularized = _solve_psd(((Xm * (weights**2)[None, :]) @ Xm.conj().T)[None], Xm[None])
+    Z, regularized, (error,) = _solve_psd(((Xm * (weights**2)[None, :]) @ Xm.conj().T)[None],
+                                          Xm[None])
+    if error is not None:
+        raise error
     col_scale = np.real(np.einsum("ij,ij->j", np.conj(Xm), Z[0]))
     return Z[0] / col_scale[None, :], bool(regularized[0])
 
@@ -564,17 +553,18 @@ def sds_estimates(instances, cfg: EstimatorConfig, bases=None) -> list:
     correlation, rebuild the sensing matrix through R = X W^2 X^H, and
     re-solve with the new constraint.
 
-    `bases[i]`, when given and not None, is the plain selector's estimate
-    of instance i with this `cfg`, used instead of solving it again; the
-    other instances' plain selectors run as one call of `ds_estimates`, and
-    the reweighted programs of all instances as another. Returns per
-    instance its Estimate, or the ESTIMATOR_FAILURES exception it raised.
+    `bases[i]`, when given and an Estimate, is the plain selector's
+    estimate of instance i with this `cfg`, used instead of solving it
+    again; the other instances' plain selectors run as one call of
+    `ds_estimates`, and the reweighted programs of all instances as
+    another. Returns per instance its Estimate, or the ESTIMATOR_FAILURES
+    exception it raised.
     """
     bases = list(bases) if bases is not None else [None] * len(instances)
-    missing = [i for i, base in enumerate(bases) if base is None]
+    missing = [i for i, base in enumerate(bases) if not isinstance(base, Estimate)]
     for i, base in zip(missing, ds_estimates([instances[i] for i in missing], cfg)):
         bases[i] = base
-    results, pending, jobs = [None] * len(instances), [], []
+    results, jobs = [None] * len(instances), []
     for i, ((X, obs), base) in enumerate(zip(instances, bases)):
         if isinstance(base, Exception):
             results[i] = base
@@ -588,35 +578,16 @@ def sds_estimates(instances, cfg: EstimatorConfig, bases=None) -> list:
         lam = base.diagnostics["lambda"]
         try:
             X_alt, regularized = sds_weighting(Xm, w)
-            jobs.append(_composite_programs(X_alt, Xm, y, lam))
+            jobs.append((i, lam, _composite_programs(X_alt, Xm, y, lam), {
+                "degenerate_weighting": False,
+                "weighting_regularized": regularized,
+                "weights": w,
+                "normalization": "columnwise x_alt_i = R^-1 x_i / (x_i^H R^-1 x_i)",
+                "base_lp_iterations": base.diagnostics["lp_iterations"],
+            }))
         except ESTIMATOR_FAILURES as exc:
             results[i] = exc
-            continue
-        pending.append((i, base, w, regularized))
-    for (i, base, w, regularized), solved in zip(pending, _solve_composite_selectors(jobs)):
-        if isinstance(solved, Exception):
-            results[i] = solved
-            continue
-        h, lp_info = solved
-        results[i] = Estimate(h, {
-            "lambda": base.diagnostics["lambda"],
-            "l1_convention": "real_composite",
-            "degenerate_weighting": False,
-            "weighting_regularized": regularized,
-            "weights": w,
-            "normalization": "columnwise x_alt_i = R^-1 x_i / (x_i^H R^-1 x_i)",
-            "base_lp_iterations": base.diagnostics["lp_iterations"],
-            **lp_info,
-        })
-    return results
-
-
-def sds_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig,
-                 base: Estimate | None = None) -> Estimate:
-    """Reweighted selector on one instance (see `sds_estimates`); `base` is
-    the plain selector's estimate when it was already computed on this
-    instance with this `cfg`."""
-    return _only(sds_estimates([(X, obs)], cfg, [base]))
+    return _solve_composite_selectors(results, jobs)
 
 
 def oracle_estimates(instances, true_supports) -> list:
@@ -651,38 +622,51 @@ def oracle_estimates(instances, true_supports) -> list:
     return results
 
 
-def oracle_estimate(X: ToeplitzTraining, obs: Observation, true_support) -> Estimate:
-    """Least squares on the true support of one instance (see `oracle_estimates`)."""
-    return _only(oracle_estimates([(X, obs)], [true_support]))
+def run_estimators(methods, instances, cfg: EstimatorConfig, true_supports=None,
+                   true_sparsities=None) -> list:
+    """Run `methods` in order, each once through its stack function, on the
+    (X, obs) of `instances`.
 
-
-def run_estimator(
-    method: str,
-    X: ToeplitzTraining,
-    obs: Observation,
-    cfg: EstimatorConfig,
-    true_support=None,
-    true_sparsity: int | None = None,
-) -> Estimate:
-    """Dispatch a named estimator on one instance.
-
-    The oracle requires `true_support`. OMP takes at most `true_sparsity`
-    atoms (genie-aided stopping for comparison runs), min(N, L) if it is
-    None. Runs over many instances go through the stack functions
-    (`ls_estimates`, ...), which also let `sds` reuse a `ds` estimate.
+    Returns per instance {method: its Estimate, or the ESTIMATOR_FAILURES
+    exception it raised}, in method order; any other exception propagates.
+    OMP takes at most `true_sparsities[i]` atoms (genie-aided stopping for
+    comparison runs), min(N, L) when that or `true_sparsities` is None; the
+    oracle solves on `true_supports[i]`; `sds` reuses a successful `ds`
+    estimate when `ds` ran before it. An unknown method, or the oracle
+    without `true_supports`, raises ValueError before any method runs.
     """
-    if method == METHOD_LS:
-        return ls_estimate(X, obs)
-    if method == METHOD_OMP:
-        return omp_estimate(X, obs, true_sparsity)
-    if method == METHOD_LASSO:
-        return lasso_estimate(X, obs, cfg)
-    if method == METHOD_DS:
-        return ds_estimate(X, obs, cfg)
-    if method == METHOD_SDS:
-        return sds_estimate(X, obs, cfg)
-    if method == METHOD_ORACLE:
-        if true_support is None:
-            raise ValueError("oracle estimator needs the true support")
-        return oracle_estimate(X, obs, true_support)
-    raise ValueError(f"unknown estimator {method!r}; choose from {ALL_METHODS}")
+    for method in methods:
+        if method not in ALL_METHODS:
+            raise ValueError(f"unknown estimator {method!r}; choose from {ALL_METHODS}")
+    if METHOD_ORACLE in methods and true_supports is None:
+        raise ValueError("oracle estimator needs the true support")
+    results = [{} for _ in instances]
+    for method in methods:
+        if method == METHOD_LS:
+            outcomes = ls_estimates(instances)
+        elif method == METHOD_OMP:
+            outcomes = omp_estimates(instances, true_sparsities)
+        elif method == METHOD_LASSO:
+            outcomes = lasso_estimates(instances, cfg)
+        elif method == METHOD_DS:
+            outcomes = ds_estimates(instances, cfg)
+        elif method == METHOD_SDS:
+            outcomes = sds_estimates(instances, cfg, [result.get(METHOD_DS) for result in results])
+        else:  # METHOD_ORACLE
+            outcomes = oracle_estimates(instances, true_supports)
+        for result, outcome in zip(results, outcomes):
+            result[method] = outcome
+    return results
+
+
+def run_estimator(method: str, X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig,
+                  true_support=None, true_sparsity: int | None = None) -> Estimate:
+    """Run a named estimator on one instance: the batch of one of
+    `run_estimators`, with the failure raised. The oracle requires
+    `true_support`; OMP takes at most `true_sparsity` atoms, min(N, L) if it
+    is None."""
+    supports = None if true_support is None else [true_support]
+    outcome = run_estimators([method], [(X, obs)], cfg, supports, [true_sparsity])[0][method]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

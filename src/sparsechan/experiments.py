@@ -5,14 +5,14 @@ from seeds derived deterministically from (base seed, sweep point, trial
 index), so any subset of trials can run concurrently and still reproduce
 the serial results bit for bit. `make_instance` builds a trial's instance
 and `estimate_instances` runs each configured method once on a list of
-them, through the method's stack function in `estimators`. Sweeps work
-through each point in chunks of trials and score each chunk into
-per-trial cells; with `workers`, threads take chunks in turn. `run_trial`
-is the chunk of one, and a trial's cells do not depend on the chunk it ran
-in. The CLI's `estimate` and `demo-fig2` write one instance's estimates
-out. Failed estimator cells are itemized and excluded from aggregates;
-non-converged estimates are included (dropping them would bias the error
-downward) and counted.
+them, through `estimators.run_estimators`. Sweeps work through each point
+in chunks of trials and score each chunk into per-trial cells; with
+`workers`, threads take chunks in turn. `run_trial` is the chunk of one,
+and a trial's cells do not depend on the chunk it ran in. The CLI's
+`estimate` and `demo-fig2` write one instance's estimates out. Failed
+estimator cells are itemized and excluded from aggregates; non-converged
+estimates are included (dropping them would bias the error downward) and
+counted.
 """
 
 from __future__ import annotations
@@ -27,9 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .estimators import (ALL_METHODS, METHOD_DS, METHOD_LASSO, METHOD_LS, METHOD_OMP,
-                         METHOD_SDS, Estimate, EstimatorConfig, ds_estimates, lasso_estimates,
-                         ls_estimates, omp_estimates, oracle_estimates, sds_estimates)
+from .estimators import ALL_METHODS, Estimate, EstimatorConfig, run_estimators
 from .estimators import run_estimator  # noqa: F401  (bench/tracing.py wraps it here)
 from .model import (TRAINING_DISTRIBUTIONS, SparseChannel, build_toeplitz_training,
                     generate_sparse_channel, observe)
@@ -199,41 +197,21 @@ def make_instance(cfg: ExperimentConfig, snr_db: float, n: int, trial_index: int
 
 def estimate_instances(cfg: ExperimentConfig, instances) -> list:
     """Run the configured methods in order on each (channel, X, obs) of
-    `instances`.
+    `instances` through `estimators.run_estimators`, with each channel's
+    support for the oracle and its sparsity as the OMP atom budget.
 
     Returns per instance ({method: Estimate}, {method: error text}), each in
-    method order. All methods see the instance's identical (X, y); the
-    oracle additionally receives the true support, OMP takes at most the
-    true sparsity in atoms, and `sds` reuses the `ds` estimate when `ds`
-    ran before it. Each method runs once on all the instances, through its
-    stack function in `estimators` (`ls_estimates`, ...), and an instance's
-    estimate does not depend on the others. A method that raises one of
-    `ESTIMATOR_FAILURES` on an instance gets its error text there, and the
-    other methods and instances still run; any other exception propagates.
+    method order. A method that raises one of `ESTIMATOR_FAILURES` on an
+    instance gets its error text ("Type: message") there, and the other
+    methods and instances still run; any other exception propagates.
     """
-    results = [({}, {}) for _ in instances]
-    pairs = [(X, obs) for _channel, X, obs in instances]
     channels = [channel for channel, _X, _obs in instances]
-    for method in cfg.methods:
-        if method == METHOD_LS:
-            outcomes = ls_estimates(pairs)
-        elif method == METHOD_OMP:
-            outcomes = omp_estimates(pairs, [channel.sparsity for channel in channels])
-        elif method == METHOD_LASSO:
-            outcomes = lasso_estimates(pairs, cfg.estimator)
-        elif method == METHOD_DS:
-            outcomes = ds_estimates(pairs, cfg.estimator)
-        elif method == METHOD_SDS:
-            outcomes = sds_estimates(pairs, cfg.estimator,
-                                     [estimates.get(METHOD_DS) for estimates, _ in results])
-        else:  # METHOD_ORACLE
-            outcomes = oracle_estimates(pairs, [channel.support for channel in channels])
-        for (estimates, errors), outcome in zip(results, outcomes):
-            if isinstance(outcome, Exception):
-                errors[method] = f"{type(outcome).__name__}: {outcome}"
-            else:
-                estimates[method] = outcome
-    return results
+    outcomes = run_estimators(cfg.methods, [(X, obs) for _channel, X, obs in instances],
+                              cfg.estimator, [channel.support for channel in channels],
+                              [channel.sparsity for channel in channels])
+    return [({m: o for m, o in per.items() if not isinstance(o, Exception)},
+             {m: f"{type(o).__name__}: {o}" for m, o in per.items() if isinstance(o, Exception)})
+            for per in outcomes]
 
 
 def _run_trials(cfg: ExperimentConfig, snr_db: float, n: int, trial_indices) -> list[dict]:

@@ -19,7 +19,7 @@ from conftest import (
     selector_objective_bruteforce,
 )
 
-from sparsechan.estimators import EstimatorConfig, ds_estimate, ls_estimate, sds_estimate
+from sparsechan.estimators import EstimatorConfig, run_estimator
 from sparsechan.experiments import ExperimentConfig, sweep_snr, sweep_training_length, write_sweep_csv
 from sparsechan.lp import solve_lp
 from sparsechan.model import (
@@ -96,7 +96,7 @@ def test_criterion_1_selector_feasibility_and_optimality(announce):
         else:
             obs = observe(X, channel, 15.0, seed=seed + 20_000)
             cfg = EstimatorConfig()
-        est = ds_estimate(X, obs, cfg)
+        est = run_estimator("ds", X, obs, cfg)
         lam = est.diagnostics["lambda"]
         worst_excess = max(
             worst_excess,
@@ -211,10 +211,10 @@ def test_criterion_7_demo_channel_reproduction(announce):
         channel = fixed_channel_figure_demo(seed=seed)
         X = build_toeplitz_training(30, 60, "gaussian", seed=7000 + seed)
         obs = observe(X, channel, 10.0, seed=9000 + seed)
-        est_ds = ds_estimate(X, obs, EstimatorConfig())
+        est_ds = run_estimator("ds", X, obs, EstimatorConfig())
         largest_four = set(int(i) for i in np.argsort(np.abs(channel.taps))[-4:])
         hits += largest_four <= set(est_ds.support_hat)
-        est_ls = ls_estimate(X, obs)
+        est_ls = run_estimator("ls", X, obs, EstimatorConfig())
         ls_dense_all = ls_dense_all and np.mean(np.abs(est_ls.h_hat) > 1e-6) >= 0.9
     ok = hits >= 90 and ls_dense_all
     check(
@@ -261,7 +261,7 @@ def test_criterion_9_noiseless_exact_recovery(announce):
         channel = generate_sparse_channel(60, 4, seed=4000 + seed)
         X = build_toeplitz_training(30, 60, "gaussian", seed=5000 + seed)
         obs = observe(X, channel, float("inf"), seed=6000 + seed)
-        est = ds_estimate(X, obs, cfg)
+        est = run_estimator("ds", X, obs, cfg)
         rel = np.linalg.norm(est.h_hat - channel.taps) / np.linalg.norm(channel.taps)
         hits += rel <= 1e-6
     ok = hits / trials >= 0.95
@@ -303,8 +303,8 @@ def test_informational_reweighted_selector_comparison(announce):
         channel = generate_sparse_channel(60, 4, seed=8000 + seed)
         X = build_toeplitz_training(30, 60, "gaussian", seed=8500 + seed)
         obs = observe(X, channel, 20.0, seed=8800 + seed)
-        est_ds = ds_estimate(X, obs, cfg)
-        est_sds = sds_estimate(X, obs, cfg)
+        est_ds = run_estimator("ds", X, obs, cfg)
+        est_sds = run_estimator("sds", X, obs, cfg)
         values["ds"].append(float(np.linalg.norm(est_ds.h_hat - channel.taps) ** 2))
         values["sds"].append(float(np.linalg.norm(est_sds.h_hat - channel.taps) ** 2))
     med_ds = float(np.median(values["ds"]))

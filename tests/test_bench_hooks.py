@@ -1,16 +1,28 @@
-"""The benchmark tracer's hooks name attributes the program still has."""
+"""The benchmark's tracer and checks use only names the program still has."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).parents[1] / "bench" / "tracing.py"
+import pytest
+
+from sparsechan import estimators
+from sparsechan.estimators import ALL_METHODS
+from sparsechan.experiments import ExperimentConfig
+
+BENCH = Path(__file__).parents[1] / "bench"
+
+
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_bench("tracing")
 
 
 def test_tracer_installs_and_uninstalls():
@@ -27,3 +39,26 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     for (module, attr, _name), original in zip(tracing.WRAPPED, originals):
         assert getattr(module, attr) is original
+
+
+@pytest.mark.parametrize("distribution", ["gaussian", "complex_gaussian"])
+def test_checks_accept_every_method(distribution):
+    # A changed run_estimator signature or a missing diagnostics key would
+    # fail the benchmark's checks here, not in a benchmark run.
+    checks = load_bench("checks")
+    cfg = ExperimentConfig(L=16, T=2, trials=3, methods=ALL_METHODS, fixed_n=8,
+                           distribution=distribution)
+    report = checks.CheckReport()
+    for trial in range(cfg.trials):
+        channel, X, obs = checks.rebuild_instance(cfg, 20.0, cfg.fixed_n, trial)
+        ds_est = None
+        for method in cfg.methods:  # ds precedes sds, whose check needs it
+            est = estimators.run_estimator(method, X, obs, cfg.estimator,
+                                           true_support=channel.support,
+                                           true_sparsity=channel.sparsity)
+            if method == "ds":
+                ds_est = est
+            checks.check_method(report, method, est, channel, X, obs, cfg, ds_est)
+    assert {name.split(".")[0] for name in report.passed} == set(ALL_METHODS)
+    assert set(report.passed.values()) == {cfg.trials}  # every check ran on every trial
+    assert "sds.weights" in report.passed

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from conftest import read_taps_csv
 
-from sparsechan import cli, estimators, experiments
+from sparsechan import cli, estimators
 from sparsechan.experiments import ExperimentConfig, run_trial, sweep_snr
 from sparsechan.model import DEMO_TAP_VALUES
 
@@ -447,7 +447,7 @@ class TestDemoCommand:
             return [estimators.SelectorLpError("selector LP reported infeasible")
                     for _ in instances]
 
-        monkeypatch.setattr(experiments, "ds_estimates", failing)
+        monkeypatch.setattr(estimators, "ds_estimates", failing)
         code, _, err = run_cli(["demo-fig2", "--out", str(tmp_path)], capsys)
         assert code == 3
         assert "solver failure in ds" in err

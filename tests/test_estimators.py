@@ -18,15 +18,9 @@ from sparsechan import estimators
 from sparsechan.estimators import (
     EstimatorConfig,
     SingularMatrixError,
-    ds_estimate,
-    lasso_estimate,
     least_squares_solve,
-    ls_estimate,
-    omp_estimate,
-    oracle_estimate,
     resolve_lambda,
     run_estimator,
-    sds_estimate,
     sds_weighting,
 )
 from sparsechan.model import (
@@ -132,23 +126,23 @@ class TestLeastSquaresEstimator:
     def test_identity(self):
         X = identity_training(2)
         obs = Observation(y=np.array([1.0, 2.0j]), noise_variance=0.0)
-        est = ls_estimate(X, obs)
+        est = run_estimator("ls", X, obs, EstimatorConfig())
         np.testing.assert_allclose(est.h_hat, [1.0, 2.0j], atol=1e-12)
 
     def test_min_norm_splits_equally(self):
         X = ToeplitzTraining(matrix=np.array([[1.0, 1.0]]))
         obs = Observation(y=np.array([2.0 + 0j]), noise_variance=0.0)
-        est = ls_estimate(X, obs)
+        est = run_estimator("ls", X, obs, EstimatorConfig())
         np.testing.assert_allclose(est.h_hat, [1.0, 1.0], atol=1e-10)
 
     def test_underdetermined_output_is_dense(self):
         _, X, obs = make_instance(snr_db=10.0, seed=3)
-        est = ls_estimate(X, obs)
+        est = run_estimator("ls", X, obs, EstimatorConfig())
         assert np.mean(np.abs(est.h_hat) > 1e-6) >= 0.9
 
     def test_fits_observation_in_range(self):
         _, X, obs = make_instance(seed=4)
-        est = ls_estimate(X, obs)
+        est = run_estimator("ls", X, obs, EstimatorConfig())
         np.testing.assert_allclose(X.matrix @ est.h_hat, obs.y, atol=1e-8)
 
     def test_duplicate_columns_fall_back_to_ridge(self):
@@ -156,7 +150,7 @@ class TestLeastSquaresEstimator:
         # and the ridge solution still fits y by its projection, mean(y).
         X = ToeplitzTraining(matrix=np.ones((6, 3)))
         y = np.arange(6.0) + 1j
-        est = ls_estimate(X, Observation(y=y, noise_variance=0.0))
+        est = run_estimator("ls", X, Observation(y=y, noise_variance=0.0), EstimatorConfig())
         assert est.diagnostics["regularized"]
         assert np.all(np.isfinite(est.h_hat))
         np.testing.assert_allclose(X.matrix @ est.h_hat, np.full(6, y.mean()), rtol=1e-8)
@@ -168,14 +162,14 @@ class TestOmp:
         y = np.zeros(6, dtype=complex)
         y[3] = 2.0 - 1.0j
         obs = Observation(y=y, noise_variance=0.0)
-        est = omp_estimate(X, obs, 3)
+        est = run_estimator("omp", X, obs, EstimatorConfig(), true_sparsity=3)
         assert est.diagnostics["atoms"] == [3]
         np.testing.assert_allclose(est.h_hat, y, atol=1e-12)
 
     def test_zero_observation(self):
         X = identity_training(4)
         obs = Observation(y=np.zeros(4, dtype=complex), noise_variance=0.0)
-        est = omp_estimate(X, obs, 2)
+        est = run_estimator("omp", X, obs, EstimatorConfig(), true_sparsity=2)
         assert est.diagnostics["atoms"] == []
         np.testing.assert_array_equal(est.h_hat, 0)
 
@@ -184,21 +178,21 @@ class TestOmp:
         trials = 200
         for seed in range(trials):
             channel, X, obs = make_instance(snr_db=np.inf, seed=seed)
-            est = omp_estimate(X, obs, 4)
+            est = run_estimator("omp", X, obs, EstimatorConfig(), true_sparsity=4)
             hits += set(est.diagnostics["atoms"]) == set(channel.support)
         assert hits / trials >= 0.9
 
     def test_atom_budget_validated(self):
         _, X, obs = make_instance(seed=5)
         with pytest.raises(ValueError):
-            omp_estimate(X, obs, 31)
+            run_estimator("omp", X, obs, EstimatorConfig(), true_sparsity=31)
 
 
 class TestLasso:
     def test_full_shrinkage_gives_zero(self):
         _, X, obs = make_instance(seed=6)
         lam = float(np.abs(X.matrix.conj().T @ obs.y).max()) * 1.01
-        est = lasso_estimate(X, obs, EstimatorConfig(lambda_lasso=lam))
+        est = run_estimator("lasso", X, obs, EstimatorConfig(lambda_lasso=lam))
         np.testing.assert_array_equal(est.h_hat, 0)
         assert est.support_hat == ()
 
@@ -207,7 +201,7 @@ class TestLasso:
         rng = np.random.default_rng(7)
         y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         obs = Observation(y=y, noise_variance=0.0)
-        est = lasso_estimate(X, obs, EstimatorConfig(lambda_lasso=1e-10))
+        est = run_estimator("lasso", X, obs, EstimatorConfig(lambda_lasso=1e-10))
         np.testing.assert_allclose(est.h_hat, y, atol=1e-8)
 
     def test_single_column_closed_form(self):
@@ -216,7 +210,7 @@ class TestLasso:
         y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         obs = Observation(y=y, noise_variance=0.0)
         lam = 0.3
-        est = lasso_estimate(X, obs, EstimatorConfig(lambda_lasso=lam))
+        est = run_estimator("lasso", X, obs, EstimatorConfig(lambda_lasso=lam))
         col = X.matrix[:, 0]
         rho = np.vdot(col, y)
         expected = max(0.0, 1.0 - lam / abs(rho)) * rho / np.vdot(col, col).real
@@ -224,7 +218,7 @@ class TestLasso:
 
     def test_subgradient_conditions(self):
         channel, X, obs = make_instance(seed=10)
-        est = lasso_estimate(X, obs, EstimatorConfig())
+        est = run_estimator("lasso", X, obs, EstimatorConfig())
         lam = est.diagnostics["lambda"]
         corr = X.matrix.conj().T @ (obs.y - X.matrix @ est.h_hat)
         for j in range(X.L):
@@ -236,7 +230,7 @@ class TestLasso:
 
     def test_reports_convergence(self):
         _, X, obs = make_instance(seed=11)
-        est = lasso_estimate(X, obs, EstimatorConfig())
+        est = run_estimator("lasso", X, obs, EstimatorConfig())
         assert est.diagnostics["converged"]
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -251,7 +245,7 @@ class TestLasso:
                                   distribution=distribution)
         if level != "auto":
             level *= float(np.abs(X.matrix.conj().T @ obs.y).max())
-        est = lasso_estimate(X, obs, EstimatorConfig(lambda_lasso=level))
+        est = run_estimator("lasso", X, obs, EstimatorConfig(lambda_lasso=level))
         lam = est.diagnostics["lambda"]
         assert est.diagnostics["converged"]
         assert lasso_kkt_residual(X.matrix, obs.y, est.h_hat, lam) <= 1e-6 * lam
@@ -259,7 +253,7 @@ class TestLasso:
     def test_sweep_cap(self, monkeypatch):
         monkeypatch.setattr(estimators, "LASSO_MAX_SWEEPS", 1)
         _, X, obs = make_instance(seed=11)
-        est = lasso_estimate(X, obs, EstimatorConfig())
+        est = run_estimator("lasso", X, obs, EstimatorConfig())
         assert est.diagnostics["sweeps"] == 1
         assert not est.diagnostics["converged"]
 
@@ -273,8 +267,8 @@ class TestLasso:
         assert not X.matrix[:, L - 1].any() and X.matrix[:, L - 2].any()
         y = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         lam = 0.05 * float(np.abs(X.matrix.conj().T @ y).max())
-        est = lasso_estimate(X, Observation(y=y, noise_variance=0.0),
-                             EstimatorConfig(lambda_lasso=lam))
+        est = run_estimator("lasso", X, Observation(y=y, noise_variance=0.0),
+                            EstimatorConfig(lambda_lasso=lam))
         assert est.h_hat[L - 1] == 0
         assert est.diagnostics["converged"]
         assert lasso_kkt_residual(X.matrix, y, est.h_hat, lam) <= 1e-6 * lam
@@ -284,7 +278,7 @@ class TestDantzigSelector:
     def test_full_shrinkage_gives_zero(self):
         _, X, obs = make_instance(seed=12)
         lam = float(np.abs(X.matrix.conj().T @ obs.y).max()) * 1.01
-        est = ds_estimate(X, obs, EstimatorConfig(lambda_ds=lam))
+        est = run_estimator("ds", X, obs, EstimatorConfig(lambda_ds=lam))
         assert np.abs(est.h_hat).max() <= 1e-6
         assert est.support_hat == ()
 
@@ -293,20 +287,20 @@ class TestDantzigSelector:
         rng = np.random.default_rng(13)
         y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         obs = Observation(y=y, noise_variance=0.0)
-        est = ds_estimate(X, obs, EstimatorConfig(lambda_ds=0.0))
+        est = run_estimator("ds", X, obs, EstimatorConfig(lambda_ds=0.0))
         np.testing.assert_allclose(est.h_hat, y, atol=1e-7)
 
     def test_constraint_feasible_and_matches_bruteforce(self):
         # Tiny noiseless instance: exhaustive support enumeration is exact.
         channel, X, obs = make_instance(L=6, T=1, N=4, snr_db=np.inf, seed=14)
-        est = ds_estimate(X, obs, EstimatorConfig(lambda_ds=0.0))
+        est = run_estimator("ds", X, obs, EstimatorConfig(lambda_ds=0.0))
         assert composite_correlation_excess(X.matrix, X.matrix, obs.y, est.h_hat, 0.0) <= 1e-6
         reference = selector_objective_bruteforce(X.matrix, obs.y, 0.0)
         assert composite_l1(est.h_hat) == pytest.approx(reference, abs=1e-6)
 
     def test_noisy_matches_bruteforce(self):
         channel, X, obs = make_instance(L=5, T=1, N=3, snr_db=15.0, seed=15)
-        est = ds_estimate(X, obs, EstimatorConfig())
+        est = run_estimator("ds", X, obs, EstimatorConfig())
         lam = est.diagnostics["lambda"]
         assert composite_correlation_excess(X.matrix, X.matrix, obs.y, est.h_hat, lam) <= 1e-6
         reference = selector_objective_bruteforce(X.matrix, obs.y, lam)
@@ -316,14 +310,14 @@ class TestDantzigSelector:
         channel = fixed_channel_figure_demo(seed=16)
         X = build_toeplitz_training(30, 60, "gaussian", seed=17)
         obs = observe(X, channel, 10.0, seed=18)
-        est = ds_estimate(X, obs, EstimatorConfig())
+        est = run_estimator("ds", X, obs, EstimatorConfig())
         largest_four = set(np.argsort(np.abs(channel.taps))[-4:])
         assert largest_four <= set(est.support_hat)
 
     def test_complex_training_matrix_round_trip(self):
         channel, X, obs = make_instance(L=12, T=2, N=8, snr_db=np.inf, seed=19,
                                         distribution="complex_gaussian")
-        est = ds_estimate(X, obs, EstimatorConfig(lambda_ds=0.0))
+        est = run_estimator("ds", X, obs, EstimatorConfig(lambda_ds=0.0))
         assert not est.diagnostics["decoupled"]
         assert np.linalg.norm(est.h_hat - channel.taps) <= 1e-5 * np.linalg.norm(channel.taps)
 
@@ -333,7 +327,7 @@ class TestDantzigSelector:
         trials = 50
         for seed in range(trials):
             channel, X, obs = make_instance(N=44, snr_db=np.inf, seed=700 + seed)
-            est = ds_estimate(X, obs, EstimatorConfig(lambda_ds=0.0))
+            est = run_estimator("ds", X, obs, EstimatorConfig(lambda_ds=0.0))
             rel = np.linalg.norm(est.h_hat - channel.taps) / np.linalg.norm(channel.taps)
             hits += rel <= 1e-6
         assert hits / trials >= 0.95
@@ -351,8 +345,8 @@ class TestDantzigSelector:
 
     def test_deterministic(self):
         _, X, obs = make_instance(seed=20)
-        a = ds_estimate(X, obs, EstimatorConfig())
-        b = ds_estimate(X, obs, EstimatorConfig())
+        a = run_estimator("ds", X, obs, EstimatorConfig())
+        b = run_estimator("ds", X, obs, EstimatorConfig())
         np.testing.assert_array_equal(a.h_hat, b.h_hat)
         assert a.support_hat == b.support_hat
 
@@ -361,9 +355,10 @@ class TestSensingSelector:
     def test_zero_observation_degenerates_to_plain_selector(self):
         X = build_toeplitz_training(8, 12, "gaussian", seed=21)
         obs = Observation(y=np.zeros(8, dtype=complex), noise_variance=0.01)
-        est = sds_estimate(X, obs, EstimatorConfig())
+        est = run_estimator("sds", X, obs, EstimatorConfig())
         assert est.diagnostics["degenerate_weighting"]
-        np.testing.assert_array_equal(est.h_hat, ds_estimate(X, obs, EstimatorConfig()).h_hat)
+        np.testing.assert_array_equal(est.h_hat,
+                                      run_estimator("ds", X, obs, EstimatorConfig()).h_hat)
 
     def test_unit_weights_reduce_to_plain_gram(self):
         X = build_toeplitz_training(6, 9, "gaussian", seed=22)
@@ -393,7 +388,7 @@ class TestSensingSelector:
 
     def test_reweighted_constraint_feasible(self):
         channel, X, obs = make_instance(seed=24)
-        est = sds_estimate(X, obs, EstimatorConfig())
+        est = run_estimator("sds", X, obs, EstimatorConfig())
         assert not est.diagnostics["degenerate_weighting"]
         X_alt, _ = sds_weighting(X.matrix, est.diagnostics["weights"])
         lam = est.diagnostics["lambda"]
@@ -410,22 +405,22 @@ class TestConjugationSymmetry:
     def test_real_training(self, seed, distribution, snr_db):
         _, X, obs = make_instance(snr_db=snr_db, seed=seed, distribution=distribution)
         conj_obs = replace(obs, y=np.conj(obs.y))
-        for estimator in (ds_estimate, sds_estimate):
-            h = estimator(X, obs, EstimatorConfig()).h_hat
-            h_conj = estimator(X, conj_obs, EstimatorConfig()).h_hat
+        for method in ("ds", "sds"):
+            h = run_estimator(method, X, obs, EstimatorConfig()).h_hat
+            h_conj = run_estimator(method, X, conj_obs, EstimatorConfig()).h_hat
             assert np.linalg.norm(h_conj - np.conj(h)) <= 1e-7 * np.linalg.norm(h)
 
 
 class TestOracle:
     def test_full_support_equals_least_squares(self):
         channel, X, obs = make_instance(L=8, T=2, N=8, snr_db=12.0, seed=25)
-        est_oracle = oracle_estimate(X, obs, range(8))
-        est_ls = ls_estimate(X, obs)
+        est_oracle = run_estimator("oracle", X, obs, EstimatorConfig(), true_support=range(8))
+        est_ls = run_estimator("ls", X, obs, EstimatorConfig())
         np.testing.assert_allclose(est_oracle.h_hat, est_ls.h_hat, atol=1e-9)
 
     def test_noiseless_is_exact(self):
         channel, X, obs = make_instance(snr_db=np.inf, seed=26)
-        est = oracle_estimate(X, obs, channel.support)
+        est = run_estimator("oracle", X, obs, EstimatorConfig(), true_support=channel.support)
         np.testing.assert_allclose(est.h_hat, channel.taps, atol=1e-10)
 
     def test_empirical_mse_matches_error_covariance(self):
@@ -434,7 +429,7 @@ class TestOracle:
         total_pred = 0.0
         for seed in range(trials):
             channel, X, obs = make_instance(snr_db=10.0, seed=2000 + seed)
-            est = oracle_estimate(X, obs, channel.support)
+            est = run_estimator("oracle", X, obs, EstimatorConfig(), true_support=channel.support)
             total_mse += float(np.linalg.norm(est.h_hat - channel.taps) ** 2)
             cols = X.matrix[:, list(channel.support)]
             gram = cols.conj().T @ cols
@@ -446,7 +441,7 @@ class TestOracle:
     def test_oversized_support_rejected(self):
         channel, X, obs = make_instance(L=12, T=2, N=4, seed=27)
         with pytest.raises(ValueError):
-            oracle_estimate(X, obs, range(5))
+            run_estimator("oracle", X, obs, EstimatorConfig(), true_support=range(5))
 
 
 def finite_only(factorization):
@@ -465,11 +460,14 @@ class TestStackedBaselines:
     def instances(self, count=4, **kwargs):
         return [make_instance(seed=40 + s, **kwargs) for s in range(count)]
 
-    def assert_alone(self, outcomes, instances, solo, bad=None):
+    def assert_alone(self, outcomes, instances, method, bad=None, **options):
+        """Each outcome but the `bad` one equals `run_estimator(method, ...)`
+        on its instance alone, given the instance's true support."""
         for i, (outcome, (channel, X, obs)) in enumerate(zip(outcomes, instances)):
             if i == bad:
                 continue
-            alone = solo(channel, X, obs)
+            alone = run_estimator(method, X, obs, EstimatorConfig(),
+                                  true_support=channel.support, **options)
             np.testing.assert_array_equal(outcome.h_hat, alone.h_hat)
             assert outcome.diagnostics == alone.diagnostics
 
@@ -488,17 +486,14 @@ class TestStackedBaselines:
         monkeypatch.setattr(estimators, "_solve_psd", finite_only(estimators._solve_psd))
         message = "training matrix or observation contains NaN or Inf entries"
         cases = [
-            (estimators.ls_estimates(pairs), lambda ch, X, obs: ls_estimate(X, obs)),
-            (estimators.omp_estimates(pairs, [4] * 4),
-             lambda ch, X, obs: omp_estimate(X, obs, 4)),
-            (estimators.oracle_estimates(pairs, supports),
-             lambda ch, X, obs: oracle_estimate(X, obs, ch.support)),
-            (estimators.lasso_estimates(pairs, EstimatorConfig()),
-             lambda ch, X, obs: lasso_estimate(X, obs, EstimatorConfig())),
+            (estimators.ls_estimates(pairs), "ls", {}),
+            (estimators.omp_estimates(pairs, [4] * 4), "omp", {"true_sparsity": 4}),
+            (estimators.oracle_estimates(pairs, supports), "oracle", {}),
+            (estimators.lasso_estimates(pairs, EstimatorConfig()), "lasso", {}),
         ]
-        for outcomes, solo in cases:
+        for outcomes, method, options in cases:
             assert isinstance(outcomes[1], ValueError) and str(outcomes[1]) == message
-            self.assert_alone(outcomes, instances, solo, bad=1)
+            self.assert_alone(outcomes, instances, method, bad=1, **options)
 
     def test_rank_deficient_oracle_support_fails_alone(self):
         instances = self.instances()
@@ -510,8 +505,7 @@ class TestStackedBaselines:
         failed = outcomes[2]
         assert isinstance(failed, SingularMatrixError) and failed.pivot_index == 1
         assert str(failed) == "matrix is singular within tolerance at pivot 1"
-        self.assert_alone(outcomes, instances,
-                          lambda ch, X, obs: oracle_estimate(X, obs, ch.support), bad=2)
+        self.assert_alone(outcomes, instances, "oracle", bad=2)
 
     def test_omp_budget_above_limit_fails_alone(self):
         instances = self.instances(N=30)
@@ -523,20 +517,23 @@ class TestStackedBaselines:
         budgets = {0: 4, 2: None, 3: 2}
         for i in budgets:
             _channel, X, obs = instances[i]
-            alone = omp_estimate(X, obs, budgets[i])
+            alone = run_estimator("omp", X, obs, EstimatorConfig(), true_sparsity=budgets[i])
             np.testing.assert_array_equal(outcomes[i].h_hat, alone.h_hat)
             assert outcomes[i].diagnostics == alone.diagnostics
 
     @pytest.mark.parametrize("N", [30, 80])
     def test_ls_ridge_stays_with_its_instance(self, N):
         # Equal columns (N >= L) or equal rows (N < L) make the system
-        # singular; only that instance falls back to the ridge.
+        # singular; only that instance falls back to the ridge. At 1e6 the
+        # ridge is lost to rounding, and only that instance fails.
         instances = self.instances(N=N)
-        channel, X, obs = instances[0]
-        instances[0] = (channel, replace(X, matrix=np.ones_like(X.matrix)), obs)
+        for i, scale in ((0, 1.0), (2, 1e6)):
+            channel, X, obs = instances[i]
+            instances[i] = (channel, replace(X, matrix=np.full_like(X.matrix, scale)), obs)
         outcomes = estimators.ls_estimates([(X, obs) for _ch, X, obs in instances])
-        assert [est.diagnostics["regularized"] for est in outcomes] == [True, False, False, False]
-        self.assert_alone(outcomes, instances, lambda ch, X, obs: ls_estimate(X, obs))
+        assert isinstance(outcomes[2], np.linalg.LinAlgError)
+        assert [outcomes[i].diagnostics["regularized"] for i in (0, 1, 3)] == [True, False, False]
+        self.assert_alone(outcomes, instances, "ls", bad=2)
 
 
 class TestDispatch:
@@ -549,6 +546,19 @@ class TestDispatch:
         channel, X, obs = make_instance(seed=29)
         with pytest.raises(ValueError):
             run_estimator("oracle", X, obs, EstimatorConfig())
+
+    @pytest.mark.parametrize("methods, supports, message", [
+        (("ds", "mp"), [(0,)], "unknown estimator 'mp'"),
+        (("ds", "oracle"), None, "oracle estimator needs the true support"),
+    ])
+    def test_rejected_before_any_method_runs(self, monkeypatch, methods, supports, message):
+        def never(programs):
+            raise AssertionError("a selector LP ran before the methods were checked")
+
+        monkeypatch.setattr(estimators, "solve_selectors", never)
+        channel, X, obs = make_instance(seed=28)
+        with pytest.raises(ValueError, match=message):
+            estimators.run_estimators(methods, [(X, obs)], EstimatorConfig(), supports)
 
     def test_genie_atom_budget(self):
         channel, X, obs = make_instance(seed=30)

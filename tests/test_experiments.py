@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sparsechan import estimators, experiments
-from sparsechan.estimators import ALL_METHODS, Estimate, run_estimator, sds_estimate
+from sparsechan.estimators import ALL_METHODS, Estimate, run_estimator
 from sparsechan.experiments import (
     ExperimentConfig,
     derive_trial_seed,
@@ -118,7 +118,7 @@ class TestRunTrial:
         record = run_trial(cfg, 15.0, 8, 1)
         assert sum(counts) == programs
         channel, X, obs = make_instance(cfg, 15.0, 8, 1)
-        assert record["sds"].mse == mse(channel, sds_estimate(X, obs, cfg.estimator))
+        assert record["sds"].mse == mse(channel, run_estimator("sds", X, obs, cfg.estimator))
 
 
 def selector_config(distribution, methods=("ds", "sds")) -> ExperimentConfig:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsechan import lp as lp_module
-from sparsechan.estimators import EstimatorConfig, ds_estimate
+from sparsechan.estimators import EstimatorConfig, run_estimator
 from sparsechan.experiments import ExperimentConfig, make_instance
 from sparsechan.lp import LinearProgram, solve_lp
 
@@ -530,7 +530,7 @@ class TestDerivedReport:
         _channel, X, obs = make_instance(cfg, 20.0, 8, 0)
         correlation = X.matrix.conj().T @ obs.y
         lam = level * max(np.abs(correlation.real).max(), np.abs(correlation.imag).max())
-        h = ds_estimate(X, obs, EstimatorConfig(lambda_ds=lam)).h_hat
-        h_scaled = ds_estimate(X, replace(obs, y=alpha * obs.y),
-                               EstimatorConfig(lambda_ds=alpha * lam)).h_hat
+        h = run_estimator("ds", X, obs, EstimatorConfig(lambda_ds=lam)).h_hat
+        h_scaled = run_estimator("ds", X, replace(obs, y=alpha * obs.y),
+                                 EstimatorConfig(lambda_ds=alpha * lam)).h_hat
         assert np.linalg.norm(h_scaled - alpha * h) <= 1e-7 * np.linalg.norm(alpha * h)
