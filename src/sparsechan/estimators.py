@@ -2,9 +2,10 @@
 
 Implements least squares (works in both the overdetermined and the
 minimum-norm underdetermined regime), orthogonal matching pursuit (stopped
-at an atom budget or at the noise-level residual), Lasso by coordinate
-descent on the Gram matrix X^H X with active-set passes and complex
-soft-thresholding, the Dantzig selector realized as a linear program, its
+at an atom budget or at the noise-level residual), Lasso by working-set
+coordinate descent on the Gram matrix X^H X with complex soft-thresholding,
+a Newton finish on a stable support and a stop that certifies the
+optimality conditions, the Dantzig selector realized as a linear program, its
 residual-reweighted "sensing" variant, and the genie-aided oracle (least
 squares on the true support).
 Each returns an `Estimate`, the tap vector and a diagnostics dict; the
@@ -13,7 +14,8 @@ least-squares solve shared by `ls`, `omp` and `oracle` is a complex QR
 that rejects rank-deficient systems with SingularMatrixError; `ls` then
 falls back to a small ridge, the other two fail the instance. Non-finite
 training or observation data fails an instance with a ValueError before
-any factorization sees it.
+any factorization sees it, as does a Gram product that overflows on finite
+data.
 
 Complex data is handled in a real-composite convention for the Dantzig
 selector: each complex coefficient contributes |Re| + |Im| to the L1
@@ -69,6 +71,9 @@ SUPPORT_RELATIVE_THRESHOLD = 1e-4
 SUPPORT_ABSOLUTE_FLOOR = 1e-8
 
 LASSO_CONVERGENCE_TOL = 1e-9
+LASSO_KKT_TOL = 1e-7
+LASSO_KKT_FLOOR = 1e-12
+LASSO_NEWTON_PASSES = 25
 LASSO_MAX_SWEEPS = 10_000
 
 RIDGE_REGULARIZATION = 1e-10
@@ -156,6 +161,13 @@ def _check_finite(X: ToeplitzTraining, obs: Observation) -> None:
         raise ValueError("training matrix or observation contains NaN or Inf entries")
 
 
+def _check_gram(*arrays) -> None:
+    """Reject Gram products, correlations or levels that overflowed on
+    finite data."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("Gram product or correlation of the training matrix is not finite")
+
+
 def _stacks(instances, check=None, key=None) -> tuple[list, list]:
     """Screen `instances` and stack the ones that pass.
 
@@ -190,15 +202,23 @@ def _ridge_solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _solve_psd(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-    """Solve G_p x_p = rhs_p for each p of a stack of finite Hermitian PSD
-    matrices G (P, n, n), one upper Cholesky factor (LAPACK potrf/potrs) at
-    a time. A singular G_p gets a small diagonal ridge. Returns x, per
-    system whether the ridge was needed, and per system None or the
-    LinAlgError of a ridge solve that failed too (its row of x is then 0)."""
+    """Solve G_p x_p = rhs_p for each p of a stack of Hermitian PSD matrices
+    G (P, n, n) with finite rhs, one upper Cholesky factor (LAPACK
+    potrf/potrs) at a time. A singular G_p gets a small diagonal ridge.
+    Returns x, per system whether the ridge was needed, and per system None,
+    the ValueError of a G_p that is not finite (a Gram product that
+    overflowed) or the LinAlgError of a ridge solve that failed too (in
+    either case its row of x is 0)."""
     potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (G,))
     potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (G, rhs))
     x, regularized, errors = [], np.zeros(len(G), dtype=bool), [None] * len(G)
     for p, Gp in enumerate(G):
+        try:
+            _check_gram(Gp)
+        except ValueError as exc:
+            x.append(np.zeros_like(rhs[p]))
+            errors[p] = exc
+            continue
         U, info = potrf(Gp, lower=0, clean=0)
         if info == 0:
             x.append(potrs(U, rhs[p], lower=0)[0])
@@ -261,8 +281,9 @@ def ls_estimates(instances) -> list:
     A rank-deficient tall system falls back to a small ridge on X^H X, as a
     singular X X^H does to one on X X^H, and reports "regularized".
     Instances of the same shape are solved as one stack. Returns per
-    instance its Estimate, the ValueError of a non-finite X or y, or the
-    LinAlgError of a ridge solve that stayed singular.
+    instance its Estimate, the ValueError of a non-finite X or y or of a
+    Gram product (X X^H, or X^H X and X^H y for the ridge) that overflowed,
+    or the LinAlgError of a ridge solve that stayed singular.
     """
     results, stacks = _stacks(instances)
     for group, Xm, y in stacks:
@@ -275,9 +296,11 @@ def ls_estimates(instances) -> list:
             regularized = [error is not None for error in singular]
             errors = [None] * len(group)
             for p in np.flatnonzero(regularized):
+                gram, rhs = Xh[p] @ Xm[p], Xh[p] @ y[p]
                 try:
-                    h[p] = _ridge_solve(Xh[p] @ Xm[p], Xh[p] @ y[p])
-                except np.linalg.LinAlgError as exc:
+                    _check_gram(gram, rhs)
+                    h[p] = _ridge_solve(gram, rhs)
+                except (ValueError, np.linalg.LinAlgError) as exc:
                     errors[p] = exc
         else:
             w, regularized, errors = _solve_psd(Xm @ Xh, y)
@@ -370,41 +393,68 @@ def _omp_stack(Xm, y, budgets, tols) -> list:
 
 def _lasso_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig) -> Estimate:
     """L1-penalized least squares, (1/2)||y - Xh||^2 + lambda * sum |h_i|,
-    by coordinate descent on the Gram form G = X^H X, c = X^H y; the
-    threshold shrinks the modulus and keeps the phase.
+    on the Gram form G = X^H X, c = X^H y; the threshold shrinks the modulus
+    and keeps the phase.
 
-    Coordinate j's statistic is rho_j = c_j - q_j + G_jj h_j with q = G h,
-    which each change updates by one column of G. One full sweep over all
-    coordinates is followed by passes over the nonzero ones until their
-    largest change falls below LASSO_CONVERGENCE_TOL, then by another full
-    sweep. The call has converged when a full sweep changes no coordinate by
-    that much; LASSO_MAX_SWEEPS caps the passes of either kind, and
-    diagnostics["sweeps"] counts them. Coordinates with G_jj <= 0 (all-zero
-    columns) stay at zero."""
+    Coordinate descent passes over a working set: the nonzero taps plus the
+    zero taps that violate the optimality conditions, |c_j - q_j| > lambda
+    with q = G h (the first set holds the taps with |c_j| > lambda). Tap j's
+    statistic is rho_j = c_j - q_j + G_jj h_j, and each change updates q by
+    one column of G. When a pass changes no tap by LASSO_CONVERGENCE_TOL, one
+    vectorized screen recomputes q, adds the violators to the working set and
+    measures the largest subgradient residual over all taps: |c_j - q_j -
+    lambda h_j/|h_j|| on the nonzero taps, max(|c_j - q_j| - lambda, 0) on
+    the others. The call has converged, a certified stop, when the screen
+    finds no violator and that residual is at most LASSO_KKT_TOL * lambda.
+    Both tests allow LASSO_KKT_FLOOR * max |c_j| where that is larger, the
+    rounding level of c - G h, which matters only for a lambda near 0.
+
+    A slow call, past LASSO_NEWTON_PASSES passes with a support that no
+    longer changes, takes Newton steps on that support, where the objective
+    is smooth: each step solves the real 2|S| x 2|S| system of
+    [[Re G_SS, -Im G_SS], [Im G_SS, Re G_SS]] plus lambda/|h_j| (I - u_j
+    u_j^T) per tap, u_j its unit phase. A step is kept only if it lowers the
+    objective and no tap crosses zero, otherwise the passes resume (and no
+    Newton step is tried again until the support changes); the steps end
+    when the largest change falls below LASSO_CONVERGENCE_TOL, and the
+    screen follows. At L=60 and 20 dB a call takes a median of about 45
+    sweeps at N=10 and 11 at N=55; calls that settle within
+    LASSO_NEWTON_PASSES passes take no Newton step.
+
+    diagnostics["sweeps"] counts passes plus Newton steps, capped at
+    LASSO_MAX_SWEEPS (the last pass is always screened), and
+    diagnostics["kkt_residual"] is the screened residual of the returned
+    taps. Taps with G_jj <= 0 (all-zero columns) stay at zero. A level, Gram
+    matrix or X^H y that is not finite raises ValueError."""
     _check_finite(X, obs)
     Xm, y = X.matrix, obs.y
     L = Xm.shape[1]
-    sigma = math.sqrt(obs.noise_variance)
-    lam = resolve_lambda(sigma, X, cfg.lambda_lasso)
+    lam = resolve_lambda(math.sqrt(obs.noise_variance), X, cfg.lambda_lasso)
 
     Xh = Xm.conj().T
     G = Xh @ Xm
+    c = Xh @ y
+    _check_gram(G, c, lam)
     # Per-coordinate scalars live in Python lists: indexing a numpy array
     # element by element costs more than the arithmetic done on it.
-    c = (Xh @ y).tolist()
-    g_diag = np.real(np.diag(G)).tolist()
+    c_list = c.tolist()
+    g_diag = np.real(np.diag(G))
+    live = g_diag > 0.0
+    g_list = g_diag.tolist()
     q = np.zeros(L, dtype=np.complex128)
     h = [0j] * L
-    coords = [j for j in range(L) if g_diag[j] > 0.0]
-    full = True
-    converged = False
-    sweeps = 0
+    # Below this the residual c - G h is not resolved: at lambda = 0 the
+    # certificate would otherwise ask for an exact zero.
+    floor = LASSO_KKT_FLOOR * float(np.abs(c).max(initial=0.0))
+    work = np.flatnonzero(live & (np.abs(c) > lam + floor)).tolist()
+    support, newton_ready = None, True
+    converged, sweeps = False, 0
     while sweeps < LASSO_MAX_SWEEPS:
         sweeps += 1
         max_change = 0.0
-        for j in coords if full else [j for j in coords if h[j]]:
-            d, old = g_diag[j], h[j]
-            rho = c[j] - q.item(j) + d * old
+        for j in work:
+            d, old = g_list[j], h[j]
+            rho = c_list[j] - q.item(j) + d * old
             mag = abs(rho)
             new = (1.0 - lam / mag) * rho / d if mag > lam else 0j
             change = new - old
@@ -412,25 +462,92 @@ def _lasso_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig)
                 q += G[:, j] * change
                 h[j] = new
                 max_change = max(max_change, abs(change))
-        if max_change < LASSO_CONVERGENCE_TOL:
-            if full:
-                converged = True
-                break
-            full = True
-        else:
-            full = False
+        nonzero = [j for j in work if h[j]]
+        if nonzero != support:
+            support, newton_ready = nonzero, True
+        elif newton_ready and sweeps > LASSO_NEWTON_PASSES and support:
+            newton_ready = False
+            steps, settled = _lasso_newton(G, c, h, support, lam, LASSO_MAX_SWEEPS - sweeps)
+            sweeps += steps
+            q = G @ np.array(h)
+            if settled:
+                max_change = 0.0
+        if max_change >= LASSO_CONVERGENCE_TOL and sweeps < LASSO_MAX_SWEEPS:
+            work = nonzero
+            continue
+        h_arr = np.array(h)
+        q = G @ h_arr
+        r = c - q
+        mag = np.abs(h_arr)
+        on = mag > 0.0
+        violators = live & ~on & (np.abs(r) > lam + floor)
+        residual = np.where(on, np.abs(r - lam * h_arr / np.where(on, mag, 1.0)),
+                            np.maximum(np.abs(r) - lam, 0.0))
+        kkt = float(residual.max(initial=0.0))
+        if not violators.any() and kkt <= max(LASSO_KKT_TOL * lam, floor):
+            converged = True
+            break
+        work = np.flatnonzero(on | violators).tolist()
 
     diagnostics = {"lambda": lam, "sweeps": sweeps, "converged": converged,
-                   "l1_convention": "complex_modulus"}
+                   "kkt_residual": kkt, "l1_convention": "complex_modulus"}
     return Estimate(np.array(h, dtype=np.complex128), diagnostics)
+
+
+def _lasso_newton(G, c, h, support, lam, budget) -> tuple[int, bool]:
+    """Newton steps of `_lasso_estimate` on the nonzero taps `support`, at
+    most `budget` of them, updating the tap list `h` in place. Returns the
+    steps taken and whether the last one changed no tap by
+    LASSO_CONVERGENCE_TOL."""
+    S = np.array(support)
+    s = S.size
+    Gs = G[np.ix_(S, S)]
+    H0 = np.block([[Gs.real, -Gs.imag], [Gs.imag, Gs.real]])
+    cs = c[S]
+    hs = np.array([h[j] for j in support])
+    re, im = np.arange(s), np.arange(s, 2 * s)
+    steps, size = 0, math.inf
+    while steps < budget:
+        steps += 1
+        mag = np.abs(hs)
+        u = hs / mag
+        w = lam / mag
+        H = H0.copy()
+        H[re, re] += w * u.imag**2
+        H[im, im] += w * u.real**2
+        H[re, im] -= w * u.real * u.imag
+        H[im, re] -= w * u.real * u.imag
+        r = cs - Gs @ hs
+        g = r - lam * u
+        try:
+            dx = np.linalg.solve(H, np.concatenate([g.real, g.imag]))
+        except np.linalg.LinAlgError:
+            break
+        step = dx[:s] + 1j * dx[s:]
+        new = hs + step
+        size = float(np.abs(step).max())
+        # The decrease of the objective, formed so that rounding does not
+        # swamp it near the minimum: |h + d| - |h| is taken as
+        # (2 Re(conj(h) d) + |d|^2) / (|h + d| + |h|).
+        along = (np.conj(hs) * step).real
+        decrease = (np.vdot(step, r).real - 0.5 * np.vdot(step, Gs @ step).real
+                    - lam * ((2.0 * along + np.abs(step)**2) / (np.abs(new) + mag)).sum())
+        kept = decrease > 0.0 and (mag**2 + along > 0.0).all()
+        if kept:
+            hs = new
+        if not kept or size < LASSO_CONVERGENCE_TOL:
+            break
+    for j, value in zip(support, hs.tolist()):
+        h[j] = value
+    return steps, size < LASSO_CONVERGENCE_TOL
 
 
 def lasso_estimates(instances, cfg: EstimatorConfig) -> list:
     """`_lasso_estimate` on each (X, obs) of `instances`, one after another.
 
-    The Lasso is not stacked: its pass count depends on the data (from a
-    median of 14 at N=55 to hundreds at N=10, L=60), so a stack would wait
-    for its slowest member. Returns per instance its Estimate, or the
+    The Lasso is not stacked: its pass count depends on the data (at L=60, a
+    median of 11 at N=55 and about 45 at N=10, with a long tail), so a stack
+    would wait for its slowest member. Returns per instance its Estimate, or the
     ESTIMATOR_FAILURES exception it raised.
     """
     results = []
