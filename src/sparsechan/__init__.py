@@ -2,9 +2,10 @@
 
 Sparse channels observed through Toeplitz training matrices, estimated with
 least squares, orthogonal matching pursuit, Lasso, the Dantzig selector
-(solved as a linear program by a built-in interior-point method) and its
-residual-reweighted variant, plus a seeded Monte Carlo harness for
-MSE-versus-SNR and MSE-versus-training-length sweeps.
+(solved as a linear program by a built-in dual simplex, with a built-in
+interior-point method as fallback) and its residual-reweighted variant,
+plus a seeded Monte Carlo harness for MSE-versus-SNR and
+MSE-versus-training-length sweeps.
 """
 
 from .estimators import (

@@ -5,9 +5,10 @@ minimum-norm underdetermined regime), orthogonal matching pursuit (stopped
 at an atom budget or at the noise-level residual), Lasso by working-set
 coordinate descent on the Gram matrix X^H X with complex soft-thresholding,
 a Newton finish on a stable support and a stop that certifies the
-optimality conditions, the Dantzig selector realized as a linear program, its
-residual-reweighted "sensing" variant, and the genie-aided oracle (least
-squares on the true support).
+optimality conditions, the Dantzig selector realized as a linear program
+(solved at its optimal vertex by `lp.solve_selectors`' dual simplex, with
+the interior-point method as fallback), its residual-reweighted "sensing"
+variant, and the genie-aided oracle (least squares on the true support).
 Each returns an `Estimate`, the tap vector and a diagnostics dict; the
 reported support is derived from the taps when read. The tall
 least-squares solve shared by `ls`, `omp` and `oracle` is a complex QR
@@ -33,8 +34,11 @@ function, and `run_estimator` is its batch of one. `ls_estimates`,
 `omp_estimates` and `oracle_estimates` stack the instances of one shape
 into numpy's batched QR and solve (OMP runs its rounds over the instances
 still going; the minimum-norm `ls` forms its Gram matrices as one stack
-and factors them one at a time); `ds_estimates` and `sds_estimates` solve
-the selector programs of all instances in one call. `lasso_estimates`
+and factors them one at a time); `ds_estimates` and `sds_estimates` hand
+the selector programs of all instances to one call, which solves them one
+at a time. The selector diagnostics count the simplex pivots as
+`lp_iterations` (IPM iterations for a program that fell back) and the
+programs that fell back to the IPM as `lp_fallbacks`. `lasso_estimates`
 loops: coordinate descent takes a data-dependent number of passes, so a
 stack would wait for its slowest member.
 """
@@ -616,6 +620,7 @@ def _solve_composite_selectors(results: list, jobs) -> list:
             **extra,
             "lp_iterations": sum(sol.iterations for sol in sols),
             "lp_statuses": statuses,
+            "lp_fallbacks": sum(sol.fallback for sol in sols),
             "decoupled": decoupled,
             "converged": STATUS_ITERATION_LIMIT not in statuses,
         })
@@ -679,8 +684,9 @@ def sds_estimates(instances, cfg: EstimatorConfig, bases=None) -> list:
     """
     bases = list(bases) if bases is not None else [None] * len(instances)
     missing = [i for i, base in enumerate(bases) if not isinstance(base, Estimate)]
-    for i, base in zip(missing, ds_estimates([instances[i] for i in missing], cfg)):
-        bases[i] = base
+    if missing:
+        for i, base in zip(missing, ds_estimates([instances[i] for i in missing], cfg)):
+            bases[i] = base
     results, jobs = [None] * len(instances), []
     for i, ((X, obs), base) in enumerate(zip(instances, bases)):
         if isinstance(base, Exception):

@@ -1,6 +1,8 @@
-"""Self-contained dense linear-program solver, run on stacks of programs.
+"""Self-contained linear-program solvers: a dense interior-point method,
+run on stacks of programs, and a dual simplex for Dantzig-selector
+programs.
 
-Solves   minimize c.x   subject to   A x <= b,  x >= 0
+`solve_lp` solves   minimize c.x   subject to   A x <= b,  x >= 0
 
 with a primal-dual path-following interior-point method (Mehrotra
 predictor-corrector) on the homogeneous self-dual embedding. The embedding
@@ -8,11 +10,9 @@ gives clean certificates when the problem is infeasible or unbounded
 instead of relying on divergence heuristics. Inequalities are converted
 internally to equality form [A I] with slack variables; the normal equations
 get a small diagonal regularization so redundant or degenerate constraints
-do not need presolving.
-
-A program needs at least one row. The tolerance, the iteration cap and the
-batch cap are the module constants TOLERANCE, MAX_ITERATIONS and
-BATCH_BYTES, read at each call.
+do not need presolving. A program needs at least one row. The tolerance and
+the iteration cap are the module constants TOLERANCE and MAX_ITERATIONS,
+read at each call.
 
 One loop runs a whole stack of programs of the same shape, as OptNet (Amos
 & Kolter, 2017) batches its primal-dual method: each program is one row of
@@ -24,20 +24,23 @@ iteration factors every program's normal equations once, as in Andersen &
 Andersen, "The MOSEK interior point optimizer for linear programming"
 (2000), and solves with the factor twice: once with two columns, for the
 (c, b) system and the predictor, which do not depend on each other, and
-once for the corrector.
-
-The loop reaches the constraint matrices only through an operator: products
-with [A I] and its transpose, and the normal-equation solve. `solve_lp`
-applies its A densely, as a stack of one. `solve_selectors` is the one way
-to the Dantzig-selector operator: for matrices [[B, -B], [-B, B]] (k x k
-blocks) it holds the stacked B alone and solves the 2k x 2k normal
-equations through one k x k Cholesky factor per program by block
-elimination, as l1-magic's `l1dantzig_pd` does. The k x k matrix
-B diag(d) B' is formed as a symmetric rank-k update (BLAS syrk) of
-B diag(sqrt(d)) and factored as L L' with L lower triangular. Sweeps hand
-it the programs of one chunk of trials at a time (see `experiments`). One
-product with [A I] and one with its transpose per iterate give both its
+once for the corrector. The loop reaches the constraint matrices only
+through an operator, `_Operator`: products with [A I] and its transpose,
+and the normal-equation solve; one product each per iterate give both its
 residuals and its KKT report.
+
+`solve_selectors` is the one way to solve Dantzig-selector programs, with
+A = [[B, -B], [-B, B]] for a k x k block B. Their optimal vertex is small:
+at the sweeps' sizes 6-19 active rows at k = 60 and 14-29 at k = 120. So
+each program runs, one at a time, through a revised dual simplex whose
+state is its active rows and basic columns (`_solve_vertex`), as the
+parametric simplex of Pang et al., "Parametric simplex method for sparse
+learning" (NeurIPS 2017), and the homotopy of Asif & Romberg, "Dantzig
+selector homotopy with dynamic measurements" (SPIE 2009), follow the
+selector's active set. Its pivot cap and tolerances are the VERTEX_*
+constants. A program the simplex cannot certify goes to `solve_lp` on its
+dense A. Sweeps hand it the programs of one chunk of trials at a time (see
+`experiments`).
 
 No external optimization library is used; linear algebra is numpy/scipy
 factorizations only.
@@ -45,19 +48,25 @@ factorizations only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dgesv, dgetrs, dpotrf, dpotrs
 
 TOLERANCE = 1e-8
 MAX_ITERATIONS = 200
 
-# Bytes of k x k matrices (each program's block B and its normal matrix)
-# that one stack of selector programs may hold; larger calls run as several
-# stacks of near-equal size. At 2 MiB the 8 complex programs (k = 120) of a
-# sweep chunk make one stack.
-BATCH_BYTES = 2 << 20
+# The selector vertex solver (see `_solve_vertex`) gives up after this many
+# pivots per constraint row. Its pivots grow with the program: at level 0 on
+# noisy data they reach 1.2 per row at k = 120 and 2.5 per row at k = 512.
+VERTEX_PIVOTS_PER_ROW = 5
+
+# Its relative tolerances: how far below zero a basic variable may sit, how
+# small a tableau entry may be and still pivot, and how far below zero a
+# reduced cost may go in the ratio test.
+VERTEX_FEASIBILITY = 1e-9
+VERTEX_PIVOT = 1e-9
+VERTEX_HARRIS = 1e-12
 
 # Added to the diagonal of the normal equations each iteration; large enough
 # to survive duplicated/degenerate rows, small enough not to perturb optima
@@ -127,9 +136,12 @@ class LpSolution:
     objective_value: float
     status: str
     kkt_report: KktReport
+    # IPM iterations, or simplex pivots for a selector program solved at its vertex.
     iterations: int
     # Multipliers of A x <= b, >= 0 up to the report's dual residual; meaningful if optimal.
     dual_values: np.ndarray | None = None
+    # Whether a selector program went from the vertex solver to the dense IPM.
+    fallback: bool = False
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -149,27 +161,154 @@ def solve_selectors(programs) -> list[LpSolution]:
     square: minimize ||g||_1 subject to ||d - B g||_inf <= lam.
 
     Each is the LP minimize 1.x, A x <= b, x >= 0 over x = [u; v], g = u - v,
-    with A = [[B, -B], [-B, B]] and b = [lam + d; lam - d], solved as by
-    `solve_lp` but through the k x k normal equations of B: both meet the
-    same stopping test, not the same bits. Programs with the same size of B
-    run as stacks (see BATCH_BYTES); the solutions come back in the order
-    of `programs`.
+    with A = [[B, -B], [-B, B]] and b = [lam + d; lam - d]. The programs
+    run one at a time, each by the dual simplex of `_solve_vertex`; a
+    program it gives up on goes to `solve_lp` on the dense A, and its
+    solution is marked `fallback`. The solutions come back in the order of
+    `programs`.
     """
-    solutions = [None] * len(programs)
-    by_size = {}
-    for i, (B, _d, _lam) in enumerate(programs):
-        by_size.setdefault(np.shape(B)[0], []).append(i)
-    for k, members in by_size.items():
-        per_stack = max(1, BATCH_BYTES // (2 * 8 * k * k))
-        for batch in np.array_split(members, -(-len(members) // per_stack)):
-            B = np.array([programs[i][0] for i in batch], dtype=np.float64)
-            d = np.array([programs[i][1] for i in batch], dtype=np.float64)
-            lam = np.array([programs[i][2] for i in batch], dtype=np.float64)[:, None]
-            b = np.concatenate([lam + d, lam - d], axis=1)
-            stack = _solve_stack(_Operator(B=B), b, np.ones((len(batch), 2 * k)))
-            for i, solution in zip(batch, stack):
-                solutions[i] = solution
+    solutions = []
+    for B, d, lam in programs:
+        B, d = np.asarray(B, dtype=np.float64), np.asarray(d, dtype=np.float64)
+        b = np.concatenate([lam + d, lam - d])
+        solution = _solve_vertex(B, b)
+        if solution is None:
+            dense = LinearProgram(c=np.ones(b.size), A=np.block([[B, -B], [-B, B]]), b=b)
+            solution = replace(solve_lp(dense), fallback=True)
+        solutions.append(solution)
     return solutions
+
+
+def _solve_vertex(B, b):
+    """The optimal vertex of the selector program min 1.x, A x <= b, x >= 0,
+    A = [[B, -B], [-B, B]], by a revised dual simplex, or None if it gives
+    up: at VERTEX_PIVOTS_PER_ROW pivots per row, on an empty ratio test, on
+    a singular basis, or when the vertex's KktReport is above TOLERANCE.
+
+    A[r, j] = sign[r] sign[j] B[r mod k, j mod k] with sign = +1 on the
+    first half and -1 on the second, so A is never formed. The basis is the
+    active rows R and the basic columns S, |R| = |S|, with the slacks of
+    the other rows; it starts from the slack basis, which is dual feasible
+    because c = 1. Each pivot re-solves M = A[R, S] from scratch for the
+    basic x_S and the multipliers y_R, so no error builds up over pivots.
+    The leaving variable is the most negative basic slack or x_S; its row of
+    the tableau comes from one solve with M', and Harris's two-pass ratio
+    test picks the entering one among the nonbasic columns and the slacks
+    of the active rows. The slack columns count as scale * I, scale the
+    largest |B|, so that a slack's value, tableau entry and reduced cost
+    have the units of a column's. Every tolerance is relative: to the
+    largest |b| for slacks, to the largest basic |x| for columns, to the
+    largest entry of the tableau row for pivots, and to c = 1 for reduced
+    costs. So the pivots, and the vertex, do not change when B or
+    (d, lam) is scaled.
+    """
+    k = B.shape[0]
+    sign = np.repeat([1.0, -1.0], k)
+    scale = np.abs(B).max()
+    slack_tol = VERTEX_FEASIBILITY * np.abs(b).max()
+    R, S = [], []
+    max_pivots = VERTEX_PIVOTS_PER_ROW * 2 * k
+    for pivots in range(max_pivots + 1):
+        rows, cols = np.array(R, dtype=np.intp), np.array(S, dtype=np.intp)
+        col_k, col_sign = cols % k, sign[cols]
+        # A[R, j] = A_R[:, j mod k] sign[j].
+        A_R = B[rows % k] * sign[rows, None]
+        x_S = np.zeros(0)
+        if S:
+            lu, piv, x_S, info = dgesv(A_R[:, col_k] * col_sign, b[rows])
+            if info or not np.isfinite(x_S).all():
+                return None
+        t = B[:, col_k] @ (col_sign * x_S)
+        slack = b - np.concatenate([t, -t])
+        slack[rows] = 0.0
+        q = int(np.argmin(slack))
+        p = int(np.argmin(x_S)) if S else 0
+        leave_row = slack[q] < -slack_tol
+        leave_col = bool(S) and x_S[p] < -VERTEX_FEASIBILITY * np.abs(x_S).max()
+        if leave_row and leave_col:
+            leave_row = slack[q] < scale * x_S[p]
+        elif not (leave_row or leave_col):
+            break
+        if pivots == max_pivots:
+            return None
+        # The leaving variable's row of the tableau (the basis inverse times
+        # [A I]) is rho'A[R, :] (plus A[q, :] for a slack) on the columns and
+        # rho on the slacks of R, with M' rho = -A[q, S]' for a slack and
+        # M' rho = e_p for x_S[p]; the reduced costs are 1 - y_R'A[R, :] and
+        # -y_R, with M' y_R = 1.
+        y_R = rho = np.zeros(0)
+        corr = beta = np.zeros(k)
+        if S:
+            rhs = np.zeros((len(S), 2))
+            rhs[:, 0] = 1.0
+            if leave_row:
+                rhs[:, 1] = -sign[q] * B[q % k, col_k] * col_sign
+            else:
+                rhs[p, 1] = 1.0
+            solved = dgetrs(lu, piv, rhs, trans=1)[0].T
+            y_R, rho = solved
+            corr, beta = solved @ A_R
+        if leave_row:
+            beta = beta + sign[q] * B[q % k]
+        # Column j of A carries sign[j] (corr, beta)[j mod k], so of the pair
+        # x_i, x_(i+k) only the one with tableau entry -|beta_i| can enter,
+        # at reduced cost 1 + sign(beta_i) corr_i. A basic column's entry is
+        # 0, and so is its partner's, bar the leaving column's partner.
+        step = np.abs(beta)
+        cost = np.where(beta < 0, 1.0 - corr, 1.0 + corr)
+        if leave_row:
+            step[col_k] = 0.0
+        else:
+            own = step[col_k[p]]
+            step[col_k] = 0.0
+            step[col_k[p]] = own
+        step = np.concatenate([step, -scale * rho])
+        cost = np.concatenate([cost, -scale * y_R])
+        candidates = np.flatnonzero(step > VERTEX_PIVOT * np.abs(step).max())
+        if not candidates.size:
+            return None
+        reduced, step = np.maximum(cost[candidates], 0.0), step[candidates]
+        bound = ((reduced + VERTEX_HARRIS) / step).min()
+        enter = int(candidates[np.argmax(np.where(reduced / step <= bound, step, 0.0))])
+        if leave_row:
+            R.append(q)
+        else:
+            S.pop(p)
+        if enter < k:
+            S.append(enter if beta[enter] < 0 else enter + k)
+        else:
+            R.pop(enter - k)
+
+    x = np.zeros(2 * k)
+    w = np.zeros(2 * k)
+    if S:
+        x[cols] = x_S
+        w[rows] = -dgetrs(lu, piv, np.ones(len(S)), trans=1)[0]
+    report = _selector_report(B, b, x, w, scale)
+    if not report.max_residual() <= TOLERANCE:
+        return None
+    return LpSolution(x=x, objective_value=float(x.sum()), status=STATUS_OPTIMAL,
+                      kkt_report=report, iterations=pivots, dual_values=w)
+
+
+def _selector_report(B, b, x, w, scale):
+    """The IPM's scaled KKT residuals (see `_residuals`) of a selector
+    program at the point x with multipliers w: the largest violation of
+    A x <= b and x >= 0 over 1 + ||b||_inf, the largest negative reduced
+    cost over 1 + ||c||_inf = 2, of a column, 1 + (A'w)_j, or of a slack
+    column scale * e_i, scale * w_i, and the gap |1.x + b.w| over
+    1 + |1.x|."""
+    k = B.shape[0]
+    t = B @ (x[:k] - x[k:])
+    u = (w[:k] - w[k:]) @ B
+    primal = max(np.max(np.concatenate([t, -t]) - b), np.max(-x), 0.0)
+    dual = max(np.max(np.abs(u)) - 1.0, -scale * np.min(w), 0.0)
+    objective = x.sum()
+    return KktReport(
+        primal_infeasibility=float(primal / (1.0 + np.abs(b).max())),
+        dual_infeasibility=float(dual / 2.0),
+        complementarity_gap=float(abs(objective + b @ w) / (1.0 + abs(objective))),
+    )
 
 
 def _dot(a, b):
@@ -302,54 +441,34 @@ def _residuals(op, b, c, x, y, z, tau, kappa):
 
 
 class _Operator:
-    """The equality-form matrices [A_p I] of a stack of programs, never
-    formed: op(x) stacks the [A_p I] x_p and op.T(y) the [A_p I]' y_p.
-
-    It holds either A, a (P, m, n) stack applied as it is, or B, a
-    (P, k, k) stack of selector blocks with A_p = [[B_p, -B_p], [-B_p, B_p]],
-    applied through B alone: A_p [u; v] = [B_p (u - v); -B_p (u - v)]. The
-    stack is the operator's own; `keep` compacts it in place.
+    """The equality-form matrices [A_p I] of a (P, m, n) stack A of
+    programs, never formed: op(x) stacks the [A_p I] x_p and op.T(y) the
+    [A_p I]' y_p. The stack is the operator's own; `keep` compacts it in
+    place.
     """
 
-    def __init__(self, A=None, B=None):
-        self.A, self.B = A, B
-        if B is None:
-            self.n = A.shape[2]
-        else:
-            self.n = 2 * B.shape[2]
-            self._scaled = np.empty_like(B[0])
-            self._normal = np.empty_like(B)
+    def __init__(self, A):
+        self.A = A
+        self.n = A.shape[2]
 
     def keep(self, mask):
         """Drop the programs where `mask` is False, moving the others
         forward in the same buffer."""
-        stack = self.A if self.B is None else self.B
         kept = np.flatnonzero(mask)
         for j, i in enumerate(kept):
             if i != j:
-                stack[j] = stack[i]
-        if self.B is None:
-            self.A = stack[:kept.size]
-        else:
-            self.B = stack[:kept.size]
+                self.A[j] = self.A[i]
+        self.A = self.A[:kept.size]
 
     def __call__(self, x):
         if x.ndim == 2:
             return self(x[:, None])[:, 0]
-        n = self.n
-        if self.B is None:
-            return np.matmul(x[..., :n], self.A.transpose(0, 2, 1)) + x[..., n:]
-        t = np.matmul(x[..., :n // 2] - x[..., n // 2:n], self.B.transpose(0, 2, 1))
-        return np.concatenate([t, -t], axis=2) + x[..., n:]
+        return np.matmul(x[..., :self.n], self.A.transpose(0, 2, 1)) + x[..., self.n:]
 
     def T(self, y):
         if y.ndim == 2:
             return self.T(y[:, None])[:, 0]
-        if self.B is None:
-            return np.concatenate([np.matmul(y, self.A), y], axis=2)
-        k = y.shape[2] // 2
-        t = np.matmul(y[..., :k] - y[..., k:], self.B)
-        return np.concatenate([t, -t, y], axis=2)
+        return np.concatenate([np.matmul(y, self.A), y], axis=2)
 
     def solver(self, d_inv):
         """solve(r) for the regularized normal equations of every program,
@@ -358,82 +477,27 @@ class _Operator:
         programs of the stack, and r and v are (P, m) or stacks of columns
         (P, j, m), all j columns solved with one factor per program.
 
-        With A = [[B, -B], [-B, B]] the matrix is [[K + S1, -K], [-K, K + S2]]
-        with K = B diag(d_u + d_v) B' and S1, S2 the slack scalings plus eps.
-        For w = v1 - v2 it reduces to the k x k system
-        (K + S1 S2 / (S1 + S2)) w = (S2 r1 - S1 r2) / (S1 + S2), and then
-        v1 = (r1 + r2 + S2 w) / (S1 + S2), v2 = v1 - w. This recovery never
-        divides by S1 or S2 alone: those go to 0 on active rows while B = X'X
-        is rank-deficient, and v1 = S1^-1 (r1 - K w) stalls the iteration
-        there. K is formed as C C' with C = B diag(sqrt(d_u + d_v)), which
-        numpy computes as a symmetric rank-k update (BLAS syrk), and factored
-        as L L' with L lower triangular. In exact arithmetic the dense matrix
-        is positive definite exactly when the k x k one is, so a program whose
-        k x k factor fails goes straight to least squares on its dense
-        matrix; any other program tries a dense Cholesky factor first. A
-        negative scaling has no square root, so its program fails the k x k
-        factor. A factor fails when LAPACK reports it or its diagonal is not
-        finite (OpenBLAS reports success on NaN and inf input); a program
-        whose dense matrix or right-hand side is not finite gets a NaN
-        solution, which ends it as non-finite. Each program's failure stays
-        its own.
+        A program whose Cholesky factor fails goes to least squares. A
+        factor fails when LAPACK reports it or its diagonal is not finite
+        (OpenBLAS reports success on NaN and inf input); a program whose
+        matrix or right-hand side is not finite gets a NaN solution, which
+        ends it as non-finite. Each program's failure stays its own.
         """
-        P = d_inv.shape[0]
-        n = self.n
-        s = d_inv[:, n:] + NORMAL_EQ_REGULARIZATION
-        factors = [None] * P
-        dense = {}
-        if self.B is not None:
-            k = n // 2
-            s1, s2 = s[:, None, :k], s[:, None, k:]
-            s_sum = s1 + s2
-            shift = (s1 * s2 / s_sum)[:, 0]
-            with np.errstate(invalid="ignore"):
-                root = np.sqrt(d_inv[:, :k] + d_inv[:, k:n])
-            for i in range(P):
-                # The syrk product fills both triangles, so K is symmetric to
-                # the bit and its buffer read in Fortran order is K itself,
-                # factored in place.
-                np.multiply(self.B[i], root[i], out=self._scaled)
-                K = np.matmul(self._scaled, self._scaled.T, out=self._normal[i])
-                K.reshape(-1)[::k + 1] += shift[i]
-                factors[i] = _cholesky(K.T, overwrite=True)
-                if factors[i] is None:
-                    A = np.block([[self.B[i], -self.B[i]], [-self.B[i], self.B[i]]])
-                    M = (A * d_inv[i, :n]) @ A.T
-                    M[np.diag_indices_from(M)] += s[i]
-                    dense[i] = M
-        else:
-            M = np.matmul(self.A * d_inv[:, None, :n], self.A.transpose(0, 2, 1))
-            M.reshape(P, -1)[:, ::M.shape[1] + 1] += s
-            for i in range(P):
-                factors[i] = _cholesky(M[i])
-                if factors[i] is None:
-                    dense[i] = M[i]
-
-        selector = self.B is not None
+        P, n = d_inv.shape[0], self.n
+        M = np.matmul(self.A * d_inv[:, None, :n], self.A.transpose(0, 2, 1))
+        M.reshape(P, -1)[:, ::M.shape[1] + 1] += d_inv[:, n:] + NORMAL_EQ_REGULARIZATION
+        factors = [_cholesky(M[i]) for i in range(P)]
 
         def solve(r):
             cols = r if r.ndim == 3 else r[:, None]
-            if selector:
-                r1, r2 = cols[..., :k], cols[..., k:]
-                rhs = (s2 * r1 - s1 * r2) / s_sum
-            else:
-                rhs = cols
-            w = np.zeros_like(rhs)
+            v = np.zeros_like(cols)
             for i, factor in enumerate(factors):
                 if factor is not None:
-                    w[i] = dpotrs(factor, rhs[i].T, lower=1)[0].T
-            if selector:
-                v1 = (r1 + r2 + s2 * w) / s_sum
-                v = np.concatenate([v1, v1 - w], axis=2)
-            else:
-                v = w
-            for i, M in dense.items():
-                # Column by column: a column's least-squares solution then
-                # does not depend on the others.
-                if np.isfinite(M).all() and np.isfinite(cols[i]).all():
-                    v[i] = [np.linalg.lstsq(M, col, rcond=None)[0] for col in cols[i]]
+                    v[i] = dpotrs(factor, cols[i].T, lower=1)[0].T
+                elif np.isfinite(M[i]).all() and np.isfinite(cols[i]).all():
+                    # Column by column: a column's least-squares solution then
+                    # does not depend on the others.
+                    v[i] = [np.linalg.lstsq(M[i], col, rcond=None)[0] for col in cols[i]]
                 else:
                     v[i] = np.nan
             return v if r.ndim == 3 else v[:, 0]
@@ -441,9 +505,9 @@ class _Operator:
         return solve
 
 
-def _cholesky(M, overwrite=False):
+def _cholesky(M):
     """The lower Cholesky factor of symmetric M, or None if it fails."""
-    factor, info = dpotrf(M, lower=1, clean=0, overwrite_a=overwrite)
+    factor, info = dpotrf(M, lower=1, clean=0)
     return factor if info == 0 and np.isfinite(factor.diagonal()).all() else None
 
 

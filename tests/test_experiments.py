@@ -109,6 +109,7 @@ class TestRunTrial:
     @pytest.mark.parametrize("distribution, programs", [("complex_gaussian", 2), ("gaussian", 4)])
     def test_sds_reuses_the_ds_solve(self, monkeypatch, distribution, programs):
         # A standalone sds solves the ds programs again: 3 and 6 programs.
+        # The sds of the trial reuses every ds base and makes no empty call.
         cfg = ExperimentConfig(L=16, T=2, trials=2, methods=("ds", "sds"), fixed_n=8,
                                base_seed=5, distribution=distribution)
         counts = []
@@ -117,6 +118,7 @@ class TestRunTrial:
                             lambda batch: counts.append(len(batch)) or solve_selectors(batch))
         record = run_trial(cfg, 15.0, 8, 1)
         assert sum(counts) == programs
+        assert 0 not in counts
         channel, X, obs = make_instance(cfg, 15.0, 8, 1)
         assert record["sds"].mse == mse(channel, run_estimator("sds", X, obs, cfg.estimator))
 
