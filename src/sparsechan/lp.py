@@ -1,6 +1,5 @@
-"""Self-contained linear-program solvers: a dense interior-point method,
-run on stacks of programs, and a dual simplex for Dantzig-selector
-programs.
+"""Self-contained linear-program solvers: a dense interior-point method and
+a dual simplex for Dantzig-selector programs.
 
 `solve_lp` solves   minimize c.x   subject to   A x <= b,  x >= 0
 
@@ -14,20 +13,12 @@ do not need presolving. A program needs at least one row. The tolerance and
 the iteration cap are the module constants TOLERANCE and MAX_ITERATIONS,
 read at each call.
 
-One loop runs a whole stack of programs of the same shape, as OptNet (Amos
-& Kolter, 2017) batches its primal-dual method: each program is one row of
-the stacked iterates, residuals, step lengths and stopping tests, has its
-own normal-equation factor, and leaves the stack as soon as it is optimal,
-infeasible, unbounded or non-finite. All arithmetic is row by row, so a
-program's result does not depend, to the bit, on the stack it ran in. Each
-iteration factors every program's normal equations once, as in Andersen &
+Each iteration factors the normal equations once, as in Andersen &
 Andersen, "The MOSEK interior point optimizer for linear programming"
 (2000), and solves with the factor twice: once with two columns, for the
 (c, b) system and the predictor, which do not depend on each other, and
-once for the corrector. The loop reaches the constraint matrices only
-through an operator, `_Operator`: products with [A I] and its transpose,
-and the normal-equation solve; one product each per iterate give both its
-residuals and its KKT report.
+once for the corrector. One product each with [A I] and its transpose per
+iterate gives both its residuals and its KKT report.
 
 `solve_selectors` is the one way to solve Dantzig-selector programs, with
 A = [[B, -B], [-B, B]] for a k x k block B. Their optimal vertex is small:
@@ -151,9 +142,72 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     x >= 0 up to tolerance), dual feasibility, and a relative duality gap
     at most TOLERANCE. `iteration_limit` is a non-error outcome: the last
     iterate is returned and the caller decides what to do with it. A is
-    applied densely, whatever its structure.
+    applied densely, whatever its structure, and never written to.
     """
-    return _solve_stack(_Operator(A=lp.A[None].copy()), lp.b[None], lp.c[None])[0]
+    A, b = lp.A, lp.b
+    m, n = A.shape
+    # Equality form: [A I] [x; s] = b with x, s >= 0.
+    c = np.concatenate([lp.c, np.zeros(m)])
+
+    x = np.ones(n + m)
+    y = np.zeros(m)
+    z = np.ones(n + m)
+    tau = kappa = 1.0
+
+    r_p, r_d, r_g, mu, report = _residuals(A, b, c, x, y, z, tau, kappa)
+    mu0 = mu
+    norm_rp0 = max(1.0, np.linalg.norm(r_p))
+    norm_rd0 = max(1.0, np.linalg.norm(r_d))
+    norm_rg0 = max(1.0, abs(r_g))
+
+    status = STATUS_ITERATION_LIMIT
+    iterations = 0
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        d_x, d_y, d_z, d_tau, d_kappa = _search_direction(
+            A, b, c, x, y, z, tau, kappa, r_p, r_d, r_g, mu
+        )
+        alpha = _step_to_boundary(x, d_x, z, d_z, tau, d_tau, kappa, d_kappa, STEP_SCALE)
+        x = x + alpha * d_x
+        y = y + alpha * d_y
+        z = z + alpha * d_z
+        tau = tau + alpha * d_tau
+        kappa = kappa + alpha * d_kappa
+
+        r_p, r_d, r_g, mu, report = _residuals(A, b, c, x, y, z, tau, kappa)
+        if not (np.isfinite(x).all() and np.isfinite(z).all() and np.isfinite(tau) and tau > 0):
+            report[:] = np.nan
+            break
+        if report.max() <= TOLERANCE:
+            status = STATUS_OPTIMAL
+            break
+        small_homogeneous = (np.linalg.norm(r_p) / norm_rp0 < TOLERANCE
+                             and np.linalg.norm(r_d) / norm_rd0 < TOLERANCE
+                             and abs(r_g) / norm_rg0 < TOLERANCE)
+        tau_collapsed = tau < TOLERANCE * np.maximum(1.0, kappa)
+        tau_collapsed_strict = mu / mu0 < TOLERANCE and tau < TOLERANCE * np.minimum(1.0, kappa)
+        if (small_homogeneous and tau_collapsed) or tau_collapsed_strict:
+            status = STATUS_INFEASIBLE if b @ y > TOLERANCE else STATUS_UNBOUNDED
+            break
+
+    if status in (STATUS_OPTIMAL, STATUS_ITERATION_LIMIT):
+        tau_safe = max(tau, np.finfo(float).tiny)
+        x_out = x[:n] / tau_safe
+        duals = -y / tau_safe
+        kkt = KktReport(*(float(v) for v in report))
+    else:
+        # Certificate residuals of the homogeneous iterate.
+        x_out = np.full(n, np.nan)
+        duals = None
+        kkt = KktReport(
+            primal_infeasibility=float(np.linalg.norm(r_p, np.inf)
+                                       / (1.0 + np.linalg.norm(b, np.inf))),
+            dual_infeasibility=float(np.linalg.norm(r_d, np.inf)
+                                     / (1.0 + np.linalg.norm(lp.c, np.inf))),
+            complementarity_gap=float(mu),
+        )
+    objective = float(lp.c @ x_out) if np.all(np.isfinite(x_out)) else np.nan
+    return LpSolution(x=x_out, objective_value=objective, status=status, kkt_report=kkt,
+                      iterations=iterations, dual_values=duals)
 
 
 def solve_selectors(programs) -> list[LpSolution]:
@@ -311,259 +365,111 @@ def _selector_report(B, b, x, w, scale):
     )
 
 
-def _dot(a, b):
-    """Row-wise inner products of two stacks of vectors, each as the BLAS
-    dot product of its two rows."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _norm(a):
-    """Row-wise 2-norms, each as np.linalg.norm of its row alone."""
-    return np.sqrt(_dot(a, a))
-
-
-def _solve_stack(op, b, c) -> list[LpSolution]:
-    """Run the iteration on the stack of programs with constraint operator
-    `op`, right-hand sides b (P, m) and objectives c (P, n); one solution
-    per program, in order. A program leaves the stack when it stops, and
-    `op` with it."""
-    P, m = b.shape
-    n = c.shape[1]
-    # Equality form: [A I] [x; s] = b with x, s >= 0.
-    c = np.concatenate([c, np.zeros((P, m))], axis=1)
-
-    x = np.ones((P, n + m))
-    y = np.zeros((P, m))
-    z = np.ones((P, n + m))
-    tau = np.ones(P)
-    kappa = np.ones(P)
-
-    r_p, r_d, r_g, mu, report = _residuals(op, b, c, x, y, z, tau, kappa)
-    mu0 = mu
-    norm_rp0 = np.maximum(1.0, _norm(r_p))
-    norm_rd0 = np.maximum(1.0, _norm(r_d))
-    norm_rg0 = np.maximum(1.0, np.abs(r_g))
-
-    rows = np.arange(P)  # the program in each row of the stack
-    status = np.full(P, STATUS_ITERATION_LIMIT, dtype=object)
-    solutions = [None] * P
-
-    def finish(done, iterations):
-        for row in np.flatnonzero(done):
-            if status[row] in (STATUS_OPTIMAL, STATUS_ITERATION_LIMIT):
-                tau_safe = max(tau[row], np.finfo(float).tiny)
-                x_out = x[row, :n] / tau_safe
-                duals = -y[row] / tau_safe
-                kkt = KktReport(*(float(v) for v in report[:, row]))
-            else:
-                # Certificate residuals of the homogeneous iterate.
-                x_out = np.full(n, np.nan)
-                duals = None
-                kkt = KktReport(
-                    primal_infeasibility=float(np.linalg.norm(r_p[row], np.inf)
-                                               / (1.0 + np.linalg.norm(b[row], np.inf))),
-                    dual_infeasibility=float(np.linalg.norm(r_d[row], np.inf)
-                                             / (1.0 + np.linalg.norm(c[row, :n], np.inf))),
-                    complementarity_gap=float(mu[row]),
-                )
-            objective = float(c[row, :n] @ x_out) if np.all(np.isfinite(x_out)) else np.nan
-            solutions[rows[row]] = LpSolution(
-                x=x_out, objective_value=objective, status=status[row], kkt_report=kkt,
-                iterations=iterations, dual_values=duals)
-
-    iterations = 0
-    for iterations in range(1, MAX_ITERATIONS + 1):
-        d_x, d_y, d_z, d_tau, d_kappa = _search_direction(
-            op, b, c, x, y, z, tau, kappa, r_p, r_d, r_g, mu
-        )
-        alpha = _step_to_boundary(x, d_x, z, d_z, tau, d_tau, kappa, d_kappa, STEP_SCALE)
-        x = x + alpha[:, None] * d_x
-        y = y + alpha[:, None] * d_y
-        z = z + alpha[:, None] * d_z
-        tau = tau + alpha * d_tau
-        kappa = kappa + alpha * d_kappa
-
-        finite = (np.isfinite(x).all(axis=1) & np.isfinite(z).all(axis=1)
-                  & np.isfinite(tau) & (tau > 0))
-        r_p, r_d, r_g, mu, report = _residuals(op, b, c, x, y, z, tau, kappa)
-        report[:, ~finite] = np.nan
-        rho_p = _norm(r_p) / norm_rp0
-        rho_d = _norm(r_d) / norm_rd0
-        rho_g = np.abs(r_g) / norm_rg0
-        rho_mu = mu / mu0
-
-        optimal = finite & (report.max(axis=0) <= TOLERANCE)
-        small_homogeneous = (rho_p < TOLERANCE) & (rho_d < TOLERANCE) & (rho_g < TOLERANCE)
-        tau_collapsed = tau < TOLERANCE * np.maximum(1.0, kappa)
-        tau_collapsed_strict = (rho_mu < TOLERANCE) & (tau < TOLERANCE * np.minimum(1.0, kappa))
-        certified = finite & ~optimal & ((small_homogeneous & tau_collapsed) | tau_collapsed_strict)
-        status[optimal] = STATUS_OPTIMAL
-        status[certified] = np.where(_dot(b, y) > TOLERANCE, STATUS_INFEASIBLE,
-                                     STATUS_UNBOUNDED)[certified]
-        done = ~finite | optimal | certified
-        if not done.any():
-            continue
-        finish(done, iterations)
-        if done.all():
-            return solutions
-        keep = ~done
-        op.keep(keep)
-        rows, status = rows[keep], status[keep]
-        b, c, x, y, z, r_p, r_d = (a[keep] for a in (b, c, x, y, z, r_p, r_d))
-        tau, kappa, r_g, mu, mu0 = (a[keep] for a in (tau, kappa, r_g, mu, mu0))
-        norm_rp0, norm_rd0, norm_rg0 = (a[keep] for a in (norm_rp0, norm_rd0, norm_rg0))
-        report = report[:, keep]
-
-    finish(np.ones(rows.size, dtype=bool), iterations)
-    return solutions
-
-
-def _residuals(op, b, c, x, y, z, tau, kappa):
+def _residuals(A, b, c, x, y, z, tau, kappa):
     """Primal, dual and gap residuals and the barrier parameter mu of the
-    homogeneous iterates, and the KKT report of their de-homogenized points
-    as rows (primal, dual, gap) of one array, from one product each with
-    [A I] and its transpose. With s the slack part of x, A x/tau - b =
-    -(r_p + s)/tau; r_d/tau is the stationarity residual of the equality
-    form, covering the reduced costs and the sign of the inequality
-    multipliers. Iterates are interior, so x/tau >= 0 holds."""
-    m = b.shape[1]
-    cx, by = _dot(c, x), _dot(b, y)
-    r_p = b * tau[:, None] - op(x)
-    r_d = c * tau[:, None] - op.T(y) - z
-    primal = -(r_p + x[:, x.shape[1] - m:]) / tau[:, None]
-    report = np.stack([
-        np.max(primal, axis=1, initial=0.0) / (1.0 + np.linalg.norm(b, np.inf, axis=1)),
-        np.linalg.norm(r_d, np.inf, axis=1) / (tau * (1.0 + np.linalg.norm(c, np.inf, axis=1))),
-        np.abs(cx - by) / (tau + np.abs(cx)),
+    homogeneous iterate, and the KKT report of its de-homogenized point as
+    an array (primal, dual, gap), from one product each with [A I] and its
+    transpose. With s the slack part of x, A x/tau - b = -(r_p + s)/tau;
+    r_d/tau is the stationarity residual of the equality form, covering the
+    reduced costs and the sign of the inequality multipliers. Iterates are
+    interior, so x/tau >= 0 holds."""
+    n = A.shape[1]
+    cx, by = c @ x, b @ y
+    r_p = b * tau - (A @ x[:n] + x[n:])
+    r_d = c * tau - np.concatenate([y @ A, y]) - z
+    primal = -(r_p + x[n:]) / tau
+    report = np.array([
+        np.max(primal, initial=0.0) / (1.0 + np.linalg.norm(b, np.inf)),
+        np.linalg.norm(r_d, np.inf) / (tau * (1.0 + np.linalg.norm(c, np.inf))),
+        abs(cx - by) / (tau + abs(cx)),
     ])
-    mu = (_dot(x, z) + tau * kappa) / (x.shape[1] + 1)
+    mu = (x @ z + tau * kappa) / (x.size + 1)
     return r_p, r_d, cx - by + kappa, mu, report
 
 
-class _Operator:
-    """The equality-form matrices [A_p I] of a (P, m, n) stack A of
-    programs, never formed: op(x) stacks the [A_p I] x_p and op.T(y) the
-    [A_p I]' y_p. The stack is the operator's own; `keep` compacts it in
-    place.
+def _normal_solver(A, d_inv):
+    """solve(r) for the regularized normal equations
+    [A I] D [A I]' v + eps v = (A D_x A' + D_s + eps I) v = r, with
+    D = diag(d_inv) = diag(D_x, D_s); r and v are one column (m,) or rows
+    of columns (j, m), all solved with one factor.
+
+    If the Cholesky factor fails, the columns go to least squares one by
+    one, so that a column's solution does not depend on the others. A
+    factor fails when LAPACK reports it or its diagonal is not finite
+    (OpenBLAS reports success on NaN and inf input); a matrix or right-hand
+    side that is not finite gets a NaN solution, which ends the solve as
+    non-finite, and never reaches least squares, which can spin without end
+    on NaN.
     """
-
-    def __init__(self, A):
-        self.A = A
-        self.n = A.shape[2]
-
-    def keep(self, mask):
-        """Drop the programs where `mask` is False, moving the others
-        forward in the same buffer."""
-        kept = np.flatnonzero(mask)
-        for j, i in enumerate(kept):
-            if i != j:
-                self.A[j] = self.A[i]
-        self.A = self.A[:kept.size]
-
-    def __call__(self, x):
-        if x.ndim == 2:
-            return self(x[:, None])[:, 0]
-        return np.matmul(x[..., :self.n], self.A.transpose(0, 2, 1)) + x[..., self.n:]
-
-    def T(self, y):
-        if y.ndim == 2:
-            return self.T(y[:, None])[:, 0]
-        return np.concatenate([np.matmul(y, self.A), y], axis=2)
-
-    def solver(self, d_inv):
-        """solve(r) for the regularized normal equations of every program,
-        [A I] D [A I]' v + eps v = (A D_x A' + D_s + eps I) v = r, with
-        D = diag(d_inv) = diag(D_x, D_s); rows of d_inv belong to the
-        programs of the stack, and r and v are (P, m) or stacks of columns
-        (P, j, m), all j columns solved with one factor per program.
-
-        A program whose Cholesky factor fails goes to least squares. A
-        factor fails when LAPACK reports it or its diagonal is not finite
-        (OpenBLAS reports success on NaN and inf input); a program whose
-        matrix or right-hand side is not finite gets a NaN solution, which
-        ends it as non-finite. Each program's failure stays its own.
-        """
-        P, n = d_inv.shape[0], self.n
-        M = np.matmul(self.A * d_inv[:, None, :n], self.A.transpose(0, 2, 1))
-        M.reshape(P, -1)[:, ::M.shape[1] + 1] += d_inv[:, n:] + NORMAL_EQ_REGULARIZATION
-        factors = [_cholesky(M[i]) for i in range(P)]
-
-        def solve(r):
-            cols = r if r.ndim == 3 else r[:, None]
-            v = np.zeros_like(cols)
-            for i, factor in enumerate(factors):
-                if factor is not None:
-                    v[i] = dpotrs(factor, cols[i].T, lower=1)[0].T
-                elif np.isfinite(M[i]).all() and np.isfinite(cols[i]).all():
-                    # Column by column: a column's least-squares solution then
-                    # does not depend on the others.
-                    v[i] = [np.linalg.lstsq(M[i], col, rcond=None)[0] for col in cols[i]]
-                else:
-                    v[i] = np.nan
-            return v if r.ndim == 3 else v[:, 0]
-
-        return solve
-
-
-def _cholesky(M):
-    """The lower Cholesky factor of symmetric M, or None if it fails."""
+    n = A.shape[1]
+    M = (A * d_inv[:n]) @ A.T
+    M[np.diag_indices_from(M)] += d_inv[n:] + NORMAL_EQ_REGULARIZATION
     factor, info = dpotrf(M, lower=1, clean=0)
-    return factor if info == 0 and np.isfinite(factor.diagonal()).all() else None
+    if info or not np.isfinite(factor.diagonal()).all():
+        factor = None
+
+    def solve(r):
+        if factor is not None:
+            return dpotrs(factor, r.T, lower=1)[0].T
+        if not (np.isfinite(M).all() and np.isfinite(r).all()):
+            return np.full(r.shape, np.nan)
+        return np.reshape([np.linalg.lstsq(M, col, rcond=None)[0]
+                           for col in np.atleast_2d(r)], r.shape)
+
+    return solve
 
 
-def _search_direction(op, b, c, x, y, z, tau, kappa, r_p, r_d, r_g, mu):
+def _search_direction(A, b, c, x, y, z, tau, kappa, r_p, r_d, r_g, mu):
     """Mehrotra predictor-corrector directions for the homogeneous systems.
     The (c, b) system and the predictor do not depend on each other and
     share one two-column solve; the corrector is a second, one-column one."""
+    n = A.shape[1]
     d_inv = x / z
-    solve = op.solver(d_inv)
+    solve = _normal_solver(A, d_inv)
 
     def sym_solve(r1, r2):
-        # Stacks of columns: r1 is (P, j, n + m) and r2 is (P, j, m).
-        v = solve(r2 + op(d_inv[:, None] * r1))
-        u = d_inv[:, None] * (op.T(v) - r1)
+        # One column, or rows of columns: r1 is (n + m,) or (j, n + m).
+        w = d_inv * r1
+        v = solve(r2 + w[..., :n] @ A.T + w[..., n:])
+        u = d_inv * (np.concatenate([v @ A, v], axis=-1) - r1)
         return u, v
 
-    gamma = np.zeros_like(tau)
+    gamma = 0.0
     d_x = d_z = np.zeros_like(x)
-    d_tau = d_kappa = np.zeros_like(tau)
+    d_tau = d_kappa = 0.0
     for stage in range(2):
         eta = 1.0 - gamma
-        rhat_p = eta[:, None] * r_p
-        rhat_d = eta[:, None] * r_d
+        rhat_p = eta * r_p
+        rhat_d = eta * r_d
         rhat_g = eta * r_g
         # The predictor's direction is zero, so its products drop out there.
-        gamma_mu = gamma * mu
-        rhat_xz = gamma_mu[:, None] - x * z - d_x * d_z
-        rhat_tk = gamma_mu - tau * kappa - d_tau * d_kappa
+        rhat_xz = gamma * mu - x * z - d_x * d_z
+        rhat_tk = gamma * mu - tau * kappa - d_tau * d_kappa
 
         if stage == 0:
-            u, v = sym_solve(np.stack([c, rhat_d - rhat_xz / x], axis=1),
-                             np.stack([b, rhat_p], axis=1))
-            p, u, q, v = u[:, 0], u[:, 1], v[:, 0], v[:, 1]
-            denom_tau = kappa / tau + (_dot(-c, p) + _dot(b, q))
+            (p, u), (q, v) = sym_solve(np.stack([c, rhat_d - rhat_xz / x]),
+                                       np.stack([b, rhat_p]))
+            denom_tau = kappa / tau + (-c @ p + b @ q)
         else:
-            u, v = (a[:, 0] for a in sym_solve((rhat_d - rhat_xz / x)[:, None],
-                                                rhat_p[:, None]))
-        d_tau = (rhat_g + rhat_tk / tau - (_dot(-c, u) + _dot(b, v))) / denom_tau
-        d_x = u + p * d_tau[:, None]
-        d_y = v + q * d_tau[:, None]
+            u, v = sym_solve(rhat_d - rhat_xz / x, rhat_p)
+        d_tau = (rhat_g + rhat_tk / tau - (-c @ u + b @ v)) / denom_tau
+        d_x = u + p * d_tau
+        d_y = v + q * d_tau
         d_z = (rhat_xz - z * d_x) / x
         d_kappa = (rhat_tk - kappa * d_tau) / tau
 
         if stage == 0:
-            alpha = _step_to_boundary(x, d_x, z, d_z, tau, d_tau, kappa, d_kappa, 1.0)
-            # Per row in floats: C pow, which sets the published outputs,
-            # can differ in the last bit from numpy's exact array square.
-            gamma = np.array([(1.0 - a) ** 2 * min(0.1, 1.0 - a) for a in alpha.tolist()])
+            alpha = float(_step_to_boundary(x, d_x, z, d_z, tau, d_tau, kappa, d_kappa, 1.0))
+            # In Python floats: C pow, which sets the published outputs, can
+            # differ in the last bit from numpy's exact array square.
+            gamma = (1.0 - alpha) ** 2 * min(0.1, 1.0 - alpha)
 
     return d_x, d_y, d_z, d_tau, d_kappa
 
 
 def _step_to_boundary(x, d_x, z, d_z, tau, d_tau, kappa, d_kappa, scale):
-    """Largest step in [0, 1] per program keeping (x, z, tau, kappa) positive."""
-    v = np.concatenate([x, z, tau[:, None], kappa[:, None]], axis=1)
-    d = np.concatenate([d_x, d_z, d_tau[:, None], d_kappa[:, None]], axis=1)
-    neg = d < 0
-    ratio = np.divide(v, -d, out=np.full(v.shape, np.inf), where=neg)
-    return np.minimum(1.0, scale * ratio.min(axis=1))
+    """Largest step in [0, 1] keeping (x, z, tau, kappa) positive."""
+    v = np.concatenate([x, z, [tau, kappa]])
+    d = np.concatenate([d_x, d_z, [d_tau, d_kappa]])
+    ratio = np.divide(v, -d, out=np.full(v.shape, np.inf), where=d < 0)
+    return np.minimum(1.0, scale * ratio.min())

@@ -2,11 +2,9 @@
 brute-force vertex enumeration on small problems, and the selector vertex
 solver, checked against HiGHS."""
 
-import gc
 import os
 import subprocess
 import sys
-import weakref
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -136,7 +134,7 @@ class TestSolutionProperties:
     def test_nonfinite_iterate_reports_nan(self, monkeypatch):
         # A direction that turns the iterate non-finite ends the solve; its
         # report must not be the previous iterate's residuals.
-        def nan_direction(op, b, c, x, y, z, tau, *rest):
+        def nan_direction(A, b, c, x, y, z, tau, *rest):
             return (np.full_like(x, np.nan), np.zeros_like(b), np.ones_like(x),
                     np.zeros_like(tau), np.zeros_like(tau))
 
@@ -147,6 +145,20 @@ class TestSolutionProperties:
         report = sol.kkt_report
         assert np.isnan([report.primal_infeasibility, report.dual_infeasibility,
                          report.complementarity_gap]).all()
+
+    def test_inputs_left_unchanged(self, monkeypatch):
+        # Neither solver writes to the caller's arrays, also when every
+        # selector program goes to the IPM.
+        lp = random_bounded_lp(np.random.default_rng(27))
+        programs = [(B, d, 0.1) for _name, B, d in selector_blocks(np.random.default_rng(28))]
+        arrays = [lp.A, lp.b, lp.c] + [array for B, d, _lam in programs for array in (B, d)]
+        copies = [array.copy() for array in arrays]
+        assert solve_lp(lp).status == "optimal"
+        monkeypatch.setattr(lp_module, "VERTEX_PIVOTS_PER_ROW", 0)
+        sols = lp_module.solve_selectors(programs)
+        assert [(sol.status, sol.fallback) for sol in sols] == [("optimal", True)] * 3
+        for array, copy in zip(arrays, copies):
+            np.testing.assert_array_equal(array, copy)
 
     def test_degenerate_duplicate_rows_handled(self):
         # Redundant constraints rely on the regularized normal equations.
@@ -187,13 +199,13 @@ def normal_matrix(A, d_inv):
     return M
 
 
-def operator_stacks(rng):
-    """Two stacked operators: the dense selector matrices
-    [[B, -B], [-B, B]] of the six real and non-symmetric blocks of three
-    draws of `selector_blocks`, and three dense random programs."""
+def dense_matrices(rng):
+    """The dense selector matrices [[B, -B], [-B, B]] of the six real and
+    non-symmetric blocks of three draws of `selector_blocks`, then the
+    matrices of three dense random programs."""
     blocks = [B for _ in range(3) for _name, B, _d in selector_blocks(rng)[:2]]
-    return [lp_module._Operator(np.array([np.block([[B, -B], [-B, B]]) for B in blocks])),
-            lp_module._Operator(np.array([random_bounded_lp(rng).A for _ in range(3)]))]
+    return ([np.block([[B, -B], [-B, B]]) for B in blocks]
+            + [random_bounded_lp(rng).A for _ in range(3)])
 
 
 def selector_lp(B, d, lam):
@@ -202,26 +214,13 @@ def selector_lp(B, d, lam):
 
 
 class TestSelectorStructure:
-    """The normal-equation solve of the dense operator, on selector matrices
+    """The IPM's normal-equation solve, on selector matrices
     A = [[B, -B], [-B, B]] (the vertex solver's fallback) and random ones."""
-
-    def test_operator_matches_dense_equality_form(self):
-        # The stacked operator against each program's formed [A I].
-        rng = np.random.default_rng(35)
-        for op in operator_stacks(rng):
-            P, m, n = op.A.shape
-            x, y = rng.standard_normal((P, n + m)), rng.standard_normal((P, m))
-            ox, oty = op(x), op.T(y)
-            for p, A in enumerate(op.A):
-                A_eq = np.hstack([A, np.eye(m)])
-                scale = np.abs(A_eq).sum()
-                np.testing.assert_allclose(ox[p], A_eq @ x[p], rtol=0, atol=1e-13 * scale)
-                np.testing.assert_allclose(oty[p], A_eq.T @ y[p], rtol=0, atol=1e-13 * scale)
 
     def test_failed_factor_falls_back_to_least_squares(self, monkeypatch):
         # Negative scalings make the normal matrix indefinite, so its
-        # Cholesky factor fails. Only the programs with such scalings leave
-        # the Cholesky path.
+        # Cholesky factor fails. Every other matrix gets such scalings; each
+        # is factored once.
         factored = []
         dpotrf = lp_module.dpotrf
 
@@ -231,48 +230,47 @@ class TestSelectorStructure:
 
         monkeypatch.setattr(lp_module, "dpotrf", counting_dpotrf)
         rng = np.random.default_rng(34)
-        for op in operator_stacks(rng):
-            P, m, n = op.A.shape
-            d_inv = np.ones((P, n + m))
-            d_inv[::2] = -1.0
-            r = rng.standard_normal((P, m))
+        for i, A in enumerate(dense_matrices(rng)):
+            m, n = A.shape
+            d_inv = np.ones(n + m) if i % 2 else -np.ones(n + m)
+            r = rng.standard_normal(m)
             factored.clear()
-            v = op.solver(d_inv)(r)
-            assert factored == [(m, m)] * P
-            for p in range(0, P, 2):
-                M = normal_matrix(op.A[p], d_inv[p])
-                np.testing.assert_array_equal(v[p], np.linalg.lstsq(M, r[p], rcond=None)[0])
+            v = lp_module._normal_solver(A, d_inv)(r)
+            assert factored == [(m, m)]
+            if i % 2 == 0:
+                M = normal_matrix(A, d_inv)
+                np.testing.assert_array_equal(v, np.linalg.lstsq(M, r, rcond=None)[0])
 
     @pytest.mark.parametrize("spread", [False, True])
     def test_multi_column_solve_matches_one_column_solves(self, spread):
-        # Columns share each program's factor and solve as they would alone,
-        # to the bit. Every third program has negative scalings and goes to
-        # least squares; the others must be backward stable at any scaling.
+        # Columns share the factor and solve as they would alone, to the
+        # bit. Every third matrix has negative scalings and goes to least
+        # squares; the others must be backward stable at any scaling.
         rng = np.random.default_rng(36)
-        for op in operator_stacks(rng):
-            P, m, n = op.A.shape
-            d_inv = (10.0 ** rng.uniform(-8, 8, (P, n + m)) if spread
-                     else rng.uniform(0.5, 2.0, (P, n + m)))
-            d_inv[::3] *= -1.0
-            R = rng.standard_normal((P, 2, m))
-            solve = op.solver(d_inv)
+        for i, A in enumerate(dense_matrices(rng)):
+            m, n = A.shape
+            d_inv = (10.0 ** rng.uniform(-8, 8, n + m) if spread
+                     else rng.uniform(0.5, 2.0, n + m))
+            if i % 3 == 0:
+                d_inv *= -1.0
+            R = rng.standard_normal((2, m))
+            solve = lp_module._normal_solver(A, d_inv)
             V = solve(R)
             assert V.shape == R.shape
             for j in range(2):
-                np.testing.assert_array_equal(V[:, j], solve(R[:, j]))
-            for p, A in enumerate(op.A):
-                M = normal_matrix(A, d_inv[p])
-                for v, r in zip(V[p], R[p]):
-                    if p % 3 == 0:
-                        np.testing.assert_array_equal(v, np.linalg.lstsq(M, r, rcond=None)[0])
-                        continue
-                    backward = np.linalg.norm(M @ v - r) / (
-                        np.linalg.norm(M, 2) * np.linalg.norm(v) + np.linalg.norm(r))
-                    assert backward <= 1e-12
+                np.testing.assert_array_equal(V[j], solve(R[j]))
+            M = normal_matrix(A, d_inv)
+            for v, r in zip(V, R):
+                if i % 3 == 0:
+                    np.testing.assert_array_equal(v, np.linalg.lstsq(M, r, rcond=None)[0])
+                    continue
+                backward = np.linalg.norm(M @ v - r) / (
+                    np.linalg.norm(M, 2) * np.linalg.norm(v) + np.linalg.norm(r))
+                assert backward <= 1e-12
 
     def test_selector_programs_match_highs(self):
         # Through the vertex solver of solve_selectors and, as any LP,
-        # through solve_lp's dense operator.
+        # through solve_lp on the dense A.
         rng = np.random.default_rng(33)
         for _ in range(3):
             for name, B, d in selector_blocks(rng):
@@ -413,15 +411,10 @@ def assert_same_solution(a, b):
         np.testing.assert_array_equal(a.dual_values, b.dual_values)
 
 
-def dense_stack(programs):
-    """`_solve_stack` on LinearPrograms of one shape."""
-    return lp_module._solve_stack(lp_module._Operator(np.array([lp.A for lp in programs])),
-                                  np.array([lp.b for lp in programs]),
-                                  np.array([lp.c for lp in programs]))
-
-
 class TestStacks:
-    """A program's result does not depend, to the bit, on the stack it runs in."""
+    """A program's result does not depend, to the bit, on the other programs
+    of its `solve_selectors` call, and non-finite scalings end the solve
+    they reach."""
 
     @pytest.mark.parametrize("max_iterations", [None, 7])
     def test_selector_results_independent_of_stack(self, monkeypatch, max_iterations):
@@ -444,32 +437,6 @@ class TestStacks:
         for i, sol in zip(order, lp_module.solve_selectors([programs[i] for i in order])):
             assert_same_solution(sol, alone[i])
 
-    def test_dense_results_independent_of_stack(self):
-        rng = np.random.default_rng(42)
-        programs = [random_bounded_lp(rng) for _ in range(5)]
-        programs.append(replace(programs[0], b=np.concatenate([programs[0].b[:-1], [-1.0]])))
-        alone = [solve_lp(lp) for lp in programs]
-        assert alone[-1].status == "infeasible"
-        order = rng.permutation(len(programs))
-        for i, sol in zip(order, dense_stack([programs[i] for i in order])):
-            assert_same_solution(sol, alone[i])
-
-    def test_operator_rows_independent_of_stack(self):
-        # Every other program has negative scalings, which send its normal
-        # equations to the least-squares fallback.
-        rng = np.random.default_rng(43)
-        for op in operator_stacks(rng):
-            P, m, n = op.A.shape
-            d_inv = rng.uniform(0.5, 2.0, (P, n + m))
-            d_inv[1::2] *= -1.0
-            x, y, r = (rng.standard_normal((P, size)) for size in (n + m, m, m))
-            stacked = op(x), op.T(y), op.solver(d_inv)(r)
-            for p in range(P):
-                one = lp_module._Operator(op.A[p:p + 1].copy())
-                alone = one(x[p:p + 1]), one.T(y[p:p + 1]), one.solver(d_inv[p:p + 1])(r[p:p + 1])
-                for a, b in zip(stacked, alone):
-                    np.testing.assert_array_equal(a[p], b[0])
-
     def test_nonfinite_scalings_end_only_their_programs(self):
         # LAPACK's least squares can spin without end on a matrix with NaN
         # entries, so the check runs in a subprocess under a timeout.
@@ -478,87 +445,46 @@ class TestStacks:
         subprocess.run([sys.executable, "-c", "import test_lp; test_lp.check_nonfinite_scalings()"],
                        env=env, check=True, timeout=120)
 
-    def test_no_reference_cycle_holds_a_stack(self, monkeypatch):
-        # A cycle would keep each stack's operator and its matrices alive
-        # until the cyclic collector runs.
-        refs = []
-
-        class Recorded(lp_module._Operator):
-            def __init__(self, A):
-                super().__init__(A)
-                refs.extend([weakref.ref(self), weakref.ref(self.A)])
-
-        monkeypatch.setattr(lp_module, "_Operator", Recorded)
-        rng = np.random.default_rng(45)
-        programs = [selector_lp(B, d, lam) for _name, B, d in selector_blocks(rng)[:2]
-                    for lam in (0.0, 0.5)]
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            dense_stack(programs)
-            solve_lp(programs[0])
-            assert len(refs) == 4
-            assert all(ref() is None for ref in refs)
-        finally:
-            if enabled:
-                gc.enable()
-
-    def test_compaction_moves_programs_forward(self):
-        rng = np.random.default_rng(44)
-        (op, _dense) = operator_stacks(rng)
-        matrices = op.A.copy()
-        op.keep(np.array([False, True, False, True, True, False]))
-        np.testing.assert_array_equal(op.A, matrices[[1, 3, 4]])
-
 
 def check_nonfinite_scalings():
-    """Programs whose scalings hold inf or NaN get NaN solutions, also when
-    their factor fails, and a loop that meets such scalings ends those
-    programs as non-finite; the finite programs of the same stacks solve as
-    they would alone, to the bit."""
+    """Scalings that hold inf or NaN give NaN solutions, also when the
+    factor fails, and a solve that meets such scalings ends as non-finite."""
     rng = np.random.default_rng(46)
-    for op in operator_stacks(rng):
-        P, m, n = op.A.shape
-        d_inv = rng.uniform(0.5, 2.0, (P, n + m))
-        d_inv[0, 0] = np.inf
-        d_inv[1, -1] = np.nan
-        d_inv[2] = -1.0
-        d_inv[2, 1] = -np.inf
-        r = rng.standard_normal((P, m))
-        v = op.solver(d_inv)(r)
-        assert np.isnan(v[:3]).all()
-        for p in range(3, P):
-            one = lp_module._Operator(op.A[p:p + 1].copy())
-            np.testing.assert_array_equal(v[p], one.solver(d_inv[p:p + 1])(r[p:p + 1])[0])
+    for A in dense_matrices(rng):
+        m, n = A.shape
+        r = rng.standard_normal(m)
+        scalings = rng.uniform(0.5, 2.0, (3, n + m))
+        scalings[0, 0] = np.inf
+        scalings[1, -1] = np.nan
+        scalings[2] = -1.0
+        scalings[2, 1] = -np.inf
+        for d_inv in scalings:
+            assert np.isnan(lp_module._normal_solver(A, d_inv)(r)).all()
 
-    programs = [selector_lp(B, d, lam) for _name, B, d in selector_blocks(rng)[:2]
-                for lam in (0.1, 0.5)]
-    alone = [solve_lp(lp) for lp in programs]
-    solver = lp_module._Operator.solver
-    calls = []
+    _name, B, d = selector_blocks(rng)[0]
+    normal_solver = lp_module._normal_solver
+    for lam, index, value in ((0.1, 0, np.inf), (0.5, -1, np.nan)):
+        calls = []
 
-    def poisoned(self, d_inv):
-        # The first iteration's scalings of programs 0 and 1 are not finite.
-        if not calls:
-            d_inv = d_inv.copy()
-            d_inv[0, 0], d_inv[1, -1] = np.inf, np.nan
-        calls.append(d_inv.shape[0])
-        return solver(self, d_inv)
+        def poisoned(A, d_inv):
+            # The first iteration's scalings are not finite.
+            if not calls:
+                d_inv = d_inv.copy()
+                d_inv[index] = value
+            calls.append(1)
+            return normal_solver(A, d_inv)
 
-    lp_module._Operator.solver = poisoned
-    try:
-        stacked = dense_stack(programs)
-    finally:
-        lp_module._Operator.solver = solver
-    for sol in stacked[:2]:
+        lp_module._normal_solver = poisoned
+        try:
+            sol = solve_lp(selector_lp(B, d, lam))
+        finally:
+            lp_module._normal_solver = normal_solver
         assert (sol.status, sol.iterations) == ("iteration_limit", 1)
         assert np.isnan(astuple(sol.kkt_report)).all()
-    for sol, ref in zip(stacked[2:], alone[2:]):
-        assert_same_solution(sol, ref)
 
 
-# Hypothesis properties of the KktReport that the solver derives from its
-# residuals, on both operator paths: dense random programs and the three
+# Hypothesis properties of the KktReport that the solvers derive: of
+# `solve_lp` on dense random programs and of `solve_selectors` on the three
 # selector kinds. Derandomized so that a run is reproducible.
 PROPERTIES = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 SEEDS = st.integers(0, 2**32 - 1)
