@@ -28,10 +28,12 @@ state is its active rows and basic columns (`_solve_vertex`), as the
 parametric simplex of Pang et al., "Parametric simplex method for sparse
 learning" (NeurIPS 2017), and the homotopy of Asif & Romberg, "Dantzig
 selector homotopy with dynamic measurements" (SPIE 2009), follow the
-selector's active set. Its pivot cap and tolerances are the VERTEX_*
-constants. A program the simplex cannot certify goes to `solve_lp` on its
-dense A. Sweeps hand it the programs of one chunk of trials at a time (see
-`experiments`).
+selector's active set. That state lives in buffers kept in basis order,
+which a pivot updates by one write or one shift each; the basis matrix is
+still factored from scratch at every pivot. Its pivot cap and tolerances
+are the VERTEX_* constants. A program the simplex cannot certify goes to
+`solve_lp` on its dense A. Sweeps hand it the programs of one chunk of
+trials at a time (see `experiments`).
 
 No external optimization library is used; linear algebra is numpy/scipy
 factorizations only.
@@ -243,8 +245,10 @@ def _solve_vertex(B, b):
     first half and -1 on the second, so A is never formed. The basis is the
     active rows R and the basic columns S, |R| = |S|, with the slacks of
     the other rows; it starts from the slack basis, which is dual feasible
-    because c = 1. Each pivot re-solves M = A[R, S] from scratch for the
-    basic x_S and the multipliers y_R, so no error builds up over pivots.
+    because c = 1. The basis lives in buffers kept in basis order, and a
+    row or column that joins or leaves it costs one write or one
+    order-keeping shift per buffer. Each pivot still factors M = A[R, S]
+    from scratch for x_S and the multipliers y_R, so no error builds up.
     The leaving variable is the most negative basic slack or x_S; its row of
     the tableau comes from one solve with M', and Harris's two-pass ratio
     test picks the entering one among the nonbasic columns and the slacks
@@ -260,25 +264,29 @@ def _solve_vertex(B, b):
     sign = np.repeat([1.0, -1.0], k)
     scale = np.abs(B).max()
     slack_tol = VERTEX_FEASIBILITY * np.abs(b).max()
-    R, S = [], []
+    # Buffers of k + 1 rows: R, S, S mod k, A_R = A[R, :k], A_S = A[:, S]'
+    # (row j of W is column j of A, and column j + k is -W[j]), M = A[R, S]
+    # and b_R = b[R]. A basis of k + 1 rows holds both rows of some pair, so
+    # M is exactly singular and dgesv ends the solve.
+    W = np.concatenate([B.T, -B.T], axis=1)
+    R, S, S_k = np.zeros((3, k + 1), dtype=np.intp)
+    A_R, A_S, M = np.zeros((k + 1, k)), np.zeros((k + 1, 2 * k)), np.zeros((k + 1, k + 1))
+    b_R, ratio = np.zeros(k + 1), np.zeros((2, 2 * k + 1))
+    n = 0
     max_pivots = VERTEX_PIVOTS_PER_ROW * 2 * k
     for pivots in range(max_pivots + 1):
-        rows, cols = np.array(R, dtype=np.intp), np.array(S, dtype=np.intp)
-        col_k, col_sign = cols % k, sign[cols]
-        # A[R, j] = A_R[:, j mod k] sign[j].
-        A_R = B[rows % k] * sign[rows, None]
-        x_S = np.zeros(0)
-        if S:
-            lu, piv, x_S, info = dgesv(A_R[:, col_k] * col_sign, b[rows])
-            if info or not np.isfinite(x_S).all():
+        slack, p, leave_col = b, 0, False
+        if n:
+            lu, piv, x_S, info = dgesv(M[:n, :n], b_R[:n])
+            x_max = np.abs(x_S).max()
+            if info or not np.isfinite(x_max):
                 return None
-        t = B[:, col_k] @ (col_sign * x_S)
-        slack = b - np.concatenate([t, -t])
-        slack[rows] = 0.0
+            slack = b - x_S @ A_S[:n]
+            slack[R[:n]] = 0.0
+            p = int(np.argmin(x_S))
+            leave_col = x_S[p] < -VERTEX_FEASIBILITY * x_max
         q = int(np.argmin(slack))
-        p = int(np.argmin(x_S)) if S else 0
         leave_row = slack[q] < -slack_tol
-        leave_col = bool(S) and x_S[p] < -VERTEX_FEASIBILITY * np.abs(x_S).max()
         if leave_row and leave_col:
             leave_row = slack[q] < scale * x_S[p]
         elif not (leave_row or leave_col):
@@ -289,55 +297,62 @@ def _solve_vertex(B, b):
         # [A I]) is rho'A[R, :] (plus A[q, :] for a slack) on the columns and
         # rho on the slacks of R, with M' rho = -A[q, S]' for a slack and
         # M' rho = e_p for x_S[p]; the reduced costs are 1 - y_R'A[R, :] and
-        # -y_R, with M' y_R = 1.
-        y_R = rho = np.zeros(0)
-        corr = beta = np.zeros(k)
-        if S:
-            rhs = np.zeros((len(S), 2))
-            rhs[:, 0] = 1.0
-            if leave_row:
-                rhs[:, 1] = -sign[q] * B[q % k, col_k] * col_sign
-            else:
-                rhs[p, 1] = 1.0
+        # -y_R, with M' y_R = 1. The slacks' entries go to ratio[:, k:].
+        solved = np.zeros((2, 0))
+        if n:
+            rhs = np.ones((n, 2))
+            rhs[:, 1] = -A_S[:n, q] if leave_row else np.arange(n) == p
             solved = dgetrs(lu, piv, rhs, trans=1)[0].T
-            y_R, rho = solved
-            corr, beta = solved @ A_R
+        corr, beta = solved @ A_R[:n]
+        cost, step = ratio[:, :k + n]
+        np.multiply(solved, -scale, out=ratio[:, k:k + n])
         if leave_row:
-            beta = beta + sign[q] * B[q % k]
+            np.multiply(B[q % k], sign[q], out=A_R[n])
+            beta += A_R[n]
         # Column j of A carries sign[j] (corr, beta)[j mod k], so of the pair
         # x_i, x_(i+k) only the one with tableau entry -|beta_i| can enter,
         # at reduced cost 1 + sign(beta_i) corr_i. A basic column's entry is
         # 0, and so is its partner's, bar the leaving column's partner.
-        step = np.abs(beta)
-        cost = np.where(beta < 0, 1.0 - corr, 1.0 + corr)
-        if leave_row:
-            step[col_k] = 0.0
-        else:
-            own = step[col_k[p]]
-            step[col_k] = 0.0
-            step[col_k[p]] = own
-        step = np.concatenate([step, -scale * rho])
-        cost = np.concatenate([cost, -scale * y_R])
+        np.abs(beta, out=step[:k])
+        np.sign(beta, out=cost[:k])
+        cost[:k] = cost[:k] * corr + 1.0
+        own = step[S_k[p]]
+        step[S_k[:n]] = 0.0
+        if not leave_row:
+            step[S_k[p]] = own
         candidates = np.flatnonzero(step > VERTEX_PIVOT * np.abs(step).max())
         if not candidates.size:
             return None
         reduced, step = np.maximum(cost[candidates], 0.0), step[candidates]
         bound = ((reduced + VERTEX_HARRIS) / step).min()
         enter = int(candidates[np.argmax(np.where(reduced / step <= bound, step, 0.0))])
+        # The leaving variable goes, and the entering one comes, in basis order.
+        rows = cols = n
         if leave_row:
-            R.append(q)
+            R[n], b_R[n], M[n, :n] = q, b[q], A_S[:n, q]
+            rows += 1
         else:
-            S.pop(p)
+            for buf in (S, S_k, A_S):
+                buf[p:n - 1] = buf[p + 1:n]
+            M[:n, p:n - 1] = M[:n, p + 1:n]
+            cols -= 1
         if enter < k:
-            S.append(enter if beta[enter] < 0 else enter + k)
+            j = enter if beta[enter] < 0 else enter + k
+            S[cols], S_k[cols] = j, enter
+            np.multiply(W[enter], sign[j], out=A_S[cols])
+            np.multiply(A_R[:rows, enter], sign[j], out=M[:rows, cols])
+            n = cols + 1
         else:
-            R.pop(enter - k)
+            i = enter - k
+            for buf in (R, b_R, A_R):
+                buf[i:rows - 1] = buf[i + 1:rows]
+            M[i:rows - 1, :cols] = M[i + 1:rows, :cols]
+            n = rows - 1
 
-    x = np.zeros(2 * k)
-    w = np.zeros(2 * k)
-    if S:
-        x[cols] = x_S
-        w[rows] = -dgetrs(lu, piv, np.ones(len(S)), trans=1)[0]
+    x, w = np.zeros(2 * k), np.zeros(2 * k)
+    if n:
+        x[S[:n]] = x_S
+        w[R[:n]] = -dgetrs(lu, piv, np.ones(n), trans=1)[0]
     report = _selector_report(B, b, x, w, scale)
     if not report.max_residual() <= TOLERANCE:
         return None

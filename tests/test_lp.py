@@ -147,18 +147,22 @@ class TestSolutionProperties:
                          report.complementarity_gap]).all()
 
     def test_inputs_left_unchanged(self, monkeypatch):
-        # Neither solver writes to the caller's arrays, also when every
-        # selector program goes to the IPM.
+        # Neither solver writes to the caller's arrays: not the vertex solver,
+        # whose buffers are built from B, and not the IPM, where every
+        # selector program goes with the pivot cap at 0. Level 0 takes the
+        # longest paths.
         lp = random_bounded_lp(np.random.default_rng(27))
-        programs = [(B, d, 0.1) for _name, B, d in selector_blocks(np.random.default_rng(28))]
+        programs = [(B, d, lam) for _name, B, d in selector_blocks(np.random.default_rng(28))
+                    for lam in (0.0, 0.1)]
         arrays = [lp.A, lp.b, lp.c] + [array for B, d, _lam in programs for array in (B, d)]
         copies = [array.copy() for array in arrays]
         assert solve_lp(lp).status == "optimal"
-        monkeypatch.setattr(lp_module, "VERTEX_PIVOTS_PER_ROW", 0)
-        sols = lp_module.solve_selectors(programs)
-        assert [(sol.status, sol.fallback) for sol in sols] == [("optimal", True)] * 3
-        for array, copy in zip(arrays, copies):
-            np.testing.assert_array_equal(array, copy)
+        for cap, fallback in ((lp_module.VERTEX_PIVOTS_PER_ROW, False), (0, True)):
+            monkeypatch.setattr(lp_module, "VERTEX_PIVOTS_PER_ROW", cap)
+            sols = lp_module.solve_selectors(programs)
+            assert [(sol.status, sol.fallback) for sol in sols] == [("optimal", fallback)] * 6
+            for array, copy in zip(arrays, copies):
+                np.testing.assert_array_equal(array, copy)
 
     def test_degenerate_duplicate_rows_handled(self):
         # Redundant constraints rely on the regularized normal equations.
@@ -286,8 +290,12 @@ class TestSelectorStructure:
 
 
 def highs_objective(B, d, lam):
+    # At its default 1e-7 tolerances HiGHS can end on a vertex that breaks a
+    # row by 4e-8, with an objective 1.5e-7 relative off.
     lp = selector_lp(B, d, lam)
-    ref = scipy.optimize.linprog(lp.c, A_ub=lp.A, b_ub=lp.b, bounds=(0, None), method="highs")
+    ref = scipy.optimize.linprog(lp.c, A_ub=lp.A, b_ub=lp.b, bounds=(0, None), method="highs",
+                                 options={"primal_feasibility_tolerance": 1e-10,
+                                          "dual_feasibility_tolerance": 1e-10})
     assert ref.status == 0
     return ref.fun
 
@@ -320,11 +328,15 @@ class TestSelectorVertex:
     def test_instance_matches_highs(self, distribution, k):
         programs = instance_programs(distribution, 20.0, 3)
         assert {B.shape[0] for B, _d, _lam in programs} == {k}
-        for (B, d, lam), sol in zip(programs, lp_module.solve_selectors(programs)):
+        sols = lp_module.solve_selectors(programs)
+        # Pinned, so that a change to the pivot rule fails here and not only
+        # in the sweeps' outputs.
+        pivots = {"gaussian": [7, 6], "complex_gaussian": [17]}[distribution]
+        assert [sol.iterations for sol in sols] == pivots
+        for (B, d, lam), sol in zip(programs, sols):
             ref = highs_objective(B, d, lam)
             assert (sol.status, sol.fallback) == ("optimal", False)
             assert abs(sol.objective_value - ref) <= 1e-12 * abs(ref)
-            assert 0 < sol.iterations < lp_module.MAX_ITERATIONS
 
     def test_certificate_recomputed(self):
         # Feasibility, dual feasibility and a zero gap, recomputed on the
@@ -390,12 +402,12 @@ class TestSelectorVertex:
 
     def test_level_zero_on_noisy_data_stays_at_the_vertex(self):
         # At lam = 0 on noisy data the path to the vertex is long: this
-        # complex program needs more than 200 pivots, the IPM's iteration cap.
+        # complex program needs 310 pivots, more than the IPM's iteration cap.
         programs = instance_programs("complex_gaussian", 20.0, 3)
         B, d, _lam = programs[0]
         sol = lp_module.solve_selectors([(B, d, 0.0)])[0]
         assert (sol.status, sol.fallback) == ("optimal", False)
-        assert sol.iterations > lp_module.MAX_ITERATIONS
+        assert sol.iterations == 310 > lp_module.MAX_ITERATIONS
         ref = highs_objective(B, d, 0.0)
         assert abs(sol.objective_value - ref) <= 1e-12 * abs(ref)
 
@@ -503,6 +515,40 @@ def selector_programs(draw):
     blocks = selector_blocks(rng, n=draw(st.integers(1, L)), L=L)
     _name, B, d = blocks[draw(st.integers(0, len(blocks) - 1))]
     return B, d, draw(st.floats(0.0, 2.0))
+
+
+@st.composite
+def selector_batches(draw):
+    """Programs of the three kinds of `selector_blocks`, with k = 2..12 and
+    a level in [0, 1], 0 included, and an order to shuffle them in."""
+    programs = []
+    for _ in range(draw(st.integers(1, 4))):
+        rng = np.random.default_rng(draw(SEEDS))
+        kind = draw(st.integers(0, 2))
+        # The stacked complex block has k = 2L.
+        L = draw(st.integers(2, 12) if kind < 2 else st.integers(1, 6))
+        _name, B, d = selector_blocks(rng, n=draw(st.integers(1, L)), L=L)[kind]
+        programs.append((B, d, draw(st.just(0.0) | st.floats(0.0, 1.0))))
+    return programs, draw(st.permutations(range(len(programs))))
+
+
+class TestVertexProperties:
+    """Level 0 removes rows and columns from the middle of the basis, where
+    a basis buffer kept in order is easiest to get wrong."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(selector_batches())
+    def test_random_programs(self, batch):
+        # Optimal at the vertex, the HiGHS objective, and the same bits alone
+        # as in a shuffled batch.
+        programs, order = batch
+        alone = [lp_module.solve_selectors([program])[0] for program in programs]
+        for program, sol in zip(programs, alone):
+            assert (sol.status, sol.fallback) == ("optimal", False)
+            ref = highs_objective(*program)
+            assert abs(sol.objective_value - ref) <= 1e-9 * abs(ref)
+        for i, sol in zip(order, lp_module.solve_selectors([programs[i] for i in order])):
+            assert_same_solution(sol, alone[i])
 
 
 class TestDerivedReport:
