@@ -3,9 +3,10 @@
 Implements least squares (works in both the overdetermined and the
 minimum-norm underdetermined regime), orthogonal matching pursuit (stopped
 at an atom budget or at the noise-level residual), Lasso by working-set
-coordinate descent on the Gram matrix X^H X with complex soft-thresholding,
-a Newton finish on a stable support and a stop that certifies the
-optimality conditions, the Dantzig selector realized as a linear program
+coordinate descent on the Gram matrix X^H X with complex soft-thresholding
+(each coordinate update one BLAS zaxpy), a Newton finish on a stable
+support (solved by LAPACK dgesv) and a stop that certifies the optimality
+conditions, the Dantzig selector realized as a linear program
 (solved at its optimal vertex by `lp.solve_selectors`' dual simplex, with
 the interior-point method as fallback), its residual-reweighted "sensing"
 variant, and the genie-aided oracle (least squares on the true support).
@@ -51,6 +52,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import zaxpy
+from scipy.linalg.lapack import dgesv
 
 from .lp import (
     STATUS_INFEASIBLE,
@@ -404,26 +407,29 @@ def _lasso_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig)
     zero taps that violate the optimality conditions, |c_j - q_j| > lambda
     with q = G h (the first set holds the taps with |c_j| > lambda). Tap j's
     statistic is rho_j = c_j - q_j + G_jj h_j, and each change updates q by
-    one column of G. When a pass changes no tap by LASSO_CONVERGENCE_TOL, one
-    vectorized screen recomputes q, adds the violators to the working set and
-    measures the largest subgradient residual over all taps: |c_j - q_j -
-    lambda h_j/|h_j|| on the nonzero taps, max(|c_j - q_j| - lambda, 0) on
-    the others. The call has converged, a certified stop, when the screen
-    finds no violator and that residual is at most LASSO_KKT_TOL * lambda.
-    Both tests allow LASSO_KKT_FLOOR * max |c_j| where that is larger, the
-    rounding level of c - G h, which matters only for a lambda near 0.
+    one column of G: one in-place BLAS zaxpy on a contiguous complex copy of
+    G's columns, made once per call. When a pass changes no tap by
+    LASSO_CONVERGENCE_TOL, one vectorized screen recomputes q, adds the
+    violators to the working set and measures the largest subgradient
+    residual over all taps: |c_j - q_j - lambda h_j/|h_j|| on the nonzero
+    taps, max(|c_j - q_j| - lambda, 0) on the others. The call has
+    converged, a certified stop, when the screen finds no violator and that
+    residual is at most LASSO_KKT_TOL * lambda. Both tests allow
+    LASSO_KKT_FLOOR * max |c_j| where that is larger, the rounding level of
+    c - G h, which matters only for a lambda near 0.
 
     A slow call, past LASSO_NEWTON_PASSES passes with a support that no
     longer changes, takes Newton steps on that support, where the objective
     is smooth: each step solves the real 2|S| x 2|S| system of
     [[Re G_SS, -Im G_SS], [Im G_SS, Re G_SS]] plus lambda/|h_j| (I - u_j
-    u_j^T) per tap, u_j its unit phase. A step is kept only if it lowers the
-    objective and no tap crosses zero, otherwise the passes resume (and no
-    Newton step is tried again until the support changes); the steps end
-    when the largest change falls below LASSO_CONVERGENCE_TOL, and the
-    screen follows. At L=60 and 20 dB a call takes a median of about 45
-    sweeps at N=10 and 11 at N=55; calls that settle within
-    LASSO_NEWTON_PASSES passes take no Newton step.
+    u_j^T) per tap, u_j its unit phase, by LAPACK dgesv. A step is kept
+    only if it lowers the objective and no tap crosses zero; otherwise, or
+    when the system is singular, the passes resume (and no Newton step is
+    tried again until the support changes); the steps end when the largest
+    change falls below LASSO_CONVERGENCE_TOL, and the screen follows. At
+    L=60 and 20 dB a call takes a median of about 45 sweeps at N=10 and 11
+    at N=55; calls that settle within LASSO_NEWTON_PASSES passes take no
+    Newton step.
 
     diagnostics["sweeps"] counts passes plus Newton steps, capped at
     LASSO_MAX_SWEEPS (the last pass is always screened), and
@@ -445,6 +451,8 @@ def _lasso_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig)
     g_diag = np.real(np.diag(G))
     live = g_diag > 0.0
     g_list = g_diag.tolist()
+    # Row j is column j of G, contiguous, so that an update is one zaxpy.
+    cols = G.T.astype(np.complex128, order="C")
     q = np.zeros(L, dtype=np.complex128)
     h = [0j] * L
     # Below this the residual c - G h is not resolved: at lambda = 0 the
@@ -463,7 +471,7 @@ def _lasso_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig)
             new = (1.0 - lam / mag) * rho / d if mag > lam else 0j
             change = new - old
             if change:
-                q += G[:, j] * change
+                q = zaxpy(cols[j], q, a=change)
                 h[j] = new
                 max_change = max(max_change, abs(change))
         nonzero = [j for j in work if h[j]]
@@ -502,40 +510,51 @@ def _lasso_newton(G, c, h, support, lam, budget) -> tuple[int, bool]:
     """Newton steps of `_lasso_estimate` on the nonzero taps `support`, at
     most `budget` of them, updating the tap list `h` in place. Returns the
     steps taken and whether the last one changed no tap by
-    LASSO_CONVERGENCE_TOL."""
+    LASSO_CONVERGENCE_TOL. The system is assembled in buffers made once per
+    run, and a step whose dgesv reports a singular system (info > 0) ends
+    the run with `h` as it was before that step."""
     S = np.array(support)
     s = S.size
     Gs = G[np.ix_(S, S)]
-    H0 = np.block([[Gs.real, -Gs.imag], [Gs.imag, Gs.real]])
+    H0 = np.empty((2 * s, 2 * s), order="F")
+    H0[:s, :s] = H0[s:, s:] = Gs.real
+    np.negative(Gs.imag, out=H0[:s, s:])
+    H0[s:, :s] = Gs.imag
+    # Flat (column-major) indices of the diagonals of H's four s x s blocks:
+    # re-re, im-im, then the two off-diagonal ones. dgesv overwrites H, so
+    # each step refills it from H0.
+    diag = np.arange(s) * (2 * s + 1)
+    blocks = np.concatenate([diag, diag + s * (2 * s + 1), diag + s, diag + 2 * s * s])
+    H = np.empty((2 * s, 2 * s), order="F")
+    flat = H.reshape(-1, order="F")
+    rhs = np.empty(2 * s)
     cs = c[S]
     hs = np.array([h[j] for j in support])
-    re, im = np.arange(s), np.arange(s, 2 * s)
     steps, size = 0, math.inf
     while steps < budget:
         steps += 1
         mag = np.abs(hs)
         u = hs / mag
         w = lam / mag
-        H = H0.copy()
-        H[re, re] += w * u.imag**2
-        H[im, im] += w * u.real**2
-        H[re, im] -= w * u.real * u.imag
-        H[im, re] -= w * u.real * u.imag
+        cross = w * u.real * u.imag
+        np.copyto(H, H0)
+        flat[blocks] += np.concatenate([w * u.imag**2, w * u.real**2, -cross, -cross])
         r = cs - Gs @ hs
         g = r - lam * u
-        try:
-            dx = np.linalg.solve(H, np.concatenate([g.real, g.imag]))
-        except np.linalg.LinAlgError:
+        rhs[:s], rhs[s:] = g.real, g.imag
+        dx, info = dgesv(H, rhs, overwrite_a=1, overwrite_b=1)[2:]
+        if info:
             break
         step = dx[:s] + 1j * dx[s:]
         new = hs + step
-        size = float(np.abs(step).max())
+        abs_step = np.abs(step)
+        size = float(abs_step.max())
         # The decrease of the objective, formed so that rounding does not
         # swamp it near the minimum: |h + d| - |h| is taken as
         # (2 Re(conj(h) d) + |d|^2) / (|h + d| + |h|).
         along = (np.conj(hs) * step).real
         decrease = (np.vdot(step, r).real - 0.5 * np.vdot(step, Gs @ step).real
-                    - lam * ((2.0 * along + np.abs(step)**2) / (np.abs(new) + mag)).sum())
+                    - lam * ((2.0 * along + abs_step**2) / (np.abs(new) + mag)).sum())
         kept = decrease > 0.0 and (mag**2 + along > 0.0).all()
         if kept:
             hs = new

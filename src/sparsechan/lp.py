@@ -265,10 +265,9 @@ def _solve_vertex(B, b):
     scale = np.abs(B).max()
     slack_tol = VERTEX_FEASIBILITY * np.abs(b).max()
     # Buffers of k + 1 rows: R, S, S mod k, A_R = A[R, :k], A_S = A[:, S]'
-    # (row j of W is column j of A, and column j + k is -W[j]), M = A[R, S]
+    # (column j of A is sign[j] [B[:, j mod k]; -B[:, j mod k]]), M = A[R, S]
     # and b_R = b[R]. A basis of k + 1 rows holds both rows of some pair, so
     # M is exactly singular and dgesv ends the solve.
-    W = np.concatenate([B.T, -B.T], axis=1)
     R, S, S_k = np.zeros((3, k + 1), dtype=np.intp)
     A_R, A_S, M = np.zeros((k + 1, k)), np.zeros((k + 1, 2 * k)), np.zeros((k + 1, k + 1))
     b_R, ratio = np.zeros(k + 1), np.zeros((2, 2 * k + 1))
@@ -339,7 +338,8 @@ def _solve_vertex(B, b):
         if enter < k:
             j = enter if beta[enter] < 0 else enter + k
             S[cols], S_k[cols] = j, enter
-            np.multiply(W[enter], sign[j], out=A_S[cols])
+            np.multiply(B[:, enter], sign[j], out=A_S[cols, :k])
+            np.negative(A_S[cols, :k], out=A_S[cols, k:])
             np.multiply(A_R[:rows, enter], sign[j], out=M[:rows, cols])
             n = cols + 1
         else:

@@ -299,6 +299,69 @@ class TestLasso:
             sweeps.append(est.diagnostics["sweeps"])
         assert np.median(sweeps) <= 60
 
+    @pytest.mark.parametrize("distribution, n, sweeps, newton", [
+        ("gaussian", 10, 36, True),
+        ("rademacher", 30, 14, False),
+        ("complex_gaussian", 55, 14, False),
+    ])
+    def test_pinned_sweeps(self, monkeypatch, distribution, n, sweeps, newton):
+        # Pass counts of three sweep calls (seed 3, 20 dB, trial 0); the
+        # Gaussian one at n=10 takes Newton steps. The updates write into
+        # buffers of their own, never into the call's data.
+        runs = []
+        newton_steps = estimators._lasso_newton
+
+        def newton_spy(*args):
+            runs.append(newton_steps(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(estimators, "_lasso_newton", newton_spy)
+        cfg = ExperimentConfig(base_seed=3, distribution=distribution)
+        _channel, X, obs = make_trial_instance(cfg, 20.0, n, 0)
+        matrix, y = X.matrix.copy(), obs.y.copy()
+        est = estimators._lasso_estimate(X, obs, EstimatorConfig())
+        np.testing.assert_array_equal(X.matrix, matrix)
+        np.testing.assert_array_equal(obs.y, y)
+        assert est.diagnostics["sweeps"] == sweeps
+        assert est.diagnostics["converged"]
+        assert bool(runs) == newton
+
+    def test_singular_newton_system(self, monkeypatch):
+        # Columns 0 and 1 of X are equal and rounding leaves both taps
+        # nonzero, so the Newton system on that support is exactly singular:
+        # dgesv reports info > 0, the Newton run ends after its first step
+        # and the passes resume to a certified stop.
+        rng = np.random.default_rng(235)
+        Xm = rng.standard_normal((12, 6)) + 0.9 * rng.standard_normal((12, 1))
+        Xm[:, 1] = Xm[:, 0]
+        y = (Xm @ rng.standard_normal(6)).astype(np.complex128)
+        lam = 0.05 * float(np.abs(Xm.T @ y).max())
+        infos, runs = [], []
+        dgesv, newton = estimators.dgesv, estimators._lasso_newton
+
+        def dgesv_spy(*args, **kwargs):
+            out = dgesv(*args, **kwargs)
+            infos.append(out[3])
+            return out
+
+        def newton_spy(G, c, h, support, lam, budget):
+            runs.append((list(support), newton(G, c, h, support, lam, budget)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(estimators, "dgesv", dgesv_spy)
+        monkeypatch.setattr(estimators, "_lasso_newton", newton_spy)
+        est = run_estimator("lasso", ToeplitzTraining(matrix=Xm),
+                            Observation(y=y, noise_variance=0.0), EstimatorConfig(lambda_lasso=lam))
+        assert runs[0][0][:2] == [0, 1]
+        assert infos[0] > 0 and runs[0][1] == (1, False)
+        assert est.diagnostics["converged"]
+        assert lasso_kkt_residual(Xm, y, est.h_hat, lam) <= 1e-7 * lam
+        # The singular step leaves the taps where the passes put them.
+        G = Xm.T @ Xm
+        h = [1.0 + 0j, 0.5 + 0j, 0j, 0j, 0j, 0j]
+        assert newton(G, Xm.T @ y, h, [0, 1], lam, 10) == (1, False)
+        assert h == [1.0 + 0j, 0.5 + 0j, 0j, 0j, 0j, 0j]
+
     def test_sweep_cap(self, monkeypatch):
         monkeypatch.setattr(estimators, "LASSO_MAX_SWEEPS", 1)
         _, X, obs = make_instance(seed=11)
