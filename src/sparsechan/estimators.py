@@ -218,25 +218,27 @@ def _solve_psd(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     either case its row of x is 0)."""
     potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (G,))
     potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (G, rhs))
-    x, regularized, errors = [], np.zeros(len(G), dtype=bool), [None] * len(G)
+    # potrs returns each solution in Fortran order, and x keeps that layout,
+    # so that products with it run as the same BLAS calls as with np.stack.
+    x = np.zeros(rhs.shape[:1] + rhs.shape[:0:-1], dtype=potrs.dtype)
+    x = x.transpose(0, *range(rhs.ndim - 1, 0, -1))
+    regularized, errors = np.zeros(len(G), dtype=bool), [None] * len(G)
     for p, Gp in enumerate(G):
         try:
             _check_gram(Gp)
         except ValueError as exc:
-            x.append(np.zeros_like(rhs[p]))
             errors[p] = exc
             continue
         U, info = potrf(Gp, lower=0, clean=0)
         if info == 0:
-            x.append(potrs(U, rhs[p], lower=0)[0])
+            x[p] = potrs(U, rhs[p], lower=0)[0]
             continue
         regularized[p] = True
         try:
-            x.append(_ridge_solve(Gp, rhs[p]))
+            x[p] = _ridge_solve(Gp, rhs[p])
         except np.linalg.LinAlgError as exc:
-            x.append(np.zeros_like(rhs[p]))
             errors[p] = exc
-    return np.stack(x), regularized, errors
+    return x, regularized, errors
 
 
 def _least_squares(M: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list]:
@@ -598,16 +600,23 @@ def _composite_programs(S, Xm, y, lam):
     # Conjugate before transposing: the product then runs as the same
     # transposed BLAS call as S.T @ Xm, bit for bit, on real inputs.
     C = S.conj().T @ Xm
+    # B is finite exactly when C is: its entries are those of C.real and C.imag.
+    if not (np.isfinite(C).all() and math.isfinite(lam)):
+        raise ValueError("selector program contains NaN or Inf entries")
     decoupled = not S.imag.any() and not C.imag.any()
     if decoupled:
         B = np.ascontiguousarray(C.real)
         programs = [(B, S.real.T @ y.real, lam), (B, S.real.T @ y.imag, lam)]
     else:
         d = S.conj().T @ y
-        programs = [(np.block([[C.real, -C.imag], [C.imag, C.real]]),
-                     np.concatenate([d.real, d.imag]), lam)]
-    for B, d, level in programs:
-        if not (np.all(np.isfinite(B)) and np.all(np.isfinite(d)) and math.isfinite(level)):
+        k = C.shape[0]
+        B = np.empty((2 * k, 2 * k))
+        B[:k, :k] = B[k:, k:] = C.real
+        np.negative(C.imag, out=B[:k, k:])
+        B[k:, :k] = C.imag
+        programs = [(B, np.concatenate([d.real, d.imag]), lam)]
+    for _B, d, _level in programs:
+        if not np.isfinite(d).all():
             raise ValueError("selector program contains NaN or Inf entries")
     return programs, decoupled
 
@@ -678,13 +687,13 @@ def sds_weighting(Xm: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, bool
     weights = np.asarray(weights, dtype=np.float64)
     if not (np.isfinite(weights).all() and np.isfinite(Xm).all()):
         raise ValueError("weights or training matrix contain NaN or Inf entries")
-    if np.any(weights < 0):
+    if (weights < 0).any():
         raise ValueError("weights must be non-negative")
     Z, regularized, (error,) = _solve_psd(((Xm * (weights**2)[None, :]) @ Xm.conj().T)[None],
                                           Xm[None])
     if error is not None:
         raise error
-    col_scale = np.real(np.einsum("ij,ij->j", np.conj(Xm), Z[0]))
+    col_scale = np.einsum("ij,ij->j", np.conj(Xm), Z[0]).real
     return Z[0] / col_scale[None, :], bool(regularized[0])
 
 
@@ -692,7 +701,8 @@ def sds_estimates(instances, cfg: EstimatorConfig, bases=None) -> list:
     """Reweighted ("sensing") selector on each (X, obs) of `instances`: run
     the plain selector, weight each column by the magnitude of its residual
     correlation, rebuild the sensing matrix through R = X W^2 X^H, and
-    re-solve with the new constraint.
+    re-solve with the new constraint. An instance whose weights all vanish
+    next to X^H y keeps its plain estimate, flagged `degenerate_weighting`.
 
     `bases[i]`, when given and an Estimate, is the plain selector's
     estimate of instance i with this `cfg`, used instead of solving it
@@ -714,7 +724,9 @@ def sds_estimates(instances, cfg: EstimatorConfig, bases=None) -> list:
         Xm, y = X.matrix, obs.y
         residual = y - Xm @ base.h_hat
         w = np.abs(Xm.conj().T @ residual)
-        if w.max(initial=0.0) <= 1e-12 * max(1.0, float(np.linalg.norm(y))):
+        # The weights vanish relative to the correlations of y itself, a
+        # threshold in their units, so the test does not change with scale.
+        if w.max(initial=0.0) <= 1e-12 * np.abs(Xm.conj().T @ y).max(initial=0.0):
             results[i] = Estimate(base.h_hat, {**base.diagnostics, "degenerate_weighting": True})
             continue
         lam = base.diagnostics["lambda"]

@@ -41,6 +41,7 @@ factorizations only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -218,24 +219,47 @@ def solve_selectors(programs) -> list[LpSolution]:
 
     Each is the LP minimize 1.x, A x <= b, x >= 0 over x = [u; v], g = u - v,
     with A = [[B, -B], [-B, B]] and b = [lam + d; lam - d]. The programs
-    run one at a time, each by the dual simplex of `_solve_vertex`; a
-    program it gives up on goes to `solve_lp` on the dense A, and its
-    solution is marked `fallback`. The solutions come back in the order of
-    `programs`.
+    run one at a time, each by the dual simplex of `_solve_vertex`, in
+    buffers made once per call for each size k; a program it gives up on
+    goes to `solve_lp` on the dense A, and its solution is marked
+    `fallback`. The solutions come back in the order of `programs`.
     """
-    solutions = []
+    solutions, buffers = [], {}
     for B, d, lam in programs:
         B, d = np.asarray(B, dtype=np.float64), np.asarray(d, dtype=np.float64)
+        k = B.shape[0]
         b = np.concatenate([lam + d, lam - d])
-        solution = _solve_vertex(B, b)
+        if k not in buffers:
+            buffers[k] = _vertex_buffers(k)
+        solution = _solve_vertex(B, b, buffers[k])
         if solution is None:
-            dense = LinearProgram(c=np.ones(b.size), A=np.block([[B, -B], [-B, B]]), b=b)
-            solution = replace(solve_lp(dense), fallback=True)
+            A = np.empty((2 * k, 2 * k))
+            A[:k, :k] = A[k:, k:] = B
+            np.negative(B, out=A[:k, k:])
+            A[k:, :k] = A[:k, k:]
+            solution = replace(solve_lp(LinearProgram(c=[1.0] * (2 * k), A=A, b=b)),
+                               fallback=True)
         solutions.append(solution)
     return solutions
 
 
-def _solve_vertex(B, b):
+def _vertex_buffers(k):
+    """The buffers `_solve_vertex` works in for a k x k block B: sign, +1 on
+    the first k entries and -1 on the others; R, S and S mod k; A_R =
+    A[R, :k], A_S = A[:, S]', M = A[R, S] and b_R = b[R]; the rows of the
+    ratio test; and the right-hand sides of the tableau-row solve, whose
+    first column stays 1. Every entry a solve reads is written by that
+    solve first, so programs of the same size can share them."""
+    sign = np.empty(2 * k)
+    sign[:k], sign[k:] = 1.0, -1.0
+    rhs = np.zeros((k + 1, 2))
+    rhs[:, 0] = 1.0
+    return (sign, *np.zeros((3, k + 1), dtype=np.intp), np.zeros((k + 1, k)),
+            np.zeros((k + 1, 2 * k)), np.zeros((k + 1, k + 1)), np.zeros(k + 1),
+            np.zeros((2, 2 * k + 1)), rhs)
+
+
+def _solve_vertex(B, b, buffers):
     """The optimal vertex of the selector program min 1.x, A x <= b, x >= 0,
     A = [[B, -B], [-B, B]], by a revised dual simplex, or None if it gives
     up: at VERTEX_PIVOTS_PER_ROW pivots per row, on an empty ratio test, on
@@ -261,16 +285,14 @@ def _solve_vertex(B, b):
     (d, lam) is scaled.
     """
     k = B.shape[0]
-    sign = np.repeat([1.0, -1.0], k)
     scale = np.abs(B).max()
-    slack_tol = VERTEX_FEASIBILITY * np.abs(b).max()
-    # Buffers of k + 1 rows: R, S, S mod k, A_R = A[R, :k], A_S = A[:, S]'
-    # (column j of A is sign[j] [B[:, j mod k]; -B[:, j mod k]]), M = A[R, S]
-    # and b_R = b[R]. A basis of k + 1 rows holds both rows of some pair, so
-    # M is exactly singular and dgesv ends the solve.
-    R, S, S_k = np.zeros((3, k + 1), dtype=np.intp)
-    A_R, A_S, M = np.zeros((k + 1, k)), np.zeros((k + 1, 2 * k)), np.zeros((k + 1, k + 1))
-    b_R, ratio = np.zeros(k + 1), np.zeros((2, 2 * k + 1))
+    b_max = np.abs(b).max()
+    slack_tol = VERTEX_FEASIBILITY * b_max
+    # The buffers (see `_vertex_buffers`) have k + 1 rows; column j of A is
+    # sign[j] [B[:, j mod k]; -B[:, j mod k]]. A basis of k + 1 rows holds
+    # both rows of some pair, so M is exactly singular and dgesv ends the
+    # solve.
+    sign, R, S, S_k, A_R, A_S, M, b_R, ratio, rhs = buffers
     n = 0
     max_pivots = VERTEX_PIVOTS_PER_ROW * 2 * k
     for pivots in range(max_pivots + 1):
@@ -278,13 +300,13 @@ def _solve_vertex(B, b):
         if n:
             lu, piv, x_S, info = dgesv(M[:n, :n], b_R[:n])
             x_max = np.abs(x_S).max()
-            if info or not np.isfinite(x_max):
+            if info or not math.isfinite(x_max):
                 return None
             slack = b - x_S @ A_S[:n]
             slack[R[:n]] = 0.0
-            p = int(np.argmin(x_S))
+            p = int(x_S.argmin())
             leave_col = x_S[p] < -VERTEX_FEASIBILITY * x_max
-        q = int(np.argmin(slack))
+        q = int(slack.argmin())
         leave_row = slack[q] < -slack_tol
         if leave_row and leave_col:
             leave_row = slack[q] < scale * x_S[p]
@@ -299,9 +321,12 @@ def _solve_vertex(B, b):
         # -y_R, with M' y_R = 1. The slacks' entries go to ratio[:, k:].
         solved = np.zeros((2, 0))
         if n:
-            rhs = np.ones((n, 2))
-            rhs[:, 1] = -A_S[:n, q] if leave_row else np.arange(n) == p
-            solved = dgetrs(lu, piv, rhs, trans=1)[0].T
+            if leave_row:
+                np.negative(A_S[:n, q], out=rhs[:n, 1])
+            else:
+                rhs[:n, 1] = 0.0
+                rhs[p, 1] = 1.0
+            solved = dgetrs(lu, piv, rhs[:n], trans=1)[0].T
         corr, beta = solved @ A_R[:n]
         cost, step = ratio[:, :k + n]
         np.multiply(solved, -scale, out=ratio[:, k:k + n])
@@ -314,17 +339,18 @@ def _solve_vertex(B, b):
         # 0, and so is its partner's, bar the leaving column's partner.
         np.abs(beta, out=step[:k])
         np.sign(beta, out=cost[:k])
-        cost[:k] = cost[:k] * corr + 1.0
+        np.multiply(cost[:k], corr, out=cost[:k])
+        cost[:k] += 1.0
         own = step[S_k[p]]
         step[S_k[:n]] = 0.0
         if not leave_row:
             step[S_k[p]] = own
-        candidates = np.flatnonzero(step > VERTEX_PIVOT * np.abs(step).max())
+        candidates = (step > VERTEX_PIVOT * np.abs(step).max()).nonzero()[0]
         if not candidates.size:
             return None
         reduced, step = np.maximum(cost[candidates], 0.0), step[candidates]
         bound = ((reduced + VERTEX_HARRIS) / step).min()
-        enter = int(candidates[np.argmax(np.where(reduced / step <= bound, step, 0.0))])
+        enter = int(candidates[np.where(reduced / step <= bound, step, 0.0).argmax()])
         # The leaving variable goes, and the entering one comes, in basis order.
         rows = cols = n
         if leave_row:
@@ -352,29 +378,29 @@ def _solve_vertex(B, b):
     x, w = np.zeros(2 * k), np.zeros(2 * k)
     if n:
         x[S[:n]] = x_S
-        w[R[:n]] = -dgetrs(lu, piv, np.ones(n), trans=1)[0]
-    report = _selector_report(B, b, x, w, scale)
+        w[R[:n]] = -dgetrs(lu, piv, rhs[:n, 0], trans=1)[0]
+    report = _selector_report(B, b, x, w, scale, b_max)
     if not report.max_residual() <= TOLERANCE:
         return None
     return LpSolution(x=x, objective_value=float(x.sum()), status=STATUS_OPTIMAL,
                       kkt_report=report, iterations=pivots, dual_values=w)
 
 
-def _selector_report(B, b, x, w, scale):
+def _selector_report(B, b, x, w, scale, b_max):
     """The IPM's scaled KKT residuals (see `_residuals`) of a selector
     program at the point x with multipliers w: the largest violation of
     A x <= b and x >= 0 over 1 + ||b||_inf, the largest negative reduced
     cost over 1 + ||c||_inf = 2, of a column, 1 + (A'w)_j, or of a slack
     column scale * e_i, scale * w_i, and the gap |1.x + b.w| over
-    1 + |1.x|."""
+    1 + |1.x|; b_max is ||b||_inf."""
     k = B.shape[0]
     t = B @ (x[:k] - x[k:])
     u = (w[:k] - w[k:]) @ B
-    primal = max(np.max(np.concatenate([t, -t]) - b), np.max(-x), 0.0)
-    dual = max(np.max(np.abs(u)) - 1.0, -scale * np.min(w), 0.0)
+    primal = max((np.concatenate([t, -t]) - b).max(), (-x).max(), 0.0)
+    dual = max(np.abs(u).max() - 1.0, -scale * w.min(), 0.0)
     objective = x.sum()
     return KktReport(
-        primal_infeasibility=float(primal / (1.0 + np.abs(b).max())),
+        primal_infeasibility=float(primal / (1.0 + b_max)),
         dual_infeasibility=float(dual / 2.0),
         complementarity_gap=float(abs(objective + b @ w) / (1.0 + abs(objective))),
     )

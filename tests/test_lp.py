@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 from conftest import enumerate_lp_vertices, random_bounded_lp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsechan import lp as lp_module
@@ -596,6 +596,23 @@ class TestDerivedReport:
         h_scaled = run_estimator("ds", X, replace(obs, y=alpha * obs.y),
                                  EstimatorConfig(lambda_ds=alpha * lam)).h_hat
         assert np.linalg.norm(h_scaled - alpha * h) <= 1e-7 * np.linalg.norm(alpha * h)
+
+    @PROPERTIES
+    @given(SEEDS, st.sampled_from(["gaussian", "complex_gaussian"]),
+           st.floats(0.01, 0.9), st.floats(-12.0, 3.0))
+    @example(seed=0, distribution="complex_gaussian", level=0.5, exponent=-12.0)
+    def test_sensing_selector_scale_equivariance(self, seed, distribution, level, exponent):
+        # The same for sds, whose weights scale with y: down to alpha = 1e-12
+        # the weighting must not turn degenerate where the unscaled one is not.
+        alpha = 10.0**exponent
+        X, obs, lam = self.scaled_instance(seed, distribution, level)
+        est = run_estimator("sds", X, obs, EstimatorConfig(lambda_ds=lam))
+        scaled = run_estimator("sds", X, replace(obs, y=alpha * obs.y),
+                               EstimatorConfig(lambda_ds=alpha * lam))
+        assert not est.diagnostics["degenerate_weighting"]
+        assert not scaled.diagnostics["degenerate_weighting"]
+        error = np.linalg.norm(scaled.h_hat - alpha * est.h_hat)
+        assert error <= 1e-7 * np.linalg.norm(alpha * est.h_hat)
 
     # A known defect, kept visible: the IPM's stopping test scales its
     # residuals by 1 + |.| floors, which are absolute for data much smaller
