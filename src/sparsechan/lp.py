@@ -29,11 +29,13 @@ parametric simplex of Pang et al., "Parametric simplex method for sparse
 learning" (NeurIPS 2017), and the homotopy of Asif & Romberg, "Dantzig
 selector homotopy with dynamic measurements" (SPIE 2009), follow the
 selector's active set. That state lives in buffers kept in basis order,
-which a pivot updates by one write or one shift each; the basis matrix is
-still factored from scratch at every pivot. Its pivot cap and tolerances
-are the VERTEX_* constants. A program the simplex cannot certify goes to
-`solve_lp` on its dense A. Sweeps hand it the programs of one chunk of
-trials at a time (see `experiments`).
+made once per call for each size k, which a pivot updates by one write or
+one shift each; the basis matrix is still factored from scratch at every
+pivot. The pivot loop uses ndarray methods, ufuncs with `out=` and `math`
+on scalars, not numpy's Python-level function forms such as `np.argmin`.
+Its pivot cap and tolerances are the VERTEX_* constants. A program the
+simplex cannot certify goes to `solve_lp` on its dense A. Sweeps hand it
+the programs of one chunk of trials at a time (see `experiments`).
 
 No external optimization library is used; linear algebra is numpy/scipy
 factorizations only.
@@ -248,8 +250,8 @@ def _vertex_buffers(k):
     the first k entries and -1 on the others; R, S and S mod k; A_R =
     A[R, :k], A_S = A[:, S]', M = A[R, S] and b_R = b[R]; the rows of the
     ratio test; and the right-hand sides of the tableau-row solve, whose
-    first column stays 1. Every entry a solve reads is written by that
-    solve first, so programs of the same size can share them."""
+    first column stays 1. A solve uses no entry before it writes it, so
+    programs of the same size can share them."""
     sign = np.empty(2 * k)
     sign[:k], sign[k:] = 1.0, -1.0
     rhs = np.zeros((k + 1, 2))
