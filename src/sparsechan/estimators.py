@@ -111,7 +111,10 @@ class SelectorLpError(RuntimeError):
 # The failures an estimator is expected to raise on a bad instance: singular
 # or rank-deficient systems (SingularMatrixError is a ValueError), an OMP
 # atom budget the instance cannot meet (more than min(N, L)) and a failed
-# selector LP. Anything else is a programming error and propagates.
+# selector LP. These types are wider than those failures: numpy raises
+# ValueError for a shape or broadcasting bug, and LinAlgError for any failed
+# factor, so such a programming error also becomes a failed cell. Anything
+# else propagates.
 ESTIMATOR_FAILURES = (ValueError, np.linalg.LinAlgError, SelectorLpError)
 
 
@@ -407,7 +410,11 @@ def _lasso_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig)
 
     Coordinate descent passes over a working set: the nonzero taps plus the
     zero taps that violate the optimality conditions, |c_j - q_j| > lambda
-    with q = G h (the first set holds the taps with |c_j| > lambda). Tap j's
+    with q = G h. The first set holds the taps with |c_j| > lambda, visited
+    strongest first, in decreasing order of |c_j| (as the Gauss-Southwell
+    rule would pick them from h = 0; Nutini et al., ICML 2015): in index
+    order, many leakage taps take a nonzero value before the dominant taps
+    take up the correlation, and later passes must undo them. Tap j's
     statistic is rho_j = c_j - q_j + G_jj h_j, and each change updates q by
     one column of G: one in-place BLAS zaxpy on a contiguous complex copy of
     G's columns, made once per call. When a pass changes no tap by
@@ -424,14 +431,16 @@ def _lasso_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig)
     longer changes, takes Newton steps on that support, where the objective
     is smooth: each step solves the real 2|S| x 2|S| system of
     [[Re G_SS, -Im G_SS], [Im G_SS, Re G_SS]] plus lambda/|h_j| (I - u_j
-    u_j^T) per tap, u_j its unit phase, by LAPACK dgesv. A step is kept
-    only if it lowers the objective and no tap crosses zero; otherwise, or
-    when the system is singular, the passes resume (and no Newton step is
-    tried again until the support changes); the steps end when the largest
-    change falls below LASSO_CONVERGENCE_TOL, and the screen follows. At
-    L=60 and 20 dB a call takes a median of about 45 sweeps at N=10 and 11
-    at N=55; calls that settle within LASSO_NEWTON_PASSES passes take no
-    Newton step.
+    u_j^T) per tap, u_j its unit phase, by LAPACK dgesv. A step that takes
+    a tap across zero is cut at the first crossing, and the crossing taps
+    leave the support (see `_lasso_newton`); a step is kept only if it
+    lowers the objective. When a step is rejected or the system is singular
+    the passes resume, and Newton is tried again after LASSO_NEWTON_PASSES
+    more passes on the same support, or at once when the support changes.
+    The steps end when the largest change falls below
+    LASSO_CONVERGENCE_TOL, and the screen follows. At L=60 and 20 dB a call
+    takes a median of 35 sweeps at N=10 and 11 at N=55; calls that settle
+    within LASSO_NEWTON_PASSES passes take no Newton step.
 
     diagnostics["sweeps"] counts passes plus Newton steps, capped at
     LASSO_MAX_SWEEPS (the last pass is always screened), and
@@ -459,9 +468,11 @@ def _lasso_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig)
     h = [0j] * L
     # Below this the residual c - G h is not resolved: at lambda = 0 the
     # certificate would otherwise ask for an exact zero.
-    floor = LASSO_KKT_FLOOR * float(np.abs(c).max(initial=0.0))
-    work = np.flatnonzero(live & (np.abs(c) > lam + floor)).tolist()
-    support, newton_ready = None, True
+    abs_c = np.abs(c)
+    floor = LASSO_KKT_FLOOR * float(abs_c.max(initial=0.0))
+    order = np.argsort(-abs_c, kind="stable")
+    work = order[(live & (abs_c > lam + floor))[order]].tolist()
+    support, retry = None, 0
     converged, sweeps = False, 0
     while sweeps < LASSO_MAX_SWEEPS:
         sweeps += 1
@@ -477,12 +488,13 @@ def _lasso_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig)
                 h[j] = new
                 max_change = max(max_change, abs(change))
         nonzero = [j for j in work if h[j]]
-        if nonzero != support:
-            support, newton_ready = nonzero, True
-        elif newton_ready and sweeps > LASSO_NEWTON_PASSES and support:
-            newton_ready = False
+        taps = sorted(nonzero)
+        if taps != support:
+            support, retry = taps, 0
+        elif sweeps > LASSO_NEWTON_PASSES and sweeps >= retry and support:
             steps, settled = _lasso_newton(G, c, h, support, lam, LASSO_MAX_SWEEPS - sweeps)
             sweeps += steps
+            retry = sweeps + LASSO_NEWTON_PASSES
             q = G @ np.array(h)
             if settled:
                 max_change = 0.0
@@ -511,29 +523,36 @@ def _lasso_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig)
 def _lasso_newton(G, c, h, support, lam, budget) -> tuple[int, bool]:
     """Newton steps of `_lasso_estimate` on the nonzero taps `support`, at
     most `budget` of them, updating the tap list `h` in place. Returns the
-    steps taken and whether the last one changed no tap by
-    LASSO_CONVERGENCE_TOL. The system is assembled in buffers made once per
-    run, and a step whose dgesv reports a singular system (info > 0) ends
-    the run with `h` as it was before that step."""
+    steps taken and whether the last one was a whole step that changed no
+    tap by LASSO_CONVERGENCE_TOL.
+
+    Tap j crosses zero on a step d when Re(conj(h_j)(h_j + d_j)) <= 0. Such
+    a step is cut at the first crossing along h + t d: the crossing taps are
+    set to exactly 0 and leave the support, and the steps go on over the taps
+    left. A step is kept only if the objective falls at the point kept;
+    otherwise the run ends with `h` as it was before that step, as it does
+    when dgesv reports a singular system (info > 0). The system is assembled
+    in buffers made once per support."""
     S = np.array(support)
-    s = S.size
-    Gs = G[np.ix_(S, S)]
-    H0 = np.empty((2 * s, 2 * s), order="F")
-    H0[:s, :s] = H0[s:, s:] = Gs.real
-    np.negative(Gs.imag, out=H0[:s, s:])
-    H0[s:, :s] = Gs.imag
-    # Flat (column-major) indices of the diagonals of H's four s x s blocks:
-    # re-re, im-im, then the two off-diagonal ones. dgesv overwrites H, so
-    # each step refills it from H0.
-    diag = np.arange(s) * (2 * s + 1)
-    blocks = np.concatenate([diag, diag + s * (2 * s + 1), diag + s, diag + 2 * s * s])
-    H = np.empty((2 * s, 2 * s), order="F")
-    flat = H.reshape(-1, order="F")
-    rhs = np.empty(2 * s)
-    cs = c[S]
     hs = np.array([h[j] for j in support])
-    steps, size = 0, math.inf
-    while steps < budget:
+    steps, settled, assemble = 0, False, True
+    while steps < budget and S.size:
+        if assemble:
+            assemble, s = False, S.size
+            Gs = G[np.ix_(S, S)]
+            H0 = np.empty((2 * s, 2 * s), order="F")
+            H0[:s, :s] = H0[s:, s:] = Gs.real
+            np.negative(Gs.imag, out=H0[:s, s:])
+            H0[s:, :s] = Gs.imag
+            # Flat (column-major) indices of the diagonals of H's four s x s
+            # blocks: re-re, im-im, then the two off-diagonal ones. dgesv
+            # overwrites H, so each step refills it from H0.
+            diag = np.arange(s) * (2 * s + 1)
+            blocks = np.concatenate([diag, diag + s * (2 * s + 1), diag + s, diag + 2 * s * s])
+            H = np.empty((2 * s, 2 * s), order="F")
+            flat = H.reshape(-1, order="F")
+            rhs = np.empty(2 * s)
+            cs = c[S]
         steps += 1
         mag = np.abs(hs)
         u = hs / mag
@@ -548,32 +567,46 @@ def _lasso_newton(G, c, h, support, lam, budget) -> tuple[int, bool]:
         if info:
             break
         step = dx[:s] + 1j * dx[s:]
+        along = (np.conj(hs) * step).real
+        crossing = (mag**2 + along <= 0.0).nonzero()[0]
+        if crossing.size:
+            times = mag[crossing] ** 2 / -along[crossing]
+            first = times.min()
+            hit = crossing[times == first]
+            step *= first
+            step[hit] = -hs[hit]
+            along = (np.conj(hs) * step).real
         new = hs + step
         abs_step = np.abs(step)
-        size = float(abs_step.max())
         # The decrease of the objective, formed so that rounding does not
         # swamp it near the minimum: |h + d| - |h| is taken as
         # (2 Re(conj(h) d) + |d|^2) / (|h + d| + |h|).
-        along = (np.conj(hs) * step).real
         decrease = (np.vdot(step, r).real - 0.5 * np.vdot(step, Gs @ step).real
                     - lam * ((2.0 * along + abs_step**2) / (np.abs(new) + mag)).sum())
-        kept = decrease > 0.0 and (mag**2 + along > 0.0).all()
-        if kept:
-            hs = new
-        if not kept or size < LASSO_CONVERGENCE_TOL:
+        size = float(abs_step.max())
+        if not decrease > 0.0:
+            settled = not crossing.size and size < LASSO_CONVERGENCE_TOL
             break
-    for j, value in zip(support, hs.tolist()):
+        hs = new
+        if crossing.size:
+            for j in S[hit].tolist():
+                h[j] = 0j
+            S, hs, assemble = np.delete(S, hit), np.delete(hs, hit), True
+        elif size < LASSO_CONVERGENCE_TOL:
+            settled = True
+            break
+    for j, value in zip(S.tolist(), hs.tolist()):
         h[j] = value
-    return steps, size < LASSO_CONVERGENCE_TOL
+    return steps, settled
 
 
 def lasso_estimates(instances, cfg: EstimatorConfig) -> list:
     """`_lasso_estimate` on each (X, obs) of `instances`, one after another.
 
-    The Lasso is not stacked: its pass count depends on the data (at L=60, a
-    median of 11 at N=55 and about 45 at N=10, with a long tail), so a stack
-    would wait for its slowest member. Returns per instance its Estimate, or the
-    ESTIMATOR_FAILURES exception it raised.
+    The Lasso is not stacked: its pass count depends on the data (at L=60 and
+    20 dB, a median of 11 at N=55 and 35 at N=10, and up to about 90), so a
+    stack would wait for its slowest member. Returns per instance its
+    Estimate, or the ESTIMATOR_FAILURES exception it raised.
     """
     results = []
     for X, obs in instances:

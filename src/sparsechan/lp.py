@@ -123,7 +123,9 @@ class KktReport:
     complementarity_gap: float
 
     def max_residual(self) -> float:
-        return max(self.primal_infeasibility, self.dual_infeasibility, self.complementarity_gap)
+        """The largest residual, or NaN if any residual is NaN."""
+        residuals = (self.primal_infeasibility, self.dual_infeasibility, self.complementarity_gap)
+        return math.nan if any(map(math.isnan, residuals)) else max(residuals)
 
 
 @dataclass(frozen=True)

@@ -269,10 +269,9 @@ class TestLasso:
         assert abs(est.diagnostics["kkt_residual"] - residual) <= 1e-10 * lam
 
     def test_converged_exactly_when_certified(self, monkeypatch):
-        # Rademacher training at n=10 has Lasso minimisers that are not
-        # unique; trial 15 of this sweep creeps along them and misses the
-        # certificate, the others meet it within the lowered pass cap.
-        monkeypatch.setattr(estimators, "LASSO_MAX_SWEEPS", 300)
+        # Rademacher training at n=10 (seed 4, 20 dB); trials 12 to 15 need
+        # 34, 42, 32 and 54 passes, so a cap of 40 cuts two of them short.
+        monkeypatch.setattr(estimators, "LASSO_MAX_SWEEPS", 40)
         cfg = ExperimentConfig(base_seed=4, distribution="rademacher")
         outcomes = []
         for trial in range(12, 16):
@@ -283,7 +282,44 @@ class TestLasso:
             assert est.diagnostics["converged"] == (residual <= 1e-7 * lam)
             assert abs(est.diagnostics["kkt_residual"] - residual) <= 1e-10 * lam
             outcomes.append(est.diagnostics["converged"])
-        assert outcomes == [True, True, True, False]
+        assert outcomes == [True, False, True, False]
+
+    @pytest.mark.parametrize("seed, trial", [(4, 15), (6, 55)])
+    def test_non_unique_minimisers_certified(self, seed, trial):
+        # Two +-1 calls (n=10, 20 dB) whose minimisers are not unique: their
+        # Newton steps take taps across zero. They once ran all 10,000
+        # passes and ended uncertified; cutting each step at the first
+        # crossing lets them settle.
+        cfg = ExperimentConfig(base_seed=seed, distribution="rademacher")
+        _channel, X, obs = make_trial_instance(cfg, 20.0, 10, trial)
+        est = run_estimator("lasso", X, obs, EstimatorConfig())
+        lam = est.diagnostics["lambda"]
+        assert est.diagnostics["converged"]
+        assert lasso_kkt_residual(X.matrix, obs.y, est.h_hat, lam) <= 1e-7 * lam
+        assert est.diagnostics["sweeps"] <= 200
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**31), st.sampled_from(["gaussian", "complex_gaussian"]),
+           st.integers(4, 16), st.sampled_from([0.5, 1.0, 1.5]), st.floats(0.0, 30.0),
+           st.floats(0.02, 0.9))
+    def test_unique_minimiser_properties(self, seed, distribution, L, aspect, snr_db, level):
+        # Continuous training puts the columns in general position, so the
+        # minimiser is unique almost surely (Tibshirani, EJS 2013). It is
+        # certified, and scaling y and lambda by alpha scales it by alpha, up
+        # to the absolute LASSO_CONVERGENCE_TOL at which passes stop.
+        N = max(2, round(aspect * L))
+        _, X, obs = make_instance(L=L, T=min(3, L), N=N, snr_db=snr_db, seed=seed,
+                                  distribution=distribution)
+        lam = level * float(np.abs(X.matrix.conj().T @ obs.y).max())
+        est = run_estimator("lasso", X, obs, EstimatorConfig(lambda_lasso=lam))
+        assert est.diagnostics["converged"]
+        assert lasso_kkt_residual(X.matrix, obs.y, est.h_hat, lam) <= 1e-7 * lam
+        for alpha in (1e-3, 1e3):
+            scaled = run_estimator("lasso", X, replace(obs, y=alpha * obs.y),
+                                   EstimatorConfig(lambda_lasso=alpha * lam))
+            assert scaled.diagnostics["converged"]
+            assert (np.linalg.norm(scaled.h_hat - alpha * est.h_hat)
+                    <= 1e-5 * np.linalg.norm(alpha * est.h_hat))
 
     def test_few_passes_at_small_n(self):
         # On these near-singular Gram matrices (L=60, n=10, 20 dB), descent
@@ -300,9 +336,9 @@ class TestLasso:
         assert np.median(sweeps) <= 60
 
     @pytest.mark.parametrize("distribution, n, sweeps, newton", [
-        ("gaussian", 10, 36, True),
-        ("rademacher", 30, 14, False),
-        ("complex_gaussian", 55, 14, False),
+        ("gaussian", 10, 38, True),
+        ("rademacher", 30, 10, False),
+        ("complex_gaussian", 55, 11, False),
     ])
     def test_pinned_sweeps(self, monkeypatch, distribution, n, sweeps, newton):
         # Pass counts of three sweep calls (seed 3, 20 dB, trial 0); the
@@ -361,6 +397,37 @@ class TestLasso:
         h = [1.0 + 0j, 0.5 + 0j, 0j, 0j, 0j, 0j]
         assert newton(G, Xm.T @ y, h, [0, 1], lam, 10) == (1, False)
         assert h == [1.0 + 0j, 0.5 + 0j, 0j, 0j, 0j, 0j]
+
+    def test_newton_step_cut_at_first_crossing(self):
+        # Orthonormal columns, c = (1, 0.05) and lambda = 0.1: the minimiser
+        # is (0.9, 0). From (0.5, 0.3) the whole Newton step, (0.4, -0.35),
+        # takes tap 1 across zero; it is cut at t = 0.3 / 0.35, where tap 1
+        # reaches 0 and leaves the support, and Newton finishes on tap 0.
+        G, c = np.eye(2, dtype=np.complex128), np.array([1.0, 0.05 + 0j])
+        h = [0.5 + 0j, 0.3 + 0j]
+        assert estimators._lasso_newton(G, c, h, [0, 1], 0.1, 1) == (1, False)
+        assert h[1] == 0 and abs(h[0] - (0.5 + 0.4 * 0.3 / 0.35)) <= 1e-15
+        h = [0.5 + 0j, 0.3 + 0j]
+        assert estimators._lasso_newton(G, c, h, [0, 1], 0.1, 10) == (3, True)
+        assert h[1] == 0 and abs(h[0] - 0.9) <= 1e-15
+
+    def test_newton_rearms_on_a_steady_support(self, monkeypatch):
+        # With Newton runs that take one step and change nothing, a call
+        # (seed 3, n=10, 20 dB, trial 0) tries Newton again after every
+        # LASSO_NEWTON_PASSES passes on a support that does not change.
+        runs = []
+
+        def idle_newton(G, c, h, support, lam, budget):
+            runs.append((list(support), estimators.LASSO_MAX_SWEEPS - budget))
+            return 1, False
+
+        monkeypatch.setattr(estimators, "_lasso_newton", idle_newton)
+        cfg = ExperimentConfig(base_seed=3, distribution="gaussian")
+        _channel, X, obs = make_trial_instance(cfg, 20.0, 10, 0)
+        assert run_estimator("lasso", X, obs, EstimatorConfig()).diagnostics["converged"]
+        repeats = [b - a for (s, a), (t, b) in zip(runs, runs[1:]) if s == t]
+        assert len(repeats) >= 5
+        assert repeats == [estimators.LASSO_NEWTON_PASSES + 1] * len(repeats)
 
     def test_sweep_cap(self, monkeypatch):
         monkeypatch.setattr(estimators, "LASSO_MAX_SWEEPS", 1)

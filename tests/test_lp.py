@@ -400,6 +400,23 @@ class TestSelectorVertex:
         assert capped.diagnostics["lp_statuses"] == ["optimal"] * 2
         assert np.linalg.norm(capped.h_hat - estimate.h_hat) <= 1e-6 * np.linalg.norm(estimate.h_hat)
 
+    def test_max_residual_keeps_nan(self):
+        nan = float("nan")
+        assert lp_module.KktReport(1e-9, 3e-9, 2e-9).max_residual() == 3e-9
+        for report in (lp_module.KktReport(nan, 0.0, 0.0), lp_module.KktReport(0.0, nan, 0.0),
+                       lp_module.KktReport(0.0, 0.0, nan)):
+            assert np.isnan(report.max_residual())
+
+    def test_nan_report_sends_programs_to_the_ipm(self, monkeypatch):
+        # A vertex whose dual residual is NaN is not certified: each program
+        # goes to the IPM, which does not use this report.
+        programs = instance_programs("gaussian", 20.0, 3)
+        nan = float("nan")
+        monkeypatch.setattr(lp_module, "_selector_report",
+                            lambda *args: lp_module.KktReport(0.0, nan, 0.0))
+        sols = lp_module.solve_selectors(programs)
+        assert [(sol.status, sol.fallback) for sol in sols] == [("optimal", True)] * len(programs)
+
     def test_level_zero_on_noisy_data_stays_at_the_vertex(self):
         # At lam = 0 on noisy data the path to the vertex is long: this
         # complex program needs 310 pivots, more than the IPM's iteration cap.
