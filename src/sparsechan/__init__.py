@@ -11,6 +11,7 @@ MSE-versus-training-length sweeps.
 from .estimators import (
     ALL_METHODS,
     Estimate,
+    EstimationError,
     EstimatorConfig,
     resolve_lambda,
     run_estimator,
@@ -43,6 +44,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_METHODS",
     "Estimate",
+    "EstimationError",
     "EstimatorConfig",
     "ExperimentConfig",
     "KktReport",

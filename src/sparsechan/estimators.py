@@ -14,10 +14,7 @@ Each returns an `Estimate`, the tap vector and a diagnostics dict; the
 reported support is derived from the taps when read. The tall
 least-squares solve shared by `ls`, `omp` and `oracle` is a complex QR
 that rejects rank-deficient systems with SingularMatrixError; `ls` then
-falls back to a small ridge, the other two fail the instance. Non-finite
-training or observation data fails an instance with a ValueError before
-any factorization sees it, as does a Gram product that overflows on finite
-data.
+falls back to a small ridge, the other two fail the instance.
 
 Complex data is handled in a real-composite convention for the Dantzig
 selector: each complex coefficient contributes |Re| + |Im| to the L1
@@ -27,21 +24,27 @@ real-valued training matrix the composite program decouples into two
 independent real programs (one for each part of the data), which is how it
 is solved. Lasso uses the modulus-based L1 (shrink modulus, keep phase).
 
-Every method has a stack function that runs it over many instances and
-returns per instance an `Estimate` or the ESTIMATOR_FAILURES exception it
-raised, and an instance's estimate has the same bits in a batch of any
-size. `run_estimators` is the one place a method name picks its stack
-function, and `run_estimator` is its batch of one. `ls_estimates`,
-`omp_estimates` and `oracle_estimates` stack the instances of one shape
-into numpy's batched QR and solve (OMP runs its rounds over the instances
-still going; the minimum-norm `ls` forms its Gram matrices as one stack
-and factors them one at a time); `ds_estimates` and `sds_estimates` hand
-the selector programs of all instances to one call, which solves them one
-at a time. The selector diagnostics count the simplex pivots as
-`lp_iterations` (IPM iterations for a program that fell back) and the
-programs that fell back to the IPM as `lp_fallbacks`. `lasso_estimates`
-loops: coordinate descent takes a data-dependent number of passes, so a
-stack would wait for its slowest member.
+`run_estimators` is the one boundary of this layer, and `run_estimator` is
+its batch of one. It takes instances of one shape, fails each instance
+whose training matrix or observation is not finite before any method sees
+it, stacks the rest once and runs every method once through its stack
+function, which returns per instance an `Estimate` or the EstimationError
+it raised; an instance's estimate has the same bits in a batch of any size.
+EstimationError is the one type of an expected failure: non-finite data, a
+Gram product or selector program that overflows on finite data, a
+singular or rank-deficient system (SingularMatrixError), an OMP budget
+above min(N, L), an oracle support that does not fit and a failed
+selector LP (SelectorLpError). Any other exception is a programming error
+and propagates. `ls_estimates`, `omp_estimates` and `oracle_estimates` take
+the stacks into numpy's batched QR and solve (OMP runs its rounds over the
+instances still going; the minimum-norm `ls` forms its Gram matrices as
+one stack and factors them one at a time); `ds_estimates` and
+`sds_estimates` hand the selector programs of all instances to one call,
+which solves them one at a time. The selector diagnostics count the
+simplex pivots as `lp_iterations` (IPM iterations for a program that fell
+back) and the programs that fell back to the IPM as `lp_fallbacks`.
+`lasso_estimates` loops: coordinate descent takes a data-dependent number
+of passes, so a stack would wait for its slowest member.
 """
 
 from __future__ import annotations
@@ -95,7 +98,12 @@ PIVOT_RTOL = 1e-12
 COMPOSITE_LAMBDA_CALIBRATION = 0.5
 
 
-class SingularMatrixError(ValueError):
+class EstimationError(ValueError):
+    """An estimator's expected failure on one instance, which
+    `run_estimators` returns as that instance's outcome."""
+
+
+class SingularMatrixError(EstimationError):
     """A QR factorization hit a pivot that is zero within tolerance."""
 
     def __init__(self, pivot_index: int):
@@ -103,19 +111,9 @@ class SingularMatrixError(ValueError):
         super().__init__(f"matrix is singular within tolerance at pivot {pivot_index}")
 
 
-class SelectorLpError(RuntimeError):
+class SelectorLpError(EstimationError):
     """The selector LP ended infeasible or unbounded, which its construction
     rules out."""
-
-
-# The failures an estimator is expected to raise on a bad instance: singular
-# or rank-deficient systems (SingularMatrixError is a ValueError), an OMP
-# atom budget the instance cannot meet (more than min(N, L)) and a failed
-# selector LP. These types are wider than those failures: numpy raises
-# ValueError for a shape or broadcasting bug, and LinAlgError for any failed
-# factor, so such a programming error also becomes a failed cell. Anything
-# else propagates.
-ESTIMATOR_FAILURES = (ValueError, np.linalg.LinAlgError, SelectorLpError)
 
 
 @dataclass(frozen=True)
@@ -168,57 +166,35 @@ def resolve_lambda(sigma: float, X: ToeplitzTraining, rule) -> float:
 def _check_finite(X: ToeplitzTraining, obs: Observation) -> None:
     """Reject non-finite data before any factorization sees it."""
     if not (np.isfinite(X.matrix).all() and np.isfinite(obs.y).all()):
-        raise ValueError("training matrix or observation contains NaN or Inf entries")
+        raise EstimationError("training matrix or observation contains NaN or Inf entries")
 
 
 def _check_gram(*arrays) -> None:
     """Reject Gram products, correlations or levels that overflowed on
     finite data."""
     if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError("Gram product or correlation of the training matrix is not finite")
-
-
-def _stacks(instances, check=None, key=None) -> tuple[list, list]:
-    """Screen `instances` and stack the ones that pass.
-
-    An instance fails the screen when its X or y is not finite or when
-    `check(i, X, obs)` raises one of ESTIMATOR_FAILURES. Returns the results
-    list, holding each failed instance's exception and None elsewhere, and
-    the others in groups of the same training-matrix shape and dtypes (and
-    the same `key(i)`), each as (indices, X stack (P, N, L), y stack (P, N)).
-    """
-    results, groups = [None] * len(instances), {}
-    for i, (X, obs) in enumerate(instances):
-        try:
-            _check_finite(X, obs)
-            if check is not None:
-                check(i, X, obs)
-        except ESTIMATOR_FAILURES as exc:
-            results[i] = exc
-            continue
-        group_key = (X.matrix.shape, X.matrix.dtype, obs.y.dtype, key(i) if key else None)
-        groups.setdefault(group_key, []).append(i)
-    return results, [(group, np.stack([instances[i][0].matrix for i in group]),
-                      np.stack([instances[i][1].y for i in group]))
-                     for group in groups.values()]
+        raise EstimationError("Gram product or correlation of the training matrix is not finite")
 
 
 def _ridge_solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (G + RIDGE_REGULARIZATION I) x = rhs; raises LinAlgError when
-    the ridge is lost to rounding and the matrix stays singular."""
+    """Solve (G + RIDGE_REGULARIZATION I) x = rhs; raises EstimationError
+    when the ridge is lost to rounding and the matrix stays singular."""
     G = G.copy()
     G[np.diag_indices_from(G)] += RIDGE_REGULARIZATION
-    return np.linalg.solve(G, rhs)
+    try:
+        return np.linalg.solve(G, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise EstimationError(str(exc)) from exc
 
 
 def _solve_psd(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """Solve G_p x_p = rhs_p for each p of a stack of Hermitian PSD matrices
     G (P, n, n) with finite rhs, one upper Cholesky factor (LAPACK
     potrf/potrs) at a time. A singular G_p gets a small diagonal ridge.
-    Returns x, per system whether the ridge was needed, and per system None,
-    the ValueError of a G_p that is not finite (a Gram product that
-    overflowed) or the LinAlgError of a ridge solve that failed too (in
-    either case its row of x is 0)."""
+    Returns x, per system whether the ridge was needed, and per system None
+    or the EstimationError of a G_p that is not finite (a Gram product that
+    overflowed) or of a ridge solve that failed too (in either case its row
+    of x is 0)."""
     potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (G,))
     potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (G, rhs))
     # potrs returns each solution in Fortran order, and x keeps that layout,
@@ -229,17 +205,13 @@ def _solve_psd(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     for p, Gp in enumerate(G):
         try:
             _check_gram(Gp)
-        except ValueError as exc:
-            errors[p] = exc
-            continue
-        U, info = potrf(Gp, lower=0, clean=0)
-        if info == 0:
-            x[p] = potrs(U, rhs[p], lower=0)[0]
-            continue
-        regularized[p] = True
-        try:
+            U, info = potrf(Gp, lower=0, clean=0)
+            if info == 0:
+                x[p] = potrs(U, rhs[p], lower=0)[0]
+                continue
+            regularized[p] = True
             x[p] = _ridge_solve(Gp, rhs[p])
-        except np.linalg.LinAlgError as exc:
+        except EstimationError as exc:
             errors[p] = exc
     return x, regularized, errors
 
@@ -286,85 +258,66 @@ def least_squares_solve(M, b) -> np.ndarray:
     return x[0]
 
 
-def ls_estimates(instances) -> list:
-    """Plain least squares on each (X, obs) of `instances`; the minimum-L2-norm
-    solution when N < L, through a Cholesky factor of X X^H.
+def ls_estimates(Xm: np.ndarray, y: np.ndarray) -> list:
+    """Plain least squares on each instance of the finite stacks Xm (P, N, L)
+    and y (P, N); the minimum-L2-norm solution when N < L, through a
+    Cholesky factor of X X^H.
 
     A rank-deficient tall system falls back to a small ridge on X^H X, as a
-    singular X X^H does to one on X X^H, and reports "regularized".
-    Instances of the same shape are solved as one stack. Returns per
-    instance its Estimate, the ValueError of a non-finite X or y or of a
-    Gram product (X X^H, or X^H X and X^H y for the ridge) that overflowed,
-    or the LinAlgError of a ridge solve that stayed singular.
+    singular X X^H does to one on X X^H, and reports "regularized". Returns
+    per instance its Estimate, or the EstimationError of a Gram product
+    (X X^H, or X^H X and X^H y for the ridge) that overflowed or of a ridge
+    solve that stayed singular.
     """
-    results, stacks = _stacks(instances)
-    for group, Xm, y in stacks:
-        N, L = Xm.shape[1:]
-        # np.conj copies Xm, so on real Xm the Gram products below run as gemm
-        # rather than as syrk on a transposed view of Xm itself.
-        Xh = np.conj(Xm).swapaxes(1, 2)
-        if N >= L:
-            h, singular = _least_squares(Xm, y)
-            regularized = [error is not None for error in singular]
-            errors = [None] * len(group)
-            for p in np.flatnonzero(regularized):
-                gram, rhs = Xh[p] @ Xm[p], Xh[p] @ y[p]
-                try:
-                    _check_gram(gram, rhs)
-                    h[p] = _ridge_solve(gram, rhs)
-                except (ValueError, np.linalg.LinAlgError) as exc:
-                    errors[p] = exc
-        else:
-            w, regularized, errors = _solve_psd(Xm @ Xh, y)
-            h = (Xh @ w[..., None])[..., 0]
-        for i, h_i, ridge, error in zip(group, h, regularized, errors):
-            results[i] = error if error is not None else Estimate(h_i, {"regularized": bool(ridge)})
-    return results
+    N, L = Xm.shape[1:]
+    # np.conj copies Xm, so on real Xm the Gram products below run as gemm
+    # rather than as syrk on a transposed view of Xm itself.
+    Xh = np.conj(Xm).swapaxes(1, 2)
+    if N >= L:
+        h, singular = _least_squares(Xm, y)
+        regularized = [error is not None for error in singular]
+        errors = [None] * len(Xm)
+        for p in np.flatnonzero(regularized):
+            gram, rhs = Xh[p] @ Xm[p], Xh[p] @ y[p]
+            try:
+                _check_gram(gram, rhs)
+                h[p] = _ridge_solve(gram, rhs)
+            except EstimationError as exc:
+                errors[p] = exc
+    else:
+        w, regularized, errors = _solve_psd(Xm @ Xh, y)
+        h = (Xh @ w[..., None])[..., 0]
+    return [error if error is not None else Estimate(h_p, {"regularized": bool(ridge)})
+            for h_p, ridge, error in zip(h, regularized, errors)]
 
 
-def omp_estimates(instances, max_atoms=None) -> list:
-    """Orthogonal matching pursuit on each (X, obs) of `instances`: greedy
-    atom selection with a full least-squares refit each round, for at most
-    `max_atoms[i]` atoms (min(N, L) when that or `max_atoms` is None) and
-    until the residual norm falls to the noise level sqrt(N sigma^2).
+def omp_estimates(Xm: np.ndarray, y: np.ndarray, noise_variances, max_atoms=None) -> list:
+    """Orthogonal matching pursuit on each instance of the finite stacks Xm
+    (P, N, L) and y (P, N): greedy atom selection with a full least-squares
+    refit each round, for at most `max_atoms[p]` atoms (min(N, L) when that
+    or `max_atoms` is None) and until the residual norm falls to the noise
+    level sqrt(N noise_variances[p]).
 
-    Instances of the same shape run their rounds together: each round picks
-    one atom for every instance still running and refits them as one stack.
-    Returns per instance its Estimate, or the ESTIMATOR_FAILURES exception
-    it raised: a non-finite X or y, a budget above min(N, L), or a
-    rank-deficient refit (SingularMatrixError).
+    The instances run their rounds together: in round k each instance still
+    running picks its k-th atom, and they are refitted as one stack. Returns
+    per instance its Estimate, or the EstimationError of a budget above
+    min(N, L) or of a rank-deficient refit (SingularMatrixError).
     """
-    budgets = list(max_atoms) if max_atoms is not None else [None] * len(instances)
-
-    def check(i, X, obs):
-        limit = min(X.matrix.shape)
-        if budgets[i] is None:
-            budgets[i] = limit
-        elif budgets[i] > limit:
-            raise ValueError(f"OMP atom budget {budgets[i]} exceeds min(N, L)={limit}")
-
-    results, stacks = _stacks(instances, check)
-    for group, Xm, y in stacks:
-        tols = [math.sqrt(Xm.shape[1] * instances[i][1].noise_variance) for i in group]
-        for i, outcome in zip(group, _omp_stack(Xm, y, np.array([budgets[i] for i in group]),
-                                                np.array(tols))):
-            results[i] = outcome
-    return results
-
-
-def _omp_stack(Xm, y, budgets, tols) -> list:
-    """OMP on a stack of same-shape instances (see `omp_estimates`). In round
-    k every instance still running holds k atoms."""
     P, N, L = Xm.shape
+    limit = min(N, L)
+    budgets = np.array([limit] * P if max_atoms is None else
+                       [limit if budget is None else budget for budget in max_atoms])
+    tols = np.array([math.sqrt(N * variance) for variance in noise_variances])
+    results = [EstimationError(f"OMP atom budget {budget} exceeds min(N, L)={limit}")
+               if budget > limit else None for budget in budgets.tolist()]
     Xh = np.conj(Xm).swapaxes(1, 2).astype(np.complex128, copy=False)
     residual = y.astype(np.complex128)
-    atoms = np.zeros((P, min(N, L)), dtype=np.intp)
+    atoms = np.zeros((P, limit), dtype=np.intp)
     count = np.zeros(P, dtype=np.intp)
     coeffs = [None] * P
     degenerate = np.zeros(P, dtype=bool)
-    results = [None] * P
-    running = np.arange(P)
-    for k in range(min(N, L)):
+    running = np.flatnonzero(budgets <= limit)
+    for k in range(limit):
         norms = np.linalg.norm(residual[running], axis=1)
         keep = (k < np.take(budgets, running)) & (norms > np.take(tols, running))
         running, norms = running[keep], norms[keep]
@@ -445,9 +398,9 @@ def _lasso_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig)
     diagnostics["sweeps"] counts passes plus Newton steps, capped at
     LASSO_MAX_SWEEPS (the last pass is always screened), and
     diagnostics["kkt_residual"] is the screened residual of the returned
-    taps. Taps with G_jj <= 0 (all-zero columns) stay at zero. A level, Gram
-    matrix or X^H y that is not finite raises ValueError."""
-    _check_finite(X, obs)
+    taps. Taps with G_jj <= 0 (all-zero columns) stay at zero. X and y
+    must be finite; a level, Gram matrix or X^H y that is not raises
+    EstimationError."""
     Xm, y = X.matrix, obs.y
     L = Xm.shape[1]
     lam = resolve_lambda(math.sqrt(obs.noise_variance), X, cfg.lambda_lasso)
@@ -601,18 +554,19 @@ def _lasso_newton(G, c, h, support, lam, budget) -> tuple[int, bool]:
 
 
 def lasso_estimates(instances, cfg: EstimatorConfig) -> list:
-    """`_lasso_estimate` on each (X, obs) of `instances`, one after another.
+    """`_lasso_estimate` on each finite (X, obs) of `instances`, one after
+    another.
 
     The Lasso is not stacked: its pass count depends on the data (at L=60 and
     20 dB, a median of 11 at N=55 and 35 at N=10, and up to about 90), so a
     stack would wait for its slowest member. Returns per instance its
-    Estimate, or the ESTIMATOR_FAILURES exception it raised.
+    Estimate, or the EstimationError it raised.
     """
     results = []
     for X, obs in instances:
         try:
             results.append(_lasso_estimate(X, obs, cfg))
-        except ESTIMATOR_FAILURES as exc:
+        except EstimationError as exc:
             results.append(exc)
     return results
 
@@ -635,7 +589,7 @@ def _composite_programs(S, Xm, y, lam):
     C = S.conj().T @ Xm
     # B is finite exactly when C is: its entries are those of C.real and C.imag.
     if not (np.isfinite(C).all() and math.isfinite(lam)):
-        raise ValueError("selector program contains NaN or Inf entries")
+        raise EstimationError("selector program contains NaN or Inf entries")
     decoupled = not S.imag.any() and not C.imag.any()
     if decoupled:
         B = np.ascontiguousarray(C.real)
@@ -650,7 +604,7 @@ def _composite_programs(S, Xm, y, lam):
         programs = [(B, np.concatenate([d.real, d.imag]), lam)]
     for _B, d, _level in programs:
         if not np.isfinite(d).all():
-            raise ValueError("selector program contains NaN or Inf entries")
+            raise EstimationError("selector program contains NaN or Inf entries")
     return programs, decoupled
 
 
@@ -689,13 +643,13 @@ def _solve_composite_selectors(results: list, jobs) -> list:
 
 
 def ds_estimates(instances, cfg: EstimatorConfig) -> list:
-    """The Dantzig selector on each (X, obs) of `instances`: minimize the
+    """The Dantzig selector on each finite (X, obs) of `instances`: minimize the
     (real-composite) L1 norm subject to a componentwise bound on the
     residual correlations X^H (y - X h).
 
     The selector programs of all instances are solved in one call, and each
     estimate is bit for bit the one its instance gets alone. Returns per
-    instance its Estimate, or the ESTIMATOR_FAILURES exception it raised.
+    instance its Estimate, or the EstimationError it raised.
     """
     results, jobs = [None] * len(instances), []
     for i, (X, obs) in enumerate(instances):
@@ -706,7 +660,7 @@ def ds_estimates(instances, cfg: EstimatorConfig) -> list:
             else:
                 lam = resolve_lambda(sigma, X, cfg.lambda_ds)
             jobs.append((i, lam, _composite_programs(X.matrix, X.matrix, obs.y, lam), {}))
-        except ESTIMATOR_FAILURES as exc:
+        except EstimationError as exc:
             results[i] = exc
     return _solve_composite_selectors(results, jobs)
 
@@ -731,7 +685,7 @@ def sds_weighting(Xm: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, bool
 
 
 def sds_estimates(instances, cfg: EstimatorConfig, bases=None) -> list:
-    """Reweighted ("sensing") selector on each (X, obs) of `instances`: run
+    """Reweighted ("sensing") selector on each finite (X, obs) of `instances`: run
     the plain selector, weight each column by the magnitude of its residual
     correlation, rebuild the sensing matrix through R = X W^2 X^H, and
     re-solve with the new constraint. An instance whose weights all vanish
@@ -741,8 +695,8 @@ def sds_estimates(instances, cfg: EstimatorConfig, bases=None) -> list:
     estimate of instance i with this `cfg`, used instead of solving it
     again; the other instances' plain selectors run as one call of
     `ds_estimates`, and the reweighted programs of all instances as
-    another. Returns per instance its Estimate, or the ESTIMATOR_FAILURES
-    exception it raised.
+    another. Returns per instance its Estimate, or the EstimationError it
+    raised.
     """
     bases = list(bases) if bases is not None else [None] * len(instances)
     missing = [i for i, base in enumerate(bases) if not isinstance(base, Estimate)]
@@ -772,77 +726,99 @@ def sds_estimates(instances, cfg: EstimatorConfig, bases=None) -> list:
                 "normalization": "columnwise x_alt_i = R^-1 x_i / (x_i^H R^-1 x_i)",
                 "base_lp_iterations": base.diagnostics["lp_iterations"],
             }))
-        except ESTIMATOR_FAILURES as exc:
+        except EstimationError as exc:
             results[i] = exc
     return _solve_composite_selectors(results, jobs)
 
 
-def oracle_estimates(instances, true_supports) -> list:
-    """Least squares on each (X, obs) of `instances` restricted to the columns
-    of its true support `true_supports[i]`, zero elsewhere.
+def oracle_estimates(Xm: np.ndarray, y: np.ndarray, true_supports) -> list:
+    """Least squares on each instance of the finite stacks Xm (P, N, L) and
+    y (P, N) restricted to the columns of its true support
+    `true_supports[p]`, zero elsewhere.
 
-    Instances of the same shape and support size are solved as one stack.
-    Returns per instance its Estimate, or the ESTIMATOR_FAILURES exception
-    it raised: a non-finite X or y, a support larger than N or out of range,
-    or rank-deficient support columns (SingularMatrixError).
+    The instances with supports of one size are solved as one stack.
+    Returns per instance its Estimate, or the EstimationError of a support
+    larger than N or out of range or of rank-deficient support columns
+    (SingularMatrixError).
     """
-    supports = list(true_supports)
-
-    def check(i, X, obs):
-        N, L = X.matrix.shape
-        supports[i] = support = sorted(int(j) for j in set(supports[i]))
+    N, L = Xm.shape[1:]
+    supports = [sorted(int(j) for j in set(support)) for support in true_supports]
+    results, sizes = [None] * len(supports), {}
+    for p, support in enumerate(supports):
         if len(support) > N:
-            raise ValueError(f"support size {len(support)} exceeds N={N}")
-        if support and (support[0] < 0 or support[-1] >= L):
-            raise ValueError("support indices out of range")
-
-    results, stacks = _stacks(instances, check, key=lambda i: len(supports[i]))
-    for group, Xm, y in stacks:
-        columns = np.array([supports[i] for i in group], dtype=np.intp).reshape(len(group), -1)
-        h = np.zeros((len(group), Xm.shape[2]), dtype=np.complex128)
-        errors = [None] * len(group)
-        if columns.shape[1]:
-            x, errors = _least_squares(np.take_along_axis(Xm, columns[:, None, :], axis=2), y)
+            results[p] = EstimationError(f"support size {len(support)} exceeds N={N}")
+        elif support and (support[0] < 0 or support[-1] >= L):
+            results[p] = EstimationError("support indices out of range")
+        else:
+            sizes.setdefault(len(support), []).append(p)
+    for size, rows in sizes.items():
+        columns = np.array([supports[p] for p in rows], dtype=np.intp).reshape(len(rows), size)
+        h = np.zeros((len(rows), L), dtype=np.complex128)
+        errors = [None] * len(rows)
+        if size:
+            x, errors = _least_squares(np.take_along_axis(Xm[rows], columns[:, None, :], axis=2),
+                                       y[rows])
             np.put_along_axis(h, columns, x, axis=1)
-        for i, h_i, error in zip(group, h, errors):
-            results[i] = error if error is not None else Estimate(h_i, {"support": supports[i]})
+        for p, h_p, error in zip(rows, h, errors):
+            results[p] = error if error is not None else Estimate(h_p, {"support": supports[p]})
     return results
 
 
 def run_estimators(methods, instances, cfg: EstimatorConfig, true_supports=None,
                    true_sparsities=None) -> list:
     """Run `methods` in order, each once through its stack function, on the
-    (X, obs) of `instances`.
+    (X, obs) of `instances`, which share one shape and dtypes.
 
-    Returns per instance {method: its Estimate, or the ESTIMATOR_FAILURES
-    exception it raised}, in method order; any other exception propagates.
-    OMP takes at most `true_sparsities[i]` atoms (genie-aided stopping for
-    comparison runs), min(N, L) when that or `true_sparsities` is None; the
-    oracle solves on `true_supports[i]`; `sds` reuses a successful `ds`
-    estimate when `ds` ran before it. An unknown method, or the oracle
-    without `true_supports`, raises ValueError before any method runs.
+    Each instance whose X or y is not finite fails every method with that
+    EstimationError; the others are stacked once, and the stacks go to
+    `ls_estimates`, `omp_estimates` and `oracle_estimates`, the instances
+    themselves to `lasso_estimates`, `ds_estimates` and `sds_estimates`.
+    Returns per instance {method: its Estimate, or the EstimationError it
+    raised}, in method order; any other exception propagates. OMP takes at
+    most `true_sparsities[i]` atoms (genie-aided stopping for comparison
+    runs), min(N, L) when that or `true_sparsities` is None; the oracle
+    solves on `true_supports[i]`; `sds` reuses a successful `ds` estimate
+    when `ds` ran before it. An unknown method, the oracle without
+    `true_supports`, or instances of more than one shape or dtype raise
+    ValueError before any method runs.
     """
     for method in methods:
         if method not in ALL_METHODS:
             raise ValueError(f"unknown estimator {method!r}; choose from {ALL_METHODS}")
     if METHOD_ORACLE in methods and true_supports is None:
         raise ValueError("oracle estimator needs the true support")
-    results = [{} for _ in instances]
+    kinds = {(X.matrix.shape, X.matrix.dtype, obs.y.dtype) for X, obs in instances}
+    if len(kinds) > 1:
+        raise ValueError(f"instances differ in shape or dtype: {sorted(map(str, kinds))}")
+    results, passed = [{} for _ in instances], []
+    for i, (X, obs) in enumerate(instances):
+        try:
+            _check_finite(X, obs)
+            passed.append(i)
+        except EstimationError as exc:
+            results[i] = dict.fromkeys(methods, exc)
+    if not passed:
+        return results
+    screened = [instances[i] for i in passed]
+    Xm = np.stack([X.matrix for X, _obs in screened])
+    y = np.stack([obs.y for _X, obs in screened])
     for method in methods:
         if method == METHOD_LS:
-            outcomes = ls_estimates(instances)
+            outcomes = ls_estimates(Xm, y)
         elif method == METHOD_OMP:
-            outcomes = omp_estimates(instances, true_sparsities)
+            outcomes = omp_estimates(Xm, y, [obs.noise_variance for _X, obs in screened],
+                                     None if true_sparsities is None else
+                                     [true_sparsities[i] for i in passed])
         elif method == METHOD_LASSO:
-            outcomes = lasso_estimates(instances, cfg)
+            outcomes = lasso_estimates(screened, cfg)
         elif method == METHOD_DS:
-            outcomes = ds_estimates(instances, cfg)
+            outcomes = ds_estimates(screened, cfg)
         elif method == METHOD_SDS:
-            outcomes = sds_estimates(instances, cfg, [result.get(METHOD_DS) for result in results])
+            outcomes = sds_estimates(screened, cfg, [results[i].get(METHOD_DS) for i in passed])
         else:  # METHOD_ORACLE
-            outcomes = oracle_estimates(instances, true_supports)
-        for result, outcome in zip(results, outcomes):
-            result[method] = outcome
+            outcomes = oracle_estimates(Xm, y, [true_supports[i] for i in passed])
+        for i, outcome in zip(passed, outcomes):
+            results[i][method] = outcome
     return results
 
 

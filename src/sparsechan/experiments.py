@@ -201,7 +201,7 @@ def estimate_instances(cfg: ExperimentConfig, instances) -> list:
     support for the oracle and its sparsity as the OMP atom budget.
 
     Returns per instance ({method: Estimate}, {method: error text}), each in
-    method order. A method that raises one of `ESTIMATOR_FAILURES` on an
+    method order. A method that raises `estimators.EstimationError` on an
     instance gets its error text ("Type: message") there, and the other
     methods and instances still run; any other exception propagates.
     """

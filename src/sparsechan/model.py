@@ -102,15 +102,12 @@ def generate_sparse_channel(L: int, T: int, seed: int) -> SparseChannel:
 
 
 def fixed_channel_figure_demo(seed: int = 0) -> SparseChannel:
-    """The five-tap demo channel: fixed coefficient values, seed-determined
-    positions on a length-60 channel."""
-    L = DEMO_CHANNEL_LENGTH
-    values = np.asarray(DEMO_TAP_VALUES, dtype=np.complex128)
-    rng = np.random.default_rng(seed)
-    support = np.sort(rng.choice(L, size=len(values), replace=False))
-    taps = np.zeros(L, dtype=np.complex128)
-    taps[support] = values
-    return SparseChannel(taps=taps, support=tuple(int(i) for i in support))
+    """The five-tap demo channel: fixed coefficient values on a length-60
+    channel, at the positions `generate_sparse_channel` draws from `seed`."""
+    support = generate_sparse_channel(DEMO_CHANNEL_LENGTH, len(DEMO_TAP_VALUES), seed).support
+    taps = np.zeros(DEMO_CHANNEL_LENGTH, dtype=np.complex128)
+    taps[list(support)] = DEMO_TAP_VALUES
+    return SparseChannel(taps=taps, support=support)
 
 
 def build_toeplitz_training(

@@ -108,7 +108,7 @@ class TestSweepCommands:
         meta = json.loads((only_run_dir(tmp_path, "sweep-snr-") / "meta.json").read_text())
         assert meta["excluded_failed_cells"] == {"10.0/omp": 1}
         assert meta["failed_cell_errors"] == {
-            "10.0/omp": ["ValueError: OMP atom budget 10 exceeds min(N, L)=8"]
+            "10.0/omp": ["EstimationError: OMP atom budget 10 exceeds min(N, L)=8"]
         }
 
     def test_nan_or_minus_inf_snr_exit_two(self, tmp_path, capsys):
@@ -325,7 +325,7 @@ class TestEstimateCommand:
         diag = json.loads((run_dir / "diagnostics.json").read_text())
         assert list(diag) == ["ls", "omp", "ds"]
         assert diag["omp"] == {"failed": True,
-                               "error": "ValueError: OMP atom budget 10 exceeds min(N, L)=8"}
+                               "error": "EstimationError: OMP atom budget 10 exceeds min(N, L)=8"}
         assert diag["ls"]["regularized"] is False and diag["ds"]["lambda"] > 0
         assert (run_dir / "estimate_ls.csv").exists() and (run_dir / "estimate_ds.csv").exists()
         assert not (run_dir / "estimate_omp.csv").exists()

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from sparsechan import estimators
 from sparsechan.estimators import (
+    ALL_METHODS,
+    EstimationError,
     EstimatorConfig,
     SingularMatrixError,
     least_squares_solve,
@@ -513,12 +515,13 @@ class TestDantzigSelector:
 
     def test_bad_instance_fails_alone(self):
         # Instances whose programs are solved in one call keep their own
-        # failures: a non-finite observation fails only its own estimate.
+        # failures: a program that overflows fails only its own estimate.
         _, X, obs = make_instance(seed=31)
-        bad = replace(obs, y=np.full_like(obs.y, np.nan))
+        bad = replace(X, matrix=1e160 * X.matrix)
         for method, batch in (("ds", estimators.ds_estimates), ("sds", estimators.sds_estimates)):
-            failed, good = batch([(X, bad), (X, obs)], EstimatorConfig())
-            assert isinstance(failed, ValueError)
+            failed, good = batch([(bad, obs), (X, obs)], EstimatorConfig())
+            assert type(failed) is EstimationError
+            assert str(failed) == "selector program contains NaN or Inf entries"
             alone = run_estimator(method, X, obs, EstimatorConfig())
             np.testing.assert_array_equal(good.h_hat, alone.h_hat)
 
@@ -632,12 +635,20 @@ def finite_only(factorization):
 
 
 class TestStackedBaselines:
-    """`ls_estimates`, `omp_estimates` and `oracle_estimates` solve instances
-    of the same shape as one stack; each instance keeps its own outcome, and
-    its estimate has the bits of its solo run."""
+    """`run_estimators` stacks a call's instances once, and `ls_estimates`,
+    `omp_estimates` and `oracle_estimates` solve the stack; each instance
+    keeps its own outcome, and its estimate has the bits of its solo run."""
 
     def instances(self, count=4, **kwargs):
         return [make_instance(seed=40 + s, **kwargs) for s in range(count)]
+
+    def outcomes(self, method, instances, true_sparsities=None):
+        """Each instance's outcome of `method` in one `run_estimators` call,
+        given the instances' true supports."""
+        results = estimators.run_estimators(
+            [method], [(X, obs) for _channel, X, obs in instances], EstimatorConfig(),
+            [channel.support for channel, _X, _obs in instances], true_sparsities)
+        return [result[method] for result in results]
 
     def assert_alone(self, outcomes, instances, method, bad=None, **options):
         """Each outcome but the `bad` one equals `run_estimator(method, ...)`
@@ -648,7 +659,7 @@ class TestStackedBaselines:
             alone = run_estimator(method, X, obs, EstimatorConfig(),
                                   true_support=channel.support, **options)
             np.testing.assert_array_equal(outcome.h_hat, alone.h_hat)
-            assert outcome.diagnostics == alone.diagnostics
+            np.testing.assert_equal(outcome.diagnostics, alone.diagnostics)
 
     @pytest.mark.parametrize("field", ["y", "matrix"])
     def test_non_finite_data_fails_alone_at_the_boundary(self, monkeypatch, field):
@@ -659,39 +670,31 @@ class TestStackedBaselines:
         else:
             instances[1] = (channel, replace(X, matrix=np.where(X.matrix == X.matrix[0, 0],
                                                                 np.inf, X.matrix)), obs)
-        pairs = [(X, obs) for _channel, X, obs in instances]
-        supports = [channel.support for channel, _X, _obs in instances]
         monkeypatch.setattr(np.linalg, "qr", finite_only(np.linalg.qr))
         monkeypatch.setattr(estimators, "_solve_psd", finite_only(estimators._solve_psd))
         message = "training matrix or observation contains NaN or Inf entries"
-        cases = [
-            (estimators.ls_estimates(pairs), "ls", {}),
-            (estimators.omp_estimates(pairs, [4] * 4), "omp", {"true_sparsity": 4}),
-            (estimators.oracle_estimates(pairs, supports), "oracle", {}),
-            (estimators.lasso_estimates(pairs, EstimatorConfig()), "lasso", {}),
-        ]
-        for outcomes, method, options in cases:
-            assert isinstance(outcomes[1], ValueError) and str(outcomes[1]) == message
-            self.assert_alone(outcomes, instances, method, bad=1, **options)
+        for method in ALL_METHODS:
+            outcomes = self.outcomes(method, instances, [4] * 4)
+            assert type(outcomes[1]) is EstimationError and str(outcomes[1]) == message
+            self.assert_alone(outcomes, instances, method, bad=1, true_sparsity=4)
 
     def test_rank_deficient_oracle_support_fails_alone(self):
         instances = self.instances()
         channel, X, obs = instances[2]
         # Equal columns: the second support column adds no rank.
         instances[2] = (channel, replace(X, matrix=np.ones_like(X.matrix)), obs)
-        outcomes = estimators.oracle_estimates([(X, obs) for _ch, X, obs in instances],
-                                               [ch.support for ch, _X, _obs in instances])
+        outcomes = self.outcomes("oracle", instances)
         failed = outcomes[2]
-        assert isinstance(failed, SingularMatrixError) and failed.pivot_index == 1
+        assert type(failed) is SingularMatrixError and failed.pivot_index == 1
+        assert isinstance(failed, EstimationError)
         assert str(failed) == "matrix is singular within tolerance at pivot 1"
         self.assert_alone(outcomes, instances, "oracle", bad=2)
 
     def test_omp_budget_above_limit_fails_alone(self):
         instances = self.instances(N=30)
-        outcomes = estimators.omp_estimates([(X, obs) for _ch, X, obs in instances],
-                                            [4, 31, None, 2])
+        outcomes = self.outcomes("omp", instances, [4, 31, None, 2])
         failed = outcomes[1]
-        assert type(failed) is ValueError
+        assert type(failed) is EstimationError
         assert str(failed) == "OMP atom budget 31 exceeds min(N, L)=30"
         budgets = {0: 4, 2: None, 3: 2}
         for i in budgets:
@@ -709,11 +712,9 @@ class TestStackedBaselines:
         channel, X, obs = instances[1]
         matrix = np.ones_like(X.matrix) if N >= X.L else X.matrix
         instances[1] = (channel, replace(X, matrix=1e160 * matrix), obs)
-        pairs = [(X, obs) for _channel, X, obs in instances]
-        outcomes = [result[method] for result in
-                    estimators.run_estimators([method], pairs, EstimatorConfig())]
+        outcomes = self.outcomes(method, instances)
         failed = outcomes[1]
-        assert type(failed) is ValueError
+        assert type(failed) is EstimationError
         assert str(failed) == "Gram product or correlation of the training matrix is not finite"
         self.assert_alone(outcomes, instances, method, bad=1)
 
@@ -726,8 +727,10 @@ class TestStackedBaselines:
         for i, scale in ((0, 1.0), (2, 1e6)):
             channel, X, obs = instances[i]
             instances[i] = (channel, replace(X, matrix=np.full_like(X.matrix, scale)), obs)
-        outcomes = estimators.ls_estimates([(X, obs) for _ch, X, obs in instances])
-        assert isinstance(outcomes[2], np.linalg.LinAlgError)
+        outcomes = self.outcomes("ls", instances)
+        failed = outcomes[2]
+        assert type(failed) is EstimationError and str(failed) == "Singular matrix"
+        assert isinstance(failed.__cause__, np.linalg.LinAlgError)
         assert [outcomes[i].diagnostics["regularized"] for i in (0, 1, 3)] == [True, False, False]
         self.assert_alone(outcomes, instances, "ls", bad=2)
 
@@ -743,18 +746,47 @@ class TestDispatch:
         with pytest.raises(ValueError):
             run_estimator("oracle", X, obs, EstimatorConfig())
 
-    @pytest.mark.parametrize("methods, supports, message", [
-        (("ds", "mp"), [(0,)], "unknown estimator 'mp'"),
-        (("ds", "oracle"), None, "oracle estimator needs the true support"),
-    ])
-    def test_rejected_before_any_method_runs(self, monkeypatch, methods, supports, message):
-        def never(programs):
-            raise AssertionError("a selector LP ran before the methods were checked")
+    STACK_FUNCTIONS = ("ls_estimates", "omp_estimates", "lasso_estimates", "ds_estimates",
+                       "sds_estimates", "oracle_estimates")
 
-        monkeypatch.setattr(estimators, "solve_selectors", never)
-        channel, X, obs = make_instance(seed=28)
-        with pytest.raises(ValueError, match=message):
-            estimators.run_estimators(methods, [(X, obs)], EstimatorConfig(), supports)
+    def forbid_methods(self, monkeypatch):
+        """Make every stack function, and np.stack, fail the test if called."""
+        def never(*args, **kwargs):
+            raise AssertionError("a method ran or a stack was built")
+
+        for name in self.STACK_FUNCTIONS:
+            monkeypatch.setattr(estimators, name, never)
+        monkeypatch.setattr(np, "stack", never)
+
+    @pytest.mark.parametrize("methods, supports, message, kinds", [
+        (("ds", "mp"), [(0,)], "unknown estimator 'mp'", [{}]),
+        (("ds", "oracle"), None, "oracle estimator needs the true support", [{}]),
+        (ALL_METHODS, [(0,)] * 2, "instances differ in shape or dtype", [{}, {"N": 20}]),
+        (ALL_METHODS, [(0,)] * 2, "instances differ in shape or dtype",
+         [{}, {"distribution": "complex_gaussian"}]),
+    ])
+    def test_rejected_before_any_method_runs(self, monkeypatch, methods, supports, message,
+                                             kinds):
+        instances = [make_instance(seed=28, **kind)[1:] for kind in kinds]
+        self.forbid_methods(monkeypatch)
+        with pytest.raises(ValueError, match=message) as err:
+            estimators.run_estimators(methods, instances, EstimatorConfig(), supports)
+        assert type(err.value) is ValueError  # not an EstimationError, so never a failed cell
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_nothing_to_stack_runs_no_method(self, monkeypatch, count):
+        # Every instance fails the screen, or there is none.
+        _channel, X, obs = make_instance(seed=28)
+        instances = [(X, replace(obs, y=np.full_like(obs.y, np.inf)))] * count
+        self.forbid_methods(monkeypatch)
+        results = estimators.run_estimators(ALL_METHODS, instances, EstimatorConfig(),
+                                            [(0,)] * count, [1] * count)
+        assert len(results) == count
+        for result in results:
+            assert list(result) == list(ALL_METHODS)
+            for outcome in result.values():
+                assert type(outcome) is EstimationError
+                assert str(outcome) == "training matrix or observation contains NaN or Inf entries"
 
     def test_genie_atom_budget(self):
         channel, X, obs = make_instance(seed=30)

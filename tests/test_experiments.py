@@ -103,7 +103,7 @@ class TestRunTrial:
         )
         record = run_trial(bad, 10.0, 8, 0)
         assert record["omp"].failed
-        assert "ValueError" in record["omp"].error
+        assert record["omp"].error == "EstimationError: OMP atom budget 10 exceeds min(N, L)=8"
         assert not record["ls"].failed and math.isfinite(record["ls"].mse)
 
     @pytest.mark.parametrize("distribution, programs", [("complex_gaussian", 2), ("gaussian", 4)])
