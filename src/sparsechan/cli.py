@@ -220,7 +220,7 @@ def _run_instance(run_dir: Path, subcommand: str, cfg, channel=None):
     `channel` in place of the drawn one if given; write channel_true.csv,
     meta.json, diagnostics.json and estimate_<method>.csv for each method
     that succeeded, and print the failed ones. Returns (channel,
-    {method: Estimate}, {method: error text})."""
+    {method: Estimate or EstimationError}, the failed methods)."""
     snr, n = cfg.fixed_snr_db, cfg.fixed_n
     instance = experiments.make_instance(cfg, snr, n, 0, channel=channel)
     channel, _X, obs = instance
@@ -231,13 +231,13 @@ def _run_instance(run_dir: Path, subcommand: str, cfg, channel=None):
         "instance": {"snr_db": snr, "n": n, "true_support": list(channel.support),
                      "noise_variance": obs.noise_variance},
     })
-    [(estimates, errors)] = experiments.estimate_instances(cfg, [instance])
-    diagnostics = {}
-    for method in cfg.methods:
-        if method in errors:
-            diagnostics[method] = {"failed": True, "error": errors[method]}
+    [outcomes] = experiments.estimate_instances(cfg, [instance])
+    diagnostics, failed = {}, []
+    for method, est in outcomes.items():
+        if isinstance(est, Exception):
+            failed.append(method)
+            diagnostics[method] = {"failed": True, "error": experiments.error_text(est)}
             continue
-        est = estimates[method]
         model.save_taps_csv(run_dir / f"estimate_{method}.csv", est.h_hat)
         diagnostics[method] = {
             "support_hat": list(est.support_hat),
@@ -247,9 +247,9 @@ def _run_instance(run_dir: Path, subcommand: str, cfg, channel=None):
     path = run_dir / "diagnostics.json"
     # Array-valued diagnostics (the sds weights) are written as lists.
     path.write_text(json.dumps(diagnostics, indent=2, default=lambda v: v.tolist()) + "\n")
-    if errors:
-        print(f"solver failure in {', '.join(errors)}; diagnostics at {path}", file=sys.stderr)
-    return channel, estimates, errors
+    if failed:
+        print(f"solver failure in {', '.join(failed)}; diagnostics at {path}", file=sys.stderr)
+    return channel, outcomes, failed
 
 
 def _run_estimate(args, cfg, run_dir: Path) -> int:
@@ -299,11 +299,11 @@ def _run_demo(args, cfg, run_dir: Path) -> int:
     # The demo's fixed point, whatever the config file sets; meta.json records it.
     cfg = replace(cfg, L=model.DEMO_CHANNEL_LENGTH, T=len(model.DEMO_TAP_VALUES), fixed_n=30,
                   fixed_snr_db=10.0, methods=("ls", "ds"))
-    channel, estimates, errors = _run_instance(
+    channel, outcomes, failed = _run_instance(
         run_dir, "demo-fig2", cfg, model.fixed_channel_figure_demo(seed=cfg.base_seed))
-    if errors:
+    if failed:
         return EXIT_SOLVER
-    est_ls, est_ds = estimates["ls"], estimates["ds"]
+    est_ls, est_ds = outcomes["ls"], outcomes["ds"]
     with open(run_dir / "result.csv", "w", newline="") as fh:
         fh.write("index,true_mod,ls_mod,ds_mod\n")
         for i in range(channel.length):

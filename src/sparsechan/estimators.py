@@ -26,10 +26,12 @@ is solved. Lasso uses the modulus-based L1 (shrink modulus, keep phase).
 
 `run_estimators` is the one boundary of this layer, and `run_estimator` is
 its batch of one. It takes instances of one shape, fails each instance
-whose training matrix or observation is not finite before any method sees
-it, stacks the rest once and runs every method once through its stack
-function, which returns per instance an `Estimate` or the EstimationError
-it raised; an instance's estimate has the same bits in a batch of any size.
+whose X, y or noise variance is not finite (or the variance negative)
+before any method sees it, stacks the rest once, resolves sigma and each
+level once for the stack and runs every method once through its stack
+function, which takes arrays and returns per instance an `Estimate` or the
+EstimationError it raised; an instance's estimate has the same bits in a
+batch of any size.
 EstimationError is the one type of an expected failure: non-finite data, a
 Gram product or selector program that overflows on finite data, a
 singular or rank-deficient system (SingularMatrixError), an OMP budget
@@ -38,11 +40,12 @@ selector LP (SelectorLpError). Any other exception is a programming error
 and propagates. `ls_estimates`, `omp_estimates` and `oracle_estimates` take
 the stacks into numpy's batched QR and solve (OMP runs its rounds over the
 instances still going; the minimum-norm `ls` forms its Gram matrices as
-one stack and factors them one at a time); `ds_estimates` and
-`sds_estimates` hand the selector programs of all instances to one call,
-which solves them one at a time. The selector diagnostics count the
-simplex pivots as `lp_iterations` (IPM iterations for a program that fell
-back) and the programs that fell back to the IPM as `lp_fallbacks`.
+one stack and factors them one at a time); `ds_estimates`, which runs once
+per call, and `sds_estimates`, which starts from its outcomes, hand the
+selector programs of all instances to one call, which solves them one at a
+time. The selector diagnostics count the simplex pivots as `lp_iterations`
+(IPM iterations for a program that fell back) and the programs that fell
+back to the IPM as `lp_fallbacks`.
 `lasso_estimates` loops: coordinate descent takes a data-dependent number
 of passes, so a stack would wait for its slowest member.
 """
@@ -149,24 +152,29 @@ class Estimate:
         return tuple(int(i) for i in np.flatnonzero(mags > threshold))
 
 
-def resolve_lambda(sigma: float, X: ToeplitzTraining, rule) -> float:
-    """Constraint level: sigma * sqrt(2 ln L) * max column norm for "auto",
-    otherwise the given non-negative value."""
+def resolve_lambda(sigma, Xm: np.ndarray, rule):
+    """Constraint level of an N x L training matrix Xm, or one per matrix of
+    a (P, N, L) stack Xm with one sigma each: sigma * sqrt(2 ln L) * max
+    column norm for "auto", otherwise the given non-negative value."""
     if rule == "auto":
-        if sigma < 0:
+        if np.min(sigma) < 0:
             raise ValueError(f"sigma must be >= 0, got {sigma}")
-        max_col = float(np.linalg.norm(X.matrix, axis=0).max())
-        return sigma * math.sqrt(2.0 * math.log(X.L)) * max_col
+        max_col = np.linalg.norm(Xm, axis=-2).max(axis=-1)
+        return sigma * math.sqrt(2.0 * math.log(Xm.shape[-1])) * max_col
     value = float(rule)
     if value < 0:
         raise ValueError(f"fixed lambda must be >= 0, got {value}")
-    return value
+    return np.full(np.shape(sigma), value)
 
 
 def _check_finite(X: ToeplitzTraining, obs: Observation) -> None:
-    """Reject non-finite data before any factorization sees it."""
+    """Reject non-finite data, or a noise variance that is not finite and
+    non-negative, before any factorization sees it."""
     if not (np.isfinite(X.matrix).all() and np.isfinite(obs.y).all()):
         raise EstimationError("training matrix or observation contains NaN or Inf entries")
+    if not 0.0 <= obs.noise_variance < math.inf:
+        raise EstimationError(
+            f"noise variance must be finite and >= 0, got {obs.noise_variance!r}")
 
 
 def _check_gram(*arrays) -> None:
@@ -356,8 +364,8 @@ def omp_estimates(Xm: np.ndarray, y: np.ndarray, noise_variances, max_atoms=None
     return results
 
 
-def _lasso_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig) -> Estimate:
-    """L1-penalized least squares, (1/2)||y - Xh||^2 + lambda * sum |h_i|,
+def _lasso_estimate(Xm: np.ndarray, y: np.ndarray, lam: float) -> Estimate:
+    """L1-penalized least squares, (1/2)||y - Xm h||^2 + lam * sum |h_i|,
     on the Gram form G = X^H X, c = X^H y; the threshold shrinks the modulus
     and keeps the phase.
 
@@ -398,13 +406,10 @@ def _lasso_estimate(X: ToeplitzTraining, obs: Observation, cfg: EstimatorConfig)
     diagnostics["sweeps"] counts passes plus Newton steps, capped at
     LASSO_MAX_SWEEPS (the last pass is always screened), and
     diagnostics["kkt_residual"] is the screened residual of the returned
-    taps. Taps with G_jj <= 0 (all-zero columns) stay at zero. X and y
+    taps. Taps with G_jj <= 0 (all-zero columns) stay at zero. Xm and y
     must be finite; a level, Gram matrix or X^H y that is not raises
     EstimationError."""
-    Xm, y = X.matrix, obs.y
     L = Xm.shape[1]
-    lam = resolve_lambda(math.sqrt(obs.noise_variance), X, cfg.lambda_lasso)
-
     Xh = Xm.conj().T
     G = Xh @ Xm
     c = Xh @ y
@@ -553,9 +558,9 @@ def _lasso_newton(G, c, h, support, lam, budget) -> tuple[int, bool]:
     return steps, settled
 
 
-def lasso_estimates(instances, cfg: EstimatorConfig) -> list:
-    """`_lasso_estimate` on each finite (X, obs) of `instances`, one after
-    another.
+def lasso_estimates(Xm: np.ndarray, y: np.ndarray, levels) -> list:
+    """`_lasso_estimate` on each instance of the finite stacks Xm (P, N, L)
+    and y (P, N) at its level `levels[p]`, one after another.
 
     The Lasso is not stacked: its pass count depends on the data (at L=60 and
     20 dB, a median of 11 at N=55 and 35 at N=10, and up to about 90), so a
@@ -563,9 +568,9 @@ def lasso_estimates(instances, cfg: EstimatorConfig) -> list:
     Estimate, or the EstimationError it raised.
     """
     results = []
-    for X, obs in instances:
+    for X_p, y_p, lam in zip(Xm, y, levels):
         try:
-            results.append(_lasso_estimate(X, obs, cfg))
+            results.append(_lasso_estimate(X_p, y_p, lam))
         except EstimationError as exc:
             results.append(exc)
     return results
@@ -642,24 +647,20 @@ def _solve_composite_selectors(results: list, jobs) -> list:
     return results
 
 
-def ds_estimates(instances, cfg: EstimatorConfig) -> list:
-    """The Dantzig selector on each finite (X, obs) of `instances`: minimize the
-    (real-composite) L1 norm subject to a componentwise bound on the
-    residual correlations X^H (y - X h).
+def ds_estimates(Xm: np.ndarray, y: np.ndarray, levels) -> list:
+    """The Dantzig selector on each instance of the finite stacks Xm (P, N, L)
+    and y (P, N) at its level `levels[p]`: minimize the (real-composite) L1
+    norm subject to a componentwise bound on the residual correlations
+    X^H (y - X h).
 
     The selector programs of all instances are solved in one call, and each
     estimate is bit for bit the one its instance gets alone. Returns per
     instance its Estimate, or the EstimationError it raised.
     """
-    results, jobs = [None] * len(instances), []
-    for i, (X, obs) in enumerate(instances):
+    results, jobs = [None] * len(Xm), []
+    for i, (X_i, y_i, lam) in enumerate(zip(Xm, y, levels)):
         try:
-            sigma = math.sqrt(obs.noise_variance)
-            if cfg.lambda_ds == "auto":
-                lam = COMPOSITE_LAMBDA_CALIBRATION * resolve_lambda(sigma, X, "auto")
-            else:
-                lam = resolve_lambda(sigma, X, cfg.lambda_ds)
-            jobs.append((i, lam, _composite_programs(X.matrix, X.matrix, obs.y, lam), {}))
+            jobs.append((i, lam, _composite_programs(X_i, X_i, y_i, lam), {}))
         except EstimationError as exc:
             results[i] = exc
     return _solve_composite_selectors(results, jobs)
@@ -684,42 +685,32 @@ def sds_weighting(Xm: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, bool
     return Z[0] / col_scale[None, :], bool(regularized[0])
 
 
-def sds_estimates(instances, cfg: EstimatorConfig, bases=None) -> list:
-    """Reweighted ("sensing") selector on each finite (X, obs) of `instances`: run
-    the plain selector, weight each column by the magnitude of its residual
-    correlation, rebuild the sensing matrix through R = X W^2 X^H, and
-    re-solve with the new constraint. An instance whose weights all vanish
-    next to X^H y keeps its plain estimate, flagged `degenerate_weighting`.
-
-    `bases[i]`, when given and an Estimate, is the plain selector's
-    estimate of instance i with this `cfg`, used instead of solving it
-    again; the other instances' plain selectors run as one call of
-    `ds_estimates`, and the reweighted programs of all instances as
-    another. Returns per instance its Estimate, or the EstimationError it
-    raised.
+def sds_estimates(Xm: np.ndarray, y: np.ndarray, bases) -> list:
+    """Reweighted ("sensing") selector on each instance of the finite stacks
+    Xm (P, N, L) and y (P, N), from `bases[p]`, the plain selector's outcome
+    there: weight each column by the magnitude of its residual correlation,
+    rebuild the sensing matrix through R = X W^2 X^H, and re-solve at the
+    plain level with the new constraint, all programs in one call. An
+    instance whose weights all vanish next to X^H y keeps its plain
+    estimate, flagged `degenerate_weighting`. Returns per instance its
+    Estimate, or the EstimationError it (or its plain selector) raised.
     """
-    bases = list(bases) if bases is not None else [None] * len(instances)
-    missing = [i for i, base in enumerate(bases) if not isinstance(base, Estimate)]
-    if missing:
-        for i, base in zip(missing, ds_estimates([instances[i] for i in missing], cfg)):
-            bases[i] = base
-    results, jobs = [None] * len(instances), []
-    for i, ((X, obs), base) in enumerate(zip(instances, bases)):
+    results, jobs = [None] * len(Xm), []
+    for i, (X_i, y_i, base) in enumerate(zip(Xm, y, bases)):
         if isinstance(base, Exception):
             results[i] = base
             continue
-        Xm, y = X.matrix, obs.y
-        residual = y - Xm @ base.h_hat
-        w = np.abs(Xm.conj().T @ residual)
+        residual = y_i - X_i @ base.h_hat
+        w = np.abs(X_i.conj().T @ residual)
         # The weights vanish relative to the correlations of y itself, a
         # threshold in their units, so the test does not change with scale.
-        if w.max(initial=0.0) <= 1e-12 * np.abs(Xm.conj().T @ y).max(initial=0.0):
+        if w.max(initial=0.0) <= 1e-12 * np.abs(X_i.conj().T @ y_i).max(initial=0.0):
             results[i] = Estimate(base.h_hat, {**base.diagnostics, "degenerate_weighting": True})
             continue
         lam = base.diagnostics["lambda"]
         try:
-            X_alt, regularized = sds_weighting(Xm, w)
-            jobs.append((i, lam, _composite_programs(X_alt, Xm, y, lam), {
+            X_alt, regularized = sds_weighting(X_i, w)
+            jobs.append((i, lam, _composite_programs(X_alt, X_i, y_i, lam), {
                 "degenerate_weighting": False,
                 "weighting_regularized": regularized,
                 "weights": w,
@@ -769,16 +760,17 @@ def run_estimators(methods, instances, cfg: EstimatorConfig, true_supports=None,
     """Run `methods` in order, each once through its stack function, on the
     (X, obs) of `instances`, which share one shape and dtypes.
 
-    Each instance whose X or y is not finite fails every method with that
-    EstimationError; the others are stacked once, and the stacks go to
-    `ls_estimates`, `omp_estimates` and `oracle_estimates`, the instances
-    themselves to `lasso_estimates`, `ds_estimates` and `sds_estimates`.
-    Returns per instance {method: its Estimate, or the EstimationError it
-    raised}, in method order; any other exception propagates. OMP takes at
-    most `true_sparsities[i]` atoms (genie-aided stopping for comparison
-    runs), min(N, L) when that or `true_sparsities` is None; the oracle
-    solves on `true_supports[i]`; `sds` reuses a successful `ds` estimate
-    when `ds` ran before it. An unknown method, the oracle without
+    Each instance whose X or y is not finite, or whose noise variance is not
+    finite and non-negative, fails every method with that EstimationError.
+    The others are stacked once, with sigma and, where a method needs one,
+    each level from `cfg` resolved once for the stack; the stacks go to
+    every stack function, and `ds_estimates` runs at most once, its
+    outcomes serving `ds` and the bases of `sds` in either order. Returns
+    per instance {method: its Estimate, or the EstimationError it raised},
+    in method order; any other exception propagates. OMP takes at most
+    `true_sparsities[i]` atoms (genie-aided stopping for comparison runs),
+    min(N, L) when that or `true_sparsities` is None; the oracle solves on
+    `true_supports[i]`. An unknown method, the oracle without
     `true_supports`, or instances of more than one shape or dtype raise
     ValueError before any method runs.
     """
@@ -799,24 +791,27 @@ def run_estimators(methods, instances, cfg: EstimatorConfig, true_supports=None,
             results[i] = dict.fromkeys(methods, exc)
     if not passed:
         return results
-    screened = [instances[i] for i in passed]
-    Xm = np.stack([X.matrix for X, _obs in screened])
-    y = np.stack([obs.y for _X, obs in screened])
+    Xm = np.stack([instances[i][0].matrix for i in passed])
+    y = np.stack([instances[i][1].y for i in passed])
+    variances = [instances[i][1].noise_variance for i in passed]
+    sigma = np.sqrt(variances)
+    selector = None
     for method in methods:
         if method == METHOD_LS:
             outcomes = ls_estimates(Xm, y)
         elif method == METHOD_OMP:
-            outcomes = omp_estimates(Xm, y, [obs.noise_variance for _X, obs in screened],
-                                     None if true_sparsities is None else
+            outcomes = omp_estimates(Xm, y, variances, None if true_sparsities is None else
                                      [true_sparsities[i] for i in passed])
         elif method == METHOD_LASSO:
-            outcomes = lasso_estimates(screened, cfg)
-        elif method == METHOD_DS:
-            outcomes = ds_estimates(screened, cfg)
-        elif method == METHOD_SDS:
-            outcomes = sds_estimates(screened, cfg, [results[i].get(METHOD_DS) for i in passed])
-        else:  # METHOD_ORACLE
+            outcomes = lasso_estimates(Xm, y, resolve_lambda(sigma, Xm, cfg.lambda_lasso).tolist())
+        elif method == METHOD_ORACLE:
             outcomes = oracle_estimates(Xm, y, [true_supports[i] for i in passed])
+        else:  # METHOD_DS or METHOD_SDS
+            if selector is None:
+                scale = COMPOSITE_LAMBDA_CALIBRATION if cfg.lambda_ds == "auto" else 1.0
+                levels = scale * resolve_lambda(sigma, Xm, cfg.lambda_ds)
+                selector = ds_estimates(Xm, y, levels.tolist())
+            outcomes = selector if method == METHOD_DS else sds_estimates(Xm, y, selector)
         for i, outcome in zip(passed, outcomes):
             results[i][method] = outcome
     return results

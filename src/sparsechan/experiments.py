@@ -195,23 +195,25 @@ def make_instance(cfg: ExperimentConfig, snr_db: float, n: int, trial_index: int
     return channel, X, observe(X, channel, snr_db, seed=seed(_STREAM_NOISE))
 
 
+def error_text(error: Exception) -> str:
+    """A failed estimate's error text, "Type: message"."""
+    return f"{type(error).__name__}: {error}"
+
+
 def estimate_instances(cfg: ExperimentConfig, instances) -> list:
     """Run the configured methods in order on each (channel, X, obs) of
     `instances` through `estimators.run_estimators`, with each channel's
     support for the oracle and its sparsity as the OMP atom budget.
 
-    Returns per instance ({method: Estimate}, {method: error text}), each in
-    method order. A method that raises `estimators.EstimationError` on an
-    instance gets its error text ("Type: message") there, and the other
-    methods and instances still run; any other exception propagates.
+    Returns per instance {method: Estimate, or the
+    `estimators.EstimationError` the method raised there}, in method order;
+    the other methods and instances still run, and any other exception
+    propagates.
     """
     channels = [channel for channel, _X, _obs in instances]
-    outcomes = run_estimators(cfg.methods, [(X, obs) for _channel, X, obs in instances],
-                              cfg.estimator, [channel.support for channel in channels],
-                              [channel.sparsity for channel in channels])
-    return [({m: o for m, o in per.items() if not isinstance(o, Exception)},
-             {m: f"{type(o).__name__}: {o}" for m, o in per.items() if isinstance(o, Exception)})
-            for per in outcomes]
+    return run_estimators(cfg.methods, [(X, obs) for _channel, X, obs in instances],
+                          cfg.estimator, [channel.support for channel in channels],
+                          [channel.sparsity for channel in channels])
 
 
 def _run_trials(cfg: ExperimentConfig, snr_db: float, n: int, trial_indices) -> list[dict]:
@@ -224,16 +226,14 @@ def _run_trials(cfg: ExperimentConfig, snr_db: float, n: int, trial_indices) -> 
             raise ValueError(f"trial_index {trial_index} out of range for trials={cfg.trials}")
     instances = [make_instance(cfg, snr_db, n, t) for t in trial_indices]
     records = []
-    for (channel, _X, _obs), (estimates, errors) in zip(
-            instances, estimate_instances(cfg, instances)):
+    for (channel, _X, _obs), outcomes in zip(instances, estimate_instances(cfg, instances)):
         h_norm_sq = float(np.linalg.norm(channel.taps) ** 2)
         record = {}
-        for method in cfg.methods:
-            if method in errors:
+        for method, est in outcomes.items():
+            if isinstance(est, Exception):
                 record[method] = TrialCell(mse=math.nan, mse_normalized=math.nan,
-                                           converged=False, failed=True, error=errors[method])
+                                           converged=False, failed=True, error=error_text(est))
                 continue
-            est = estimates[method]
             err = mse(channel, est)
             record[method] = TrialCell(
                 mse=err, mse_normalized=err / h_norm_sq if h_norm_sq > 0 else math.nan,

@@ -29,6 +29,7 @@ import numpy as np  # noqa: E402
 
 from sparsechan.experiments import (  # noqa: E402
     ExperimentConfig,
+    error_text,
     estimate_instances,
     make_instance,
     mse,
@@ -66,17 +67,16 @@ def build() -> dict:
             instances = [make_instance(cfg, snr_db, n, t) for t in range(TRIALS)]
             errors = {m: [] for m in methods}
             trials = []
-            for (channel, _X, _obs), (estimates, failures) in zip(
-                    instances, estimate_instances(cfg, instances)):
+            for (channel, _X, _obs), outcomes in zip(instances,
+                                                     estimate_instances(cfg, instances)):
                 record = {}
-                for m in methods:
-                    if m in failures:
-                        record[m] = {"error": failures[m]}
+                for m, est in outcomes.items():
+                    if isinstance(est, Exception):
+                        record[m] = {"error": error_text(est)}
                         continue
-                    diagnostics = estimates[m].diagnostics
-                    record[m] = {key: diagnostics[key] for key in COUNT_KEYS
-                                 if key in diagnostics}
-                    errors[m].append(mse(channel, estimates[m]))
+                    record[m] = {key: est.diagnostics[key] for key in COUNT_KEYS
+                                 if key in est.diagnostics}
+                    errors[m].append(mse(channel, est))
                 trials.append(record)
             cells = {m: {"mean_mse": math.fsum(v) / len(v) if v else math.nan,
                          "median_mse": float(np.median(v)) if v else math.nan}

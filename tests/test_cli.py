@@ -443,9 +443,9 @@ class TestDemoCommand:
         assert (config["fixed_n"], config["fixed_snr_db"]) == (30, 10.0)
 
     def test_failed_method_exit_three_keeps_meta(self, tmp_path, capsys, monkeypatch):
-        def failing(instances, cfg):
+        def failing(Xm, y, levels):
             return [estimators.SelectorLpError("selector LP reported infeasible")
-                    for _ in instances]
+                    for _ in Xm]
 
         monkeypatch.setattr(estimators, "ds_estimates", failing)
         code, _, err = run_cli(["demo-fig2", "--out", str(tmp_path)], capsys)

@@ -78,16 +78,16 @@ def plain_cd_lasso(Xm, y, lam, tol=1e-11):
 class TestResolveLambda:
     def test_zero_sigma(self):
         X = build_toeplitz_training(8, 12, "gaussian", seed=0)
-        assert resolve_lambda(0.0, X, "auto") == 0.0
+        assert resolve_lambda(0.0, X.matrix, "auto") == 0.0
 
     def test_unit_columns_reference_value(self):
         X = identity_training(60)
-        assert resolve_lambda(0.1, X, "auto") == pytest.approx(0.286158, abs=1e-5)
+        assert resolve_lambda(0.1, X.matrix, "auto") == pytest.approx(0.286158, abs=1e-5)
 
     def test_small_channel_reference_value(self):
         X = identity_training(7)
-        assert resolve_lambda(1.0, X, "auto") == pytest.approx(math.sqrt(2 * math.log(7)))
-        assert resolve_lambda(1.0, X, "auto") == pytest.approx(1.97277, abs=1e-4)
+        assert resolve_lambda(1.0, X.matrix, "auto") == pytest.approx(math.sqrt(2 * math.log(7)))
+        assert resolve_lambda(1.0, X.matrix, "auto") == pytest.approx(1.97277, abs=1e-4)
 
     def test_fixed_value_passthrough(self):
         X = identity_training(4)
@@ -357,7 +357,8 @@ class TestLasso:
         cfg = ExperimentConfig(base_seed=3, distribution=distribution)
         _channel, X, obs = make_trial_instance(cfg, 20.0, n, 0)
         matrix, y = X.matrix.copy(), obs.y.copy()
-        est = estimators._lasso_estimate(X, obs, EstimatorConfig())
+        lam = float(resolve_lambda(math.sqrt(obs.noise_variance), X.matrix, "auto"))
+        est = estimators._lasso_estimate(X.matrix, obs.y, lam)
         np.testing.assert_array_equal(X.matrix, matrix)
         np.testing.assert_array_equal(obs.y, y)
         assert est.diagnostics["sweeps"] == sweeps
@@ -513,13 +514,18 @@ class TestDantzigSelector:
             hits += rel <= 1e-6
         assert hits / trials >= 0.95
 
+    # The overflowing products then give inf - inf in a later sum.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
     def test_bad_instance_fails_alone(self):
         # Instances whose programs are solved in one call keep their own
         # failures: a program that overflows fails only its own estimate.
         _, X, obs = make_instance(seed=31)
         bad = replace(X, matrix=1e160 * X.matrix)
-        for method, batch in (("ds", estimators.ds_estimates), ("sds", estimators.sds_estimates)):
-            failed, good = batch([(bad, obs), (X, obs)], EstimatorConfig())
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            outcomes = estimators.run_estimators(("ds", "sds"), [(bad, obs), (X, obs)],
+                                                 EstimatorConfig())
+        for method in ("ds", "sds"):
+            failed, good = (outcome[method] for outcome in outcomes)
             assert type(failed) is EstimationError
             assert str(failed) == "selector program contains NaN or Inf entries"
             alone = run_estimator(method, X, obs, EstimatorConfig())
@@ -576,6 +582,27 @@ class TestSensingSelector:
         lam = est.diagnostics["lambda"]
         excess = composite_correlation_excess(X_alt, X.matrix, obs.y, est.h_hat, lam)
         assert excess <= 1e-6
+
+    def test_one_ds_pass_per_call(self, monkeypatch):
+        # ds runs once per call, and its outcomes serve ds and sds alike,
+        # in either order or when sds runs alone.
+        instances = [make_instance(seed=50 + s, distribution="complex_gaussian")[1:]
+                     for s in range(3)]
+        calls, ds_estimates = [], estimators.ds_estimates
+
+        def counted(*args):
+            calls.append(args)
+            return ds_estimates(*args)
+
+        monkeypatch.setattr(estimators, "ds_estimates", counted)
+        taps = {}
+        for methods in (("ds", "sds"), ("sds", "ds"), ("sds",)):
+            calls.clear()
+            outcomes = estimators.run_estimators(methods, instances, EstimatorConfig())
+            assert len(calls) == 1, methods
+            for method in methods:
+                h = np.array([outcome[method].h_hat for outcome in outcomes])
+                np.testing.assert_array_equal(h, taps.setdefault(method, h))
 
 
 class TestConjugationSymmetry:
@@ -703,6 +730,8 @@ class TestStackedBaselines:
             np.testing.assert_array_equal(outcomes[i].h_hat, alone.h_hat)
             assert outcomes[i].diagnostics == alone.diagnostics
 
+    # The overflowing products then give inf - inf in a later sum.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
     @pytest.mark.parametrize("method, N", [("ls", 30), ("ls", 80), ("lasso", 30)])
     def test_overflowing_gram_product_fails_alone(self, method, N):
         # Scaled by 1e160 the training is finite but its Gram products are
@@ -712,7 +741,8 @@ class TestStackedBaselines:
         channel, X, obs = instances[1]
         matrix = np.ones_like(X.matrix) if N >= X.L else X.matrix
         instances[1] = (channel, replace(X, matrix=1e160 * matrix), obs)
-        outcomes = self.outcomes(method, instances)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            outcomes = self.outcomes(method, instances)
         failed = outcomes[1]
         assert type(failed) is EstimationError
         assert str(failed) == "Gram product or correlation of the training matrix is not finite"
@@ -733,6 +763,25 @@ class TestStackedBaselines:
         assert isinstance(failed.__cause__, np.linalg.LinAlgError)
         assert [outcomes[i].diagnostics["regularized"] for i in (0, 1, 3)] == [True, False, False]
         self.assert_alone(outcomes, instances, "ls", bad=2)
+
+    @pytest.mark.parametrize("variance", [np.nan, np.inf, -1.0])
+    def test_bad_noise_variance_fails_alone_at_the_boundary(self, variance):
+        instances = self.instances(N=30)
+        channel, X, obs = instances[1]
+        instances[1] = (channel, X, replace(obs, noise_variance=variance))
+
+        def run(rows):
+            return estimators.run_estimators(
+                ALL_METHODS, [instances[i][1:] for i in rows], EstimatorConfig(),
+                [instances[i][0].support for i in rows], [instances[i][0].sparsity for i in rows])
+
+        outcomes, without = run(range(4)), run([0, 2, 3])
+        message = f"noise variance must be finite and >= 0, got {variance!r}"
+        for method in ALL_METHODS:
+            failed = outcomes[1][method]
+            assert type(failed) is EstimationError and str(failed) == message
+            for outcome, alone in zip([outcomes[i] for i in (0, 2, 3)], without):
+                np.testing.assert_array_equal(outcome[method].h_hat, alone[method].h_hat)
 
 
 class TestDispatch:

@@ -306,7 +306,8 @@ def instance_programs(distribution, snr_db, seed):
     cfg = ExperimentConfig(L=60, T=4, trials=1, fixed_n=30, base_seed=seed,
                            distribution=distribution)
     _channel, X, obs = make_instance(cfg, snr_db, 30, 0)
-    lam = COMPOSITE_LAMBDA_CALIBRATION * resolve_lambda(np.sqrt(obs.noise_variance), X, "auto")
+    sigma = np.sqrt(obs.noise_variance)
+    lam = COMPOSITE_LAMBDA_CALIBRATION * resolve_lambda(sigma, X.matrix, "auto")
     return _composite_programs(X.matrix, X.matrix, obs.y, lam)[0]
 
 
