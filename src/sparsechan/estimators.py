@@ -33,19 +33,19 @@ function, which takes arrays and returns per instance an `Estimate` or the
 EstimationError it raised; an instance's estimate has the same bits in a
 batch of any size.
 EstimationError is the one type of an expected failure: non-finite data, a
-Gram product or selector program that overflows on finite data, a
-singular or rank-deficient system (SingularMatrixError), an OMP budget
-above min(N, L), an oracle support that does not fit and a failed
-selector LP (SelectorLpError). Any other exception is a programming error
-and propagates. `ls_estimates`, `omp_estimates` and `oracle_estimates` take
-the stacks into numpy's batched QR and solve (OMP runs its rounds over the
-instances still going; the minimum-norm `ls` forms its Gram matrices as
-one stack and factors them one at a time); `ds_estimates`, which runs once
-per call, and `sds_estimates`, which starts from its outcomes, hand the
-selector programs of all instances to one call, which solves them one at a
-time. The selector diagnostics count the simplex pivots as `lp_iterations`
-(IPM iterations for a program that fell back) and the programs that fell
-back to the IPM as `lp_fallbacks`.
+Gram product or selector program that overflows on finite data, a singular
+or rank-deficient system (SingularMatrixError), an OMP budget that is not
+an integer in [0, min(N, L)], an oracle support that does not fit and a
+failed selector LP (SelectorLpError). Any other exception is a programming
+error and propagates. `ls_estimates`, `omp_estimates` and
+`oracle_estimates` take the stacks into numpy's batched QR and solve (OMP
+runs its rounds over the instances still going; the minimum-norm `ls` forms
+its Gram matrices as one stack and factors them one at a time);
+`ds_estimates`, which runs once per call, and `sds_estimates`, which starts
+from its outcomes, hand the selector programs of all instances to one call,
+which solves them one at a time. The selector diagnostics count the simplex
+pivots as `lp_iterations` (IPM iterations for a program that fell back) and
+the programs that fell back to the IPM as `lp_fallbacks`.
 `lasso_estimates` loops: coordinate descent takes a data-dependent number
 of passes, so a stack would wait for its slowest member.
 """
@@ -68,7 +68,7 @@ from .lp import (
     solve_lp,  # noqa: F401  (part of this module's surface: bench/tracing.py wraps it)
     solve_selectors,
 )
-from .model import Observation, ToeplitzTraining
+from .model import Observation, ToeplitzTraining, l2_norm
 
 METHOD_LS = "ls"
 METHOD_OMP = "omp"
@@ -236,14 +236,16 @@ def _least_squares(M: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list]:
     matrix, so a solution has the same bits in a stack of any size.
     """
     Q, R = np.linalg.qr(np.asarray(M, dtype=np.complex128), mode="reduced")
-    pivots = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    pivots = np.abs(R.diagonal(0, 1, 2))
     largest = pivots.max(axis=1, keepdims=True)
     bad = (pivots < PIVOT_RTOL * largest) | (largest == 0.0)
-    singular = bad.any(axis=1)
-    R[singular] = np.eye(R.shape[1])  # keeps the stacked solve from raising
+    singular = bad.any(axis=1).nonzero()[0].tolist()
+    errors = [None] * len(R)
+    for p in singular:
+        R[p] = np.eye(R.shape[1])  # keeps the stacked solve from raising
+        errors[p] = SingularMatrixError(int(bad[p].argmax()))
     x = np.linalg.solve(R, np.conj(Q).swapaxes(1, 2) @ b[..., None])[..., 0]
-    return x, [SingularMatrixError(int(np.argmax(pivot_bad))) if failed else None
-               for pivot_bad, failed in zip(bad, singular)]
+    return x, errors
 
 
 def least_squares_solve(M, b) -> np.ndarray:
@@ -308,31 +310,36 @@ def omp_estimates(Xm: np.ndarray, y: np.ndarray, noise_variances, max_atoms=None
 
     The instances run their rounds together: in round k each instance still
     running picks its k-th atom, and they are refitted as one stack. Returns
-    per instance its Estimate, or the EstimationError of a budget above
-    min(N, L) or of a rank-deficient refit (SingularMatrixError).
+    per instance its Estimate, or the EstimationError of a budget that is
+    not an integer (a bool is not one), is negative or exceeds min(N, L), or
+    of a rank-deficient refit (SingularMatrixError).
     """
     P, N, L = Xm.shape
     limit = min(N, L)
-    budgets = np.array([limit] * P if max_atoms is None else
-                       [limit if budget is None else budget for budget in max_atoms])
+    budgets = [limit] * P if max_atoms is None else [limit if budget is None else budget
+                                                     for budget in max_atoms]
     tols = np.array([math.sqrt(N * variance) for variance in noise_variances])
-    results = [EstimationError(f"OMP atom budget {budget} exceeds min(N, L)={limit}")
-               if budget > limit else None for budget in budgets.tolist()]
+    results = [_omp_budget_error(budget, limit) for budget in budgets]
+    running = np.array([p for p, error in enumerate(results) if error is None], dtype=np.intp)
+    caps = np.array([int(budget) if error is None else 0
+                     for budget, error in zip(budgets, results)], dtype=np.intp)
     Xh = np.conj(Xm).swapaxes(1, 2).astype(np.complex128, copy=False)
     residual = y.astype(np.complex128)
     atoms = np.zeros((P, limit), dtype=np.intp)
+    coeffs = np.zeros((P, limit), dtype=np.complex128)
     count = np.zeros(P, dtype=np.intp)
-    coeffs = [None] * P
     degenerate = np.zeros(P, dtype=bool)
-    running = np.flatnonzero(budgets <= limit)
     for k in range(limit):
-        norms = np.linalg.norm(residual[running], axis=1)
-        keep = (k < np.take(budgets, running)) & (norms > np.take(tols, running))
+        # The norms of the rows of the residual, as np.linalg.norm(axis=1)
+        # forms them.
+        active = residual[running]
+        norms = np.sqrt((active.conj() * active).real.sum(axis=1))
+        keep = (k < caps[running]) & (norms > tols[running])
         running, norms = running[keep], norms[keep]
         if not running.size:
             break
-        corr = np.abs(Xh[running] @ residual[running][..., None])[..., 0]
-        best = np.argmax(corr, axis=1)
+        corr = np.abs((Xh @ residual[..., None])[running, :, 0])
+        best = corr.argmax(axis=1)
         keep = corr.max(axis=1) > 1e-14 * np.maximum(1.0, norms)
         running, best = running[keep], best[keep]
         repeated = (atoms[running, :k] == best[:, None]).any(axis=1)
@@ -345,23 +352,33 @@ def omp_estimates(Xm: np.ndarray, y: np.ndarray, noise_variances, max_atoms=None
         M = Xm[running[:, None], :, atoms[running, :k + 1]].swapaxes(1, 2)
         x, errors = _least_squares(M, y[running])
         residual[running] = y[running] - (M @ x[..., None])[..., 0]
-        for p, x_p, error in zip(running, x, errors):
-            coeffs[p] = x_p
-            results[p] = error
-        running = running[[error is None for error in errors]]
+        coeffs[running, :k + 1] = x
+        if any(errors):
+            for p, error in zip(running.tolist(), errors):
+                if error is not None:
+                    results[p] = error
+            running = running[[error is None for error in errors]]
+    chosen = np.arange(limit) < count[:, None]
+    h = np.zeros((P, L), dtype=np.complex128)
+    h[chosen.nonzero()[0], atoms[chosen]] = coeffs[chosen]
     for p, outcome in enumerate(results):
-        if outcome is not None:
-            continue
-        h = np.zeros(L, dtype=np.complex128)
-        if count[p]:
-            h[atoms[p, :count[p]]] = coeffs[p]
-        results[p] = Estimate(h, {
-            "atoms": atoms[p, :count[p]].tolist(),
-            "residual_norm": float(np.linalg.norm(residual[p])),
-            "residual_tol": float(tols[p]),
-            "degenerate_reselection": bool(degenerate[p]),
-        })
+        if outcome is None:
+            results[p] = Estimate(h[p], {
+                "atoms": atoms[p, :count[p]].tolist(),
+                "residual_norm": float(l2_norm(residual[p])),
+                "residual_tol": float(tols[p]),
+                "degenerate_reselection": bool(degenerate[p]),
+            })
     return results
+
+
+def _omp_budget_error(budget, limit: int):
+    """None for an OMP atom budget in [0, limit], else its EstimationError."""
+    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 0:
+        return EstimationError(f"OMP atom budget must be an integer >= 0, got {budget!r}")
+    if budget > limit:
+        return EstimationError(f"OMP atom budget {budget} exceeds min(N, L)={limit}")
+    return None
 
 
 def _lasso_estimate(Xm: np.ndarray, y: np.ndarray, lam: float) -> Estimate:
@@ -376,17 +393,17 @@ def _lasso_estimate(Xm: np.ndarray, y: np.ndarray, lam: float) -> Estimate:
     rule would pick them from h = 0; Nutini et al., ICML 2015): in index
     order, many leakage taps take a nonzero value before the dominant taps
     take up the correlation, and later passes must undo them. Tap j's
-    statistic is rho_j = c_j - q_j + G_jj h_j, and each change updates q by
-    one column of G: one in-place BLAS zaxpy on a contiguous complex copy of
-    G's columns, made once per call. When a pass changes no tap by
-    LASSO_CONVERGENCE_TOL, one vectorized screen recomputes q, adds the
-    violators to the working set and measures the largest subgradient
-    residual over all taps: |c_j - q_j - lambda h_j/|h_j|| on the nonzero
-    taps, max(|c_j - q_j| - lambda, 0) on the others. The call has
-    converged, a certified stop, when the screen finds no violator and that
-    residual is at most LASSO_KKT_TOL * lambda. Both tests allow
-    LASSO_KKT_FLOOR * max |c_j| where that is larger, the rounding level of
-    c - G h, which matters only for a lambda near 0.
+    statistic is rho_j = c_j - q_j + G_jj h_j, and each change updates q by one
+    column of G: one in-place BLAS zaxpy on a contiguous complex copy of
+    G's columns, made once per call and read at the column's offset. When a
+    pass changes no tap by LASSO_CONVERGENCE_TOL, one vectorized screen
+    recomputes q, adds the violators to the working set and measures the
+    largest subgradient residual over all taps: |c_j - q_j - lambda
+    h_j/|h_j|| on the nonzero taps, max(|c_j - q_j| - lambda, 0) on the
+    others. The call has converged, a certified stop, when the screen finds
+    no violator and that residual is at most LASSO_KKT_TOL * lambda. Both
+    tests allow LASSO_KKT_FLOOR * max |c_j| where that is larger, the
+    rounding level of c - G h, which matters only for a lambda near 0.
 
     A slow call, past LASSO_NEWTON_PASSES passes with a support that no
     longer changes, takes Newton steps on that support, where the objective
@@ -414,21 +431,23 @@ def _lasso_estimate(Xm: np.ndarray, y: np.ndarray, lam: float) -> Estimate:
     G = Xh @ Xm
     c = Xh @ y
     _check_gram(G, c, lam)
-    # Per-coordinate scalars live in Python lists: indexing a numpy array
-    # element by element costs more than the arithmetic done on it.
+    # Per-coordinate scalars live in Python lists, and zaxpy reads column j
+    # of G at offset j * L of `cols`: indexing a numpy array element by
+    # element, or slicing it, costs more than the arithmetic done on it.
     c_list = c.tolist()
-    g_diag = np.real(np.diag(G))
+    g_diag = G.diagonal().real
     live = g_diag > 0.0
     g_list = g_diag.tolist()
-    # Row j is column j of G, contiguous, so that an update is one zaxpy.
-    cols = G.T.astype(np.complex128, order="C")
+    cols = G.T.astype(np.complex128, order="C").reshape(-1)
+    # zaxpy updates q in place and returns it, so q.item stays bound to q.
     q = np.zeros(L, dtype=np.complex128)
+    q_item = q.item
     h = [0j] * L
     # Below this the residual c - G h is not resolved: at lambda = 0 the
     # certificate would otherwise ask for an exact zero.
     abs_c = np.abs(c)
     floor = LASSO_KKT_FLOOR * float(abs_c.max(initial=0.0))
-    order = np.argsort(-abs_c, kind="stable")
+    order = (-abs_c).argsort(kind="stable")
     work = order[(live & (abs_c > lam + floor))[order]].tolist()
     support, retry = None, 0
     converged, sweeps = False, 0
@@ -437,14 +456,16 @@ def _lasso_estimate(Xm: np.ndarray, y: np.ndarray, lam: float) -> Estimate:
         max_change = 0.0
         for j in work:
             d, old = g_list[j], h[j]
-            rho = c_list[j] - q.item(j) + d * old
+            rho = c_list[j] - q_item(j) + d * old
             mag = abs(rho)
             new = (1.0 - lam / mag) * rho / d if mag > lam else 0j
             change = new - old
             if change:
-                q = zaxpy(cols[j], q, a=change)
+                q = zaxpy(cols, q, L, change, j * L)
                 h[j] = new
-                max_change = max(max_change, abs(change))
+                size = abs(change)
+                if size > max_change:
+                    max_change = size
         nonzero = [j for j in work if h[j]]
         taps = sorted(nonzero)
         if taps != support:
@@ -453,25 +474,29 @@ def _lasso_estimate(Xm: np.ndarray, y: np.ndarray, lam: float) -> Estimate:
             steps, settled = _lasso_newton(G, c, h, support, lam, LASSO_MAX_SWEEPS - sweeps)
             sweeps += steps
             retry = sweeps + LASSO_NEWTON_PASSES
-            q = G @ np.array(h)
+            q[:] = G @ np.array(h, dtype=np.complex128)
             if settled:
                 max_change = 0.0
         if max_change >= LASSO_CONVERGENCE_TOL and sweeps < LASSO_MAX_SWEEPS:
             work = nonzero
             continue
-        h_arr = np.array(h)
-        q = G @ h_arr
+        h_arr = np.array(h, dtype=np.complex128)
+        q[:] = G @ h_arr
         r = c - q
+        abs_r = np.abs(r)
         mag = np.abs(h_arr)
         on = mag > 0.0
-        violators = live & ~on & (np.abs(r) > lam + floor)
-        residual = np.where(on, np.abs(r - lam * h_arr / np.where(on, mag, 1.0)),
-                            np.maximum(np.abs(r) - lam, 0.0))
+        off = ~on
+        violators = live & off & (abs_r > lam + floor)
+        # mag + off is mag on the support and 1 off it, where the quotient
+        # is not taken.
+        residual = np.where(on, np.abs(r - lam * h_arr / (mag + off)),
+                            np.maximum(abs_r - lam, 0.0))
         kkt = float(residual.max(initial=0.0))
         if not violators.any() and kkt <= max(LASSO_KKT_TOL * lam, floor):
             converged = True
             break
-        work = np.flatnonzero(on | violators).tolist()
+        work = (on | violators).nonzero()[0].tolist()
 
     diagnostics = {"lambda": lam, "sweeps": sweeps, "converged": converged,
                    "kkt_residual": kkt, "l1_convention": "complex_modulus"}
@@ -492,36 +517,37 @@ def _lasso_newton(G, c, h, support, lam, budget) -> tuple[int, bool]:
     when dgesv reports a singular system (info > 0). The system is assembled
     in buffers made once per support."""
     S = np.array(support)
-    hs = np.array([h[j] for j in support])
+    hs = np.array([h[j] for j in support], dtype=np.complex128)
     steps, settled, assemble = 0, False, True
     while steps < budget and S.size:
         if assemble:
             assemble, s = False, S.size
-            Gs = G[np.ix_(S, S)]
+            Gs = G[S[:, None], S]
             H0 = np.empty((2 * s, 2 * s), order="F")
             H0[:s, :s] = H0[s:, s:] = Gs.real
             np.negative(Gs.imag, out=H0[:s, s:])
             H0[s:, :s] = Gs.imag
             # Flat (column-major) indices of the diagonals of H's four s x s
-            # blocks: re-re, im-im, then the two off-diagonal ones. dgesv
-            # overwrites H, so each step refills it from H0.
+            # blocks: re-re, im-im, then the two off-diagonal ones, and H0's
+            # entries there. dgesv overwrites H, so each step refills it from
+            # H0.
             diag = np.arange(s) * (2 * s + 1)
             blocks = np.concatenate([diag, diag + s * (2 * s + 1), diag + s, diag + 2 * s * s])
+            base = H0.reshape(-1, order="F")[blocks]
             H = np.empty((2 * s, 2 * s), order="F")
             flat = H.reshape(-1, order="F")
-            rhs = np.empty(2 * s)
             cs = c[S]
         steps += 1
         mag = np.abs(hs)
         u = hs / mag
         w = lam / mag
-        cross = w * u.real * u.imag
+        re, im = u.real, u.imag
+        cross = -(w * re * im)
         np.copyto(H, H0)
-        flat[blocks] += np.concatenate([w * u.imag**2, w * u.real**2, -cross, -cross])
+        flat[blocks] = base + np.concatenate([w * im**2, w * re**2, cross, cross])
         r = cs - Gs @ hs
         g = r - lam * u
-        rhs[:s], rhs[s:] = g.real, g.imag
-        dx, info = dgesv(H, rhs, overwrite_a=1, overwrite_b=1)[2:]
+        dx, info = dgesv(H, np.concatenate([g.real, g.imag]), 1, 1)[2:]
         if info:
             break
         step = dx[:s] + 1j * dx[s:]
@@ -564,8 +590,9 @@ def lasso_estimates(Xm: np.ndarray, y: np.ndarray, levels) -> list:
 
     The Lasso is not stacked: its pass count depends on the data (at L=60 and
     20 dB, a median of 11 at N=55 and 35 at N=10, and up to about 90), so a
-    stack would wait for its slowest member. Returns per instance its
-    Estimate, or the EstimationError it raised.
+    stack would wait for its slowest member. Each call also forms its own G
+    and column copy, which its passes then find in cache. Returns per
+    instance its Estimate, or the EstimationError it raised.
     """
     results = []
     for X_p, y_p, lam in zip(Xm, y, levels):
@@ -769,7 +796,8 @@ def run_estimators(methods, instances, cfg: EstimatorConfig, true_supports=None,
     per instance {method: its Estimate, or the EstimationError it raised},
     in method order; any other exception propagates. OMP takes at most
     `true_sparsities[i]` atoms (genie-aided stopping for comparison runs),
-    min(N, L) when that or `true_sparsities` is None; the oracle solves on
+    an integer in [0, min(N, L)], or min(N, L) when that or
+    `true_sparsities` is None; the oracle solves on
     `true_supports[i]`. An unknown method, the oracle without
     `true_supports`, or instances of more than one shape or dtype raise
     ValueError before any method runs.

@@ -30,7 +30,7 @@ import numpy as np
 from .estimators import ALL_METHODS, Estimate, EstimatorConfig, run_estimators
 from .estimators import run_estimator  # noqa: F401  (bench/tracing.py wraps it here)
 from .model import (TRAINING_DISTRIBUTIONS, SparseChannel, build_toeplitz_training,
-                    generate_sparse_channel, observe)
+                    generate_sparse_channel, l2_norm, observe)
 
 DEFAULT_METHODS = ("ls", "omp", "lasso", "ds", "oracle")
 DEFAULT_SNR_GRID_DB = tuple(float(s) for s in range(3, 31, 3))
@@ -61,18 +61,28 @@ def _splitmix64(state: int) -> int:
     return z ^ (z >> 31)
 
 
+def _fold(seed: int, words) -> int:
+    for word in words:
+        seed = _splitmix64(seed ^ (word & _MASK64))
+    return seed
+
+
+def _trial_prefix(base_seed: int, snr_db: float, n: int, trial_index: int) -> int:
+    """The fold of `derive_trial_seed` up to its stream word, which a
+    trial's three streams share."""
+    snr_bits = struct.unpack("<Q", struct.pack("<d", float(snr_db)))[0]
+    return _fold(base_seed & _MASK64, (snr_bits, int(n), int(trial_index)))
+
+
 def derive_trial_seed(base_seed: int, snr_db: float, n: int, trial_index: int, stream: int) -> int:
     """Mix (base_seed, snr_db, n, trial_index, stream) into a 64-bit seed.
 
     snr_db enters through its IEEE-754 bit pattern; the chain is a splitmix64
     fold, applied left to right. The mixing is stable across runs and
-    platforms for identical inputs.
+    platforms for identical inputs. `make_instance` folds the prefix before
+    the stream once per trial, and its seeds equal this function's.
     """
-    snr_bits = struct.unpack("<Q", struct.pack("<d", float(snr_db)))[0]
-    seed = base_seed & _MASK64
-    for word in (snr_bits, int(n), int(trial_index), int(stream)):
-        seed = _splitmix64(seed ^ (word & _MASK64))
-    return seed
+    return _fold(_trial_prefix(base_seed, snr_db, n, trial_index), (int(stream),))
 
 
 def _is_number(value, kind=numbers.Integral) -> bool:
@@ -176,7 +186,7 @@ def mse(h_true: SparseChannel, estimate: Estimate) -> float:
     h_hat = estimate.h_hat
     if h.shape != h_hat.shape:
         raise ValueError(f"dimension mismatch: {h.shape} vs {h_hat.shape}")
-    return float(np.linalg.norm(h - h_hat) ** 2)
+    return float(l2_norm(h - h_hat) ** 2)
 
 
 def make_instance(cfg: ExperimentConfig, snr_db: float, n: int, trial_index: int,
@@ -186,8 +196,10 @@ def make_instance(cfg: ExperimentConfig, snr_db: float, n: int, trial_index: int
     A given `channel` replaces the drawn one; the training matrix and the
     noise are still drawn from the trial's own seeds.
     """
+    prefix = _trial_prefix(cfg.base_seed, snr_db, n, trial_index)
+
     def seed(stream):
-        return derive_trial_seed(cfg.base_seed, snr_db, n, trial_index, stream)
+        return _fold(prefix, (stream,))
 
     if channel is None:
         channel = generate_sparse_channel(cfg.L, cfg.T, seed=seed(_STREAM_CHANNEL))
@@ -227,7 +239,7 @@ def _run_trials(cfg: ExperimentConfig, snr_db: float, n: int, trial_indices) -> 
     instances = [make_instance(cfg, snr_db, n, t) for t in trial_indices]
     records = []
     for (channel, _X, _obs), outcomes in zip(instances, estimate_instances(cfg, instances)):
-        h_norm_sq = float(np.linalg.norm(channel.taps) ** 2)
+        h_norm_sq = float(l2_norm(channel.taps) ** 2)
         record = {}
         for method, est in outcomes.items():
             if isinstance(est, Exception):

@@ -11,6 +11,7 @@ norm. All generators take explicit seeds and are bit-reproducible.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -94,11 +95,12 @@ def generate_sparse_channel(L: int, T: int, seed: int) -> SparseChannel:
     if not 1 <= T <= L:
         raise ValueError(f"need 1 <= T <= L, got T={T}, L={L}")
     rng = np.random.default_rng(seed)
-    support = np.sort(rng.choice(L, size=T, replace=False))
+    support = rng.choice(L, size=T, replace=False)
+    support.sort()
     taps = np.zeros(L, dtype=np.complex128)
     values = (rng.standard_normal(T) + 1j * rng.standard_normal(T)) / math.sqrt(2.0)
     taps[support] = values
-    return SparseChannel(taps=taps, support=tuple(int(i) for i in support))
+    return SparseChannel(taps=taps, support=tuple(support.tolist()))
 
 
 def fixed_channel_figure_demo(seed: int = 0) -> SparseChannel:
@@ -134,9 +136,27 @@ def build_toeplitz_training(
         probe = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * (
             scale / math.sqrt(2.0)
         )
-    rows = np.arange(N)[:, None]
-    cols = np.arange(L)[None, :]
-    return ToeplitzTraining(matrix=probe[rows - cols + L - 1])
+    return ToeplitzTraining(matrix=probe[_toeplitz_index(N, L)])
+
+
+@functools.lru_cache
+def _toeplitz_index(N: int, L: int) -> np.ndarray:
+    """The probe index i - j + L - 1 of each entry (i, j) of an N x L
+    training matrix, read-only, as every call with this shape shares it."""
+    index = np.arange(N)[:, None] - np.arange(L)[None, :] + (L - 1)
+    index.flags.writeable = False
+    return index
+
+
+def l2_norm(v: np.ndarray):
+    """np.linalg.norm(v) of a real or complex array, bit for bit, without
+    its Python layer: the root of the dot product of the flattened entries
+    with themselves, over the real and the imaginary parts for complex v."""
+    v = v.ravel(order="K")
+    if v.dtype.kind == "c":
+        re, im = v.real, v.imag
+        return np.sqrt(re.dot(re) + im.dot(im))
+    return np.sqrt(v.dot(v))
 
 
 def observe(X: ToeplitzTraining, h: SparseChannel, snr_db: float, seed: int) -> Observation:
@@ -153,7 +173,7 @@ def observe(X: ToeplitzTraining, h: SparseChannel, snr_db: float, seed: int) -> 
     signal = X.matrix @ h.taps
     if snr_db == math.inf:
         return Observation(y=signal, noise_variance=0.0)
-    sigma2 = float(np.linalg.norm(signal) ** 2) / (X.N * 10.0 ** (snr_db / 10.0))
+    sigma2 = float(l2_norm(signal) ** 2) / (X.N * 10.0 ** (snr_db / 10.0))
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal(X.N) + 1j * rng.standard_normal(X.N)) * math.sqrt(sigma2 / 2.0)
     return Observation(y=signal + z, noise_variance=sigma2)

@@ -730,6 +730,26 @@ class TestStackedBaselines:
             np.testing.assert_array_equal(outcomes[i].h_hat, alone.h_hat)
             assert outcomes[i].diagnostics == alone.diagnostics
 
+    @pytest.mark.parametrize("budget", [-1, 2.5, True, np.True_, 3.0],
+                             ids=["-1", "2.5", "True", "np.True_", "3.0"])
+    def test_omp_budget_not_a_count_fails_alone(self, budget):
+        # A budget must be an integer in [0, min(N, L)]; a negative one used
+        # to give an all-zero estimate, 2.5 three atoms and True one.
+        instances = self.instances(L=16, T=2, N=8)
+        outcomes = self.outcomes("omp", instances, [2, budget, None, 0])
+        failed = outcomes[1]
+        assert type(failed) is EstimationError
+        assert str(failed) == f"OMP atom budget must be an integer >= 0, got {budget!r}"
+        with pytest.raises(EstimationError, match="must be an integer >= 0"):
+            run_estimator("omp", *instances[1][1:], EstimatorConfig(), true_sparsity=budget)
+        assert outcomes[3].diagnostics["atoms"] == [] and not outcomes[3].h_hat.any()
+        budgets = {0: 2, 2: None, 3: np.int64(0)}
+        for i in budgets:
+            _channel, X, obs = instances[i]
+            alone = run_estimator("omp", X, obs, EstimatorConfig(), true_sparsity=budgets[i])
+            np.testing.assert_array_equal(outcomes[i].h_hat, alone.h_hat)
+            assert outcomes[i].diagnostics == alone.diagnostics
+
     # The overflowing products then give inf - inf in a later sum.
     @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
     @pytest.mark.parametrize("method, N", [("ls", 30), ("ls", 80), ("lasso", 30)])

@@ -5,6 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_bench_hooks import load_bench
 
 from sparsechan import estimators, experiments
 from sparsechan.estimators import ALL_METHODS, Estimate, run_estimator
@@ -19,6 +22,10 @@ from sparsechan.experiments import (
     write_sweep_csv,
 )
 from sparsechan.model import SparseChannel
+
+
+# bench/checks.py rebuilds instances from its own copy of the seed derivation.
+BENCH_CHECKS = load_bench("checks")
 
 
 def channel_of(taps) -> SparseChannel:
@@ -73,6 +80,35 @@ class TestSeedDerivation:
     def test_frozen_reference_value(self):
         # Pins the stream so stored sweeps stay reproducible across edits.
         assert derive_trial_seed(0, 3.0, 10, 0, 1) == 1402755758075369253
+
+    @settings(max_examples=200, deadline=None)
+    @given(base_seed=st.integers(0, 2**64 - 1),
+           snr_db=st.one_of(st.sampled_from([math.inf, -0.0, 0.0]),
+                            st.floats(allow_nan=False, allow_infinity=False)),
+           n=st.integers(1, 2**40), trial=st.integers(0, 2**40))
+    def test_instance_seeds_are_the_derived_ones(self, base_seed, snr_db, n, trial):
+        # make_instance folds a trial's prefix once for its three streams;
+        # each seed must still be derive_trial_seed's, and the benchmark's
+        # own re-implementation of the fold must agree with both.
+        seeds = {}
+
+        def recorder(stream, value):
+            def record(*args, seed):
+                seeds[stream] = seed
+                return value
+            return record
+
+        channel = SparseChannel(taps=np.zeros(4, dtype=np.complex128), support=())
+        cfg = ExperimentConfig(L=4, T=1, base_seed=base_seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "generate_sparse_channel", recorder(1, channel))
+            patch.setattr(experiments, "build_toeplitz_training", recorder(2, None))
+            patch.setattr(experiments, "observe", recorder(3, None))
+            make_instance(cfg, snr_db, n, trial)
+        assert seeds == {stream: derive_trial_seed(base_seed, snr_db, n, trial, stream)
+                         for stream in (1, 2, 3)}
+        assert seeds == {stream: BENCH_CHECKS.trial_seed(base_seed, snr_db, n, trial, stream)
+                         for stream in (1, 2, 3)}
 
 
 class TestRunTrial:
