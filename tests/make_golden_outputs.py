@@ -1,8 +1,9 @@
 """Build, or rewrite, the golden outputs that `test_golden_outputs.py` pins.
 
-For a reduced form of each benchmark workload (two grid points of eight
-trials each, at a fixed seed) the file holds every cell's mean and median
-MSE and, per trial and method, the count diagnostics and flags (LP pivots
+For a reduced form of each benchmark workload, and of the real-training
+`sds` run that no workload makes (two grid points of eight trials each, at
+a fixed seed), the file holds every cell's mean and median MSE and, per
+trial and method, the count diagnostics and flags (LP pivots
 and fallbacks, Lasso sweeps, OMP atoms, converged and the other flags) or
 the error text of a failed cell. The estimates come from
 `experiments.estimate_instances` on `experiments.make_instance`'s
@@ -41,11 +42,14 @@ SEED = 2021
 TRIALS = 8
 
 # (axis, methods, training distribution, grid points): the benchmark's
-# workloads at the first and last point of their grids (complex-sds has two).
+# workloads at the first and last point of their grids (complex-sds has two),
+# and `sds` on real training, whose decoupled reweighted programs no
+# workload runs.
 WORKLOADS = {
     "paper-snr": ("snr", ("ls", "omp", "lasso", "ds", "oracle"), "gaussian", (3.0, 30.0)),
     "baselines-n": ("n", ("ls", "omp", "lasso", "oracle"), "gaussian", (10, 55)),
     "complex-sds": ("snr", ("ds", "sds"), "complex_gaussian", (10.0, 20.0)),
+    "real-sds": ("snr", ("ds", "sds"), "gaussian", (10.0, 20.0)),
 }
 FIXED_N = 30
 FIXED_SNR_DB = 20.0
