@@ -10,6 +10,10 @@ conditions, the Dantzig selector realized as a linear program
 (solved at its optimal vertex by `lp.solve_selectors`' dual simplex, with
 the interior-point method as fallback), its residual-reweighted "sensing"
 variant, and the genie-aided oracle (least squares on the true support).
+The two selectors are one routine, `_selector_estimates`, that bounds
+S^H (y - X h) and differs only in the sensing matrix S: X for `ds`; for
+`sds` the columns R^{-1} x_i / (x_i^H R^{-1} x_i), R = X W^2 X^H, where
+W = diag|X^H r| and r is the residual that `ds` leaves.
 Each returns an `Estimate`, the tap vector and a diagnostics dict; the
 reported support is derived from the taps when read. The tall
 least-squares solve shared by `ls`, `omp` and `oracle` is a complex QR
@@ -177,10 +181,10 @@ def _check_finite(X: ToeplitzTraining, obs: Observation) -> None:
             f"noise variance must be finite and >= 0, got {obs.noise_variance!r}")
 
 
-def _check_gram(*arrays) -> None:
-    """Reject Gram products, correlations or levels that overflowed on
-    finite data."""
-    if not all(np.isfinite(a).all() for a in arrays):
+def _check_gram(*arrays, level=0.0) -> None:
+    """Reject Gram products or correlations that overflowed on finite data,
+    and a scalar `level` that did (tested by `math.isfinite`)."""
+    if not (math.isfinite(level) and all(np.isfinite(a).all() for a in arrays)):
         raise EstimationError("Gram product or correlation of the training matrix is not finite")
 
 
@@ -430,7 +434,7 @@ def _lasso_estimate(Xm: np.ndarray, y: np.ndarray, lam: float) -> Estimate:
     Xh = Xm.conj().T
     G = Xh @ Xm
     c = Xh @ y
-    _check_gram(G, c, lam)
+    _check_gram(G, c, level=lam)
     # Per-coordinate scalars live in Python lists, and zaxpy reads column j
     # of G at offset j * L of `cols`: indexing a numpy array element by
     # element, or slicing it, costs more than the arithmetic done on it.
@@ -640,14 +644,22 @@ def _composite_programs(S, Xm, y, lam):
     return programs, decoupled
 
 
-def _solve_composite_selectors(results: list, jobs) -> list:
-    """Solve the programs of every job (i, lam, `_composite_programs` result,
-    extra diagnostics) in one call to `solve_selectors`, and set results[i]
-    to the job's Estimate, whose diagnostics are lambda, the l1 convention,
-    the extra ones and the LP's, or to the SelectorLpError of a program
-    that ended infeasible or unbounded. Returns `results`."""
-    solutions = iter(solve_selectors([p for _, _, (programs, _), _ in jobs for p in programs]))
-    for i, lam, (programs, decoupled), extra in jobs:
+def _selector_estimates(S, Xm, y, levels, extras) -> list:
+    """The selector estimate of each instance p: the programs of
+    `_composite_programs(S[p], Xm[p], y[p], levels[p])`, with the programs of
+    all instances solved in one call to `solve_selectors`. Returns per
+    instance its Estimate, whose diagnostics are lambda, the l1 convention,
+    `extras[p]` and the LP's, or the EstimationError of its program build or
+    the SelectorLpError of a program that ended infeasible or unbounded."""
+    results = []
+    for S_p, X_p, y_p, lam in zip(S, Xm, y, levels):
+        try:
+            results.append(_composite_programs(S_p, X_p, y_p, lam))
+        except EstimationError as exc:
+            results.append(exc)
+    built = [(p, *result) for p, result in enumerate(results) if isinstance(result, tuple)]
+    solutions = iter(solve_selectors([program for _, programs, _ in built for program in programs]))
+    for p, programs, decoupled in built:
         sols = [next(solutions) for _ in programs]
         statuses = [sol.status for sol in sols]
         failed = [s for s in statuses if s in (STATUS_INFEASIBLE, STATUS_UNBOUNDED)]
@@ -655,16 +667,16 @@ def _solve_composite_selectors(results: list, jobs) -> list:
             # The constraint set always contains a point with zero correlation
             # residual and the objective is bounded below, so either report
             # indicates a solver malfunction.
-            results[i] = SelectorLpError(
+            results[p] = SelectorLpError(
                 f"selector LP reported {failed[0]}; this indicates a solver bug")
             continue
         n = programs[0][0].shape[0]
         g = np.concatenate([sol.x[:n] - sol.x[n:] for sol in sols])
         L = g.size // 2
-        results[i] = Estimate(g[:L] + 1j * g[L:], {
-            "lambda": lam,
+        results[p] = Estimate(g[:L] + 1j * g[L:], {
+            "lambda": levels[p],
             "l1_convention": "real_composite",
-            **extra,
+            **extras[p],
             "lp_iterations": sum(sol.iterations for sol in sols),
             "lp_statuses": statuses,
             "lp_fallbacks": sum(sol.fallback for sol in sols),
@@ -678,54 +690,29 @@ def ds_estimates(Xm: np.ndarray, y: np.ndarray, levels) -> list:
     """The Dantzig selector on each instance of the finite stacks Xm (P, N, L)
     and y (P, N) at its level `levels[p]`: minimize the (real-composite) L1
     norm subject to a componentwise bound on the residual correlations
-    X^H (y - X h).
+    X^H (y - X h), the selector whose sensing matrix is X itself.
 
-    The selector programs of all instances are solved in one call, and each
-    estimate is bit for bit the one its instance gets alone. Returns per
-    instance its Estimate, or the EstimationError it raised.
+    Each estimate is bit for bit the one its instance gets alone. Returns
+    per instance its Estimate, or the EstimationError it raised.
     """
-    results, jobs = [None] * len(Xm), []
-    for i, (X_i, y_i, lam) in enumerate(zip(Xm, y, levels)):
-        try:
-            jobs.append((i, lam, _composite_programs(X_i, X_i, y_i, lam), {}))
-        except EstimationError as exc:
-            results[i] = exc
-    return _solve_composite_selectors(results, jobs)
-
-
-def sds_weighting(Xm: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Build the reweighted sensing matrix from per-column weights.
-
-    R = X W^2 X^H; columns of the reweighted matrix are R^{-1} x_i scaled
-    by 1 / (x_i^H R^{-1} x_i). A singular R gets a small diagonal ridge.
-    Returns (reweighted matrix, whether the ridge was needed)."""
-    weights = np.asarray(weights, dtype=np.float64)
-    if not (np.isfinite(weights).all() and np.isfinite(Xm).all()):
-        raise ValueError("weights or training matrix contain NaN or Inf entries")
-    if (weights < 0).any():
-        raise ValueError("weights must be non-negative")
-    Z, regularized, (error,) = _solve_psd(((Xm * (weights**2)[None, :]) @ Xm.conj().T)[None],
-                                          Xm[None])
-    if error is not None:
-        raise error
-    col_scale = np.einsum("ij,ij->j", np.conj(Xm), Z[0]).real
-    return Z[0] / col_scale[None, :], bool(regularized[0])
+    return _selector_estimates(Xm, Xm, y, levels, [{}] * len(Xm))
 
 
 def sds_estimates(Xm: np.ndarray, y: np.ndarray, bases) -> list:
     """Reweighted ("sensing") selector on each instance of the finite stacks
     Xm (P, N, L) and y (P, N), from `bases[p]`, the plain selector's outcome
-    there: weight each column by the magnitude of its residual correlation,
-    rebuild the sensing matrix through R = X W^2 X^H, and re-solve at the
-    plain level with the new constraint, all programs in one call. An
-    instance whose weights all vanish next to X^H y keeps its plain
-    estimate, flagged `degenerate_weighting`. Returns per instance its
-    Estimate, or the EstimationError it (or its plain selector) raised.
+    there: weight each column by the magnitude w of its residual
+    correlation, and re-solve at the plain level with the sensing matrix
+    whose columns are R^{-1} x_i / (x_i^H R^{-1} x_i), R = X W^2 X^H (a
+    singular R gets a small diagonal ridge, flagged
+    `weighting_regularized`). An instance whose weights all vanish next to
+    X^H y keeps its plain estimate, flagged `degenerate_weighting`. Returns
+    per instance its Estimate, or the EstimationError it (or its plain
+    selector) raised, an R that is not finite among them.
     """
-    results, jobs = [None] * len(Xm), []
+    results, rows, sensing, extras = list(bases), [], [], []
     for i, (X_i, y_i, base) in enumerate(zip(Xm, y, bases)):
         if isinstance(base, Exception):
-            results[i] = base
             continue
         residual = y_i - X_i @ base.h_hat
         w = np.abs(X_i.conj().T @ residual)
@@ -734,19 +721,25 @@ def sds_estimates(Xm: np.ndarray, y: np.ndarray, bases) -> list:
         if w.max(initial=0.0) <= 1e-12 * np.abs(X_i.conj().T @ y_i).max(initial=0.0):
             results[i] = Estimate(base.h_hat, {**base.diagnostics, "degenerate_weighting": True})
             continue
-        lam = base.diagnostics["lambda"]
-        try:
-            X_alt, regularized = sds_weighting(X_i, w)
-            jobs.append((i, lam, _composite_programs(X_alt, X_i, y_i, lam), {
-                "degenerate_weighting": False,
-                "weighting_regularized": regularized,
-                "weights": w,
-                "normalization": "columnwise x_alt_i = R^-1 x_i / (x_i^H R^-1 x_i)",
-                "base_lp_iterations": base.diagnostics["lp_iterations"],
-            }))
-        except EstimationError as exc:
-            results[i] = exc
-    return _solve_composite_selectors(results, jobs)
+        Z, regularized, (error,) = _solve_psd(((X_i * (w**2)[None, :]) @ X_i.conj().T)[None],
+                                              X_i[None])
+        if error is not None:
+            results[i] = error
+            continue
+        rows.append(i)
+        sensing.append(Z[0] / np.einsum("ij,ij->j", np.conj(X_i), Z[0]).real[None, :])
+        extras.append({
+            "degenerate_weighting": False,
+            "weighting_regularized": bool(regularized[0]),
+            "weights": w,
+            "normalization": "columnwise x_alt_i = R^-1 x_i / (x_i^H R^-1 x_i)",
+            "base_lp_iterations": base.diagnostics["lp_iterations"],
+        })
+    outcomes = _selector_estimates(sensing, [Xm[i] for i in rows], [y[i] for i in rows],
+                                   [bases[i].diagnostics["lambda"] for i in rows], extras)
+    for i, outcome in zip(rows, outcomes):
+        results[i] = outcome
+    return results
 
 
 def oracle_estimates(Xm: np.ndarray, y: np.ndarray, true_supports) -> list:

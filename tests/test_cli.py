@@ -46,6 +46,13 @@ class TestBudget:
         assert "config error" in err and f"c={float(c)}" in err
         assert out == ""
 
+    def test_out_writes_meta(self, tmp_path, capsys):
+        code, out, _ = run_cli(["budget", "--T", "4", "--p", "60", "--c", "2",
+                                "--out", str(tmp_path)], capsys)
+        assert code == 0 and out.strip() == "22"
+        meta = json.loads((only_run_dir(tmp_path, "budget-") / "meta.json").read_text())
+        assert meta == {"subcommand": "budget", "T": 4, "p": 60, "c": 2.0, "n_min": 22}
+
     def test_console_entry_point(self):
         # The child must import the package under test, installed or not.
         src = str(Path(cli.__file__).parents[1])
@@ -129,6 +136,22 @@ class TestConfigHandling:
         )
         assert code == 2
         assert "trails" in err
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "config file not found: {path}"),
+        ("{\"trials\": ", "config file {path} is not valid JSON: "),
+        ("[1, 2]", "config file {path} must hold a JSON object"),
+    ], ids=["missing", "not-json", "array"])
+    def test_unreadable_config_file_exit_two(self, tmp_path, capsys, content, message):
+        config = tmp_path / "config.json"
+        if content is not None:
+            config.write_text(content)
+        code, _, err = run_cli(
+            ["sweep-snr", "--config", str(config), "--out", str(tmp_path / "out")], capsys
+        )
+        assert code == 2
+        assert message.format(path=config) in err
+        assert not (tmp_path / "out").exists()  # rejected before any run directory
 
     def test_unknown_method_exit_two(self, tmp_path, capsys):
         code, _, err = run_cli(

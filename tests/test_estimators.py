@@ -23,7 +23,6 @@ from sparsechan.estimators import (
     least_squares_solve,
     resolve_lambda,
     run_estimator,
-    sds_weighting,
 )
 from sparsechan.experiments import ExperimentConfig
 from sparsechan.experiments import make_instance as make_trial_instance
@@ -43,6 +42,13 @@ def make_instance(L=60, T=4, N=30, snr_db=20.0, seed=0, distribution="gaussian")
     X = build_toeplitz_training(N, L, distribution, seed=seed + 10_000)
     obs = observe(X, channel, snr_db, seed=seed + 20_000)
     return channel, X, obs
+
+
+def reweighted_sensing(Xm, weights):
+    """The reweighted sensing matrix: columns R^{-1} x_i / (x_i^H R^{-1} x_i),
+    R = X W^2 X^H."""
+    Z = np.linalg.solve((Xm * weights**2) @ Xm.conj().T, Xm)
+    return Z / np.einsum("ij,ij->j", Xm.conj(), Z).real
 
 
 def full_support_channel(taps) -> SparseChannel:
@@ -548,40 +554,79 @@ class TestSensingSelector:
         np.testing.assert_array_equal(est.h_hat,
                                       run_estimator("ds", X, obs, EstimatorConfig()).h_hat)
 
-    def test_unit_weights_reduce_to_plain_gram(self):
-        X = build_toeplitz_training(6, 9, "gaussian", seed=22)
-        X_alt, regularized = sds_weighting(X.matrix, np.ones(9))
-        R = X.matrix @ X.matrix.conj().T
-        scale = np.real(np.einsum("ij,ij->j", np.conj(X.matrix), np.linalg.solve(R, X.matrix)))
-        np.testing.assert_allclose(X_alt, np.linalg.solve(R, X.matrix) / scale, atol=1e-10)
-        assert not regularized
+    def sensing_matrices(self, monkeypatch):
+        """A list that gets, per `_selector_estimates` call, the sensing
+        matrices it was given (the reweighted ones on the call sds makes)."""
+        calls, selector_estimates = [], estimators._selector_estimates
 
-    def test_zero_weights_fall_back_to_ridge(self):
-        # Zero weights make R = X W^2 X^H the zero matrix.
-        X = build_toeplitz_training(6, 9, "gaussian", seed=22)
-        X_alt, regularized = sds_weighting(X.matrix, np.zeros(9))
-        assert regularized
-        assert np.all(np.isfinite(X_alt))
+        def recorded(S, *args):
+            calls.append(list(S))
+            return selector_estimates(S, *args)
 
-    def test_negative_weights_rejected(self):
-        X = build_toeplitz_training(6, 9, "gaussian", seed=23)
-        with pytest.raises(ValueError):
-            sds_weighting(X.matrix, -np.ones(9))
+        monkeypatch.setattr(estimators, "_selector_estimates", recorded)
+        return calls
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_weights_rejected(self, bad):
-        X = build_toeplitz_training(6, 9, "gaussian", seed=23)
-        with pytest.raises(ValueError, match="weights or training matrix contain NaN or Inf"):
-            sds_weighting(X.matrix, np.where(np.arange(9) == 4, bad, 1.0))
+    def test_unit_weights_reduce_to_plain_gram(self, monkeypatch):
+        # X = [A | A] and y = A^{-H} u with |u_i| = 1 give X^H y = [u; u].
+        # At a level that keeps ds at zero, its residual is y and every
+        # weight is 1, so R is the plain Gram matrix X X^H.
+        A = build_toeplitz_training(6, 6, "gaussian", seed=22).matrix
+        X = ToeplitzTraining(matrix=np.hstack([A, A]))
+        u = np.exp(2j * np.pi * np.arange(6) / 7)
+        obs = Observation(y=np.linalg.solve(A.conj().T, u), noise_variance=0.01)
+        calls = self.sensing_matrices(monkeypatch)
+        est = run_estimator("sds", X, obs, EstimatorConfig(lambda_ds=1e3))
+        np.testing.assert_allclose(est.diagnostics["weights"], 1.0, rtol=1e-12)
+        assert not est.diagnostics["weighting_regularized"]
+        np.testing.assert_allclose(calls[-1][0], reweighted_sensing(X.matrix, np.ones(12)),
+                                   rtol=1e-9, atol=1e-12)
+
+    def test_zero_weights_fall_back_to_ridge(self, monkeypatch):
+        # y = e_3 correlates with column 0 alone: the other weights are 0
+        # and R = X W^2 X^H has rank 1, so it takes the ridge.
+        X = ToeplitzTraining(matrix=np.array([[1.0, 0.0, 1.0, 1.0],
+                                              [0.0, 1.0, 1.0, 0.0],
+                                              [1.0, 0.0, 0.0, 0.0]]))
+        obs = Observation(y=np.array([0.0, 0.0, 1.0], dtype=complex), noise_variance=0.01)
+        calls = self.sensing_matrices(monkeypatch)
+        est = run_estimator("sds", X, obs, EstimatorConfig(lambda_ds=1e3))
+        np.testing.assert_array_equal(est.diagnostics["weights"], [1.0, 0.0, 0.0, 0.0])
+        assert est.diagnostics["weighting_regularized"]
+        assert np.all(np.isfinite(calls[-1][0])) and np.all(np.isfinite(est.h_hat))
 
     def test_reweighted_constraint_feasible(self):
         channel, X, obs = make_instance(seed=24)
         est = run_estimator("sds", X, obs, EstimatorConfig())
         assert not est.diagnostics["degenerate_weighting"]
-        X_alt, _ = sds_weighting(X.matrix, est.diagnostics["weights"])
+        X_alt = reweighted_sensing(X.matrix, est.diagnostics["weights"])
         lam = est.diagnostics["lambda"]
         excess = composite_correlation_excess(X_alt, X.matrix, obs.y, est.h_hat, lam)
         assert excess <= 1e-6
+
+    # The overflowing R then gives inf - inf in a later sum.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    def test_batch_keeps_solo_bits_and_failures(self):
+        # Complex training scaled by 1e60: its ds programs fit, but the
+        # reweighted R = X W^2 X^H overflows, so only its sds fails.
+        instances = [make_instance(seed=60 + s, distribution="complex_gaussian")
+                     for s in range(4)]
+        channel, X, _obs = instances[2]
+        big = replace(X, matrix=1e60 * X.matrix)
+        instances[2] = (channel, big, observe(big, channel, 20.0, seed=20_062))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            outcomes = estimators.run_estimators(
+                ("ds", "sds"), [(X, obs) for _channel, X, obs in instances], EstimatorConfig())
+        failed = outcomes[2]["sds"]
+        assert type(failed) is EstimationError
+        assert str(failed) == "Gram product or correlation of the training matrix is not finite"
+        assert not outcomes[2]["ds"].diagnostics["decoupled"]
+        for i, (_channel, X, obs) in enumerate(instances):
+            for method in ("ds", "sds"):
+                if (i, method) == (2, "sds"):
+                    continue
+                alone = run_estimator(method, X, obs, EstimatorConfig())
+                np.testing.assert_array_equal(outcomes[i][method].h_hat, alone.h_hat)
+                np.testing.assert_equal(outcomes[i][method].diagnostics, alone.diagnostics)
 
     def test_one_ds_pass_per_call(self, monkeypatch):
         # ds runs once per call, and its outcomes serve ds and sds alike,
@@ -729,6 +774,39 @@ class TestStackedBaselines:
             alone = run_estimator("omp", X, obs, EstimatorConfig(), true_sparsity=budgets[i])
             np.testing.assert_array_equal(outcomes[i].h_hat, alone.h_hat)
             assert outcomes[i].diagnostics == alone.diagnostics
+
+    def test_omp_refit_singular_midway_fails_alone(self, monkeypatch):
+        # A stub marks instance 1's refit singular at its second round; the
+        # others go on in the stack as if it had never run.
+        instances = self.instances(N=30)
+        target = instances[1][2].y
+        least_squares = estimators._least_squares
+
+        def singular_at_round_two(M, b):
+            x, errors = least_squares(M, b)
+            if M.shape[2] == 2:
+                for row, b_row in enumerate(b):
+                    if np.array_equal(b_row, target):
+                        errors[row] = SingularMatrixError(1)
+            return x, errors
+
+        monkeypatch.setattr(estimators, "_least_squares", singular_at_round_two)
+        outcomes = self.outcomes("omp", instances, [4] * 4)
+        failed = outcomes[1]
+        assert type(failed) is SingularMatrixError and failed.pivot_index == 1
+        monkeypatch.undo()
+        self.assert_alone(outcomes, instances, "omp", bad=1, true_sparsity=4)
+        assert all(len(outcomes[i].diagnostics["atoms"]) == 4 for i in (0, 2, 3))
+
+    @pytest.mark.parametrize("support", [(3, 60), (-1, 3)], ids=["past-L", "negative"])
+    def test_oracle_support_out_of_range_fails_alone(self, support):
+        instances = self.instances()
+        channel, X, obs = instances[1]
+        instances[1] = (replace(channel, support=support), X, obs)
+        outcomes = self.outcomes("oracle", instances)
+        failed = outcomes[1]
+        assert type(failed) is EstimationError and str(failed) == "support indices out of range"
+        self.assert_alone(outcomes, instances, "oracle", bad=1)
 
     @pytest.mark.parametrize("budget", [-1, 2.5, True, np.True_, 3.0],
                              ids=["-1", "2.5", "True", "np.True_", "3.0"])

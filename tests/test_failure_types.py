@@ -80,7 +80,7 @@ METHOD_HELPERS = {
     "omp": "_least_squares",
     "lasso": "_check_gram",
     "ds": "_composite_programs",
-    "sds": "sds_weighting",
+    "sds": "_solve_psd",
     "oracle": "_least_squares",
 }
 

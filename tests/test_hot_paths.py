@@ -7,8 +7,8 @@ on a scalar costs a ufunc call where `math.isfinite` does not. On a dual
 simplex pivot of a few dozen small calls, a Lasso call of a few hundred
 coordinate updates or an OMP round that layer was a measurable share, so
 the functions below use ndarray methods, ufuncs, `math` on scalars and
-slice writes instead. They are the selector's pivot and program set-up,
-and what a trial of the baselines runs per instance: its instance, the
+slice writes instead. They are the selector's pivot, its program set-up
+and the `sds` weighting, and what a trial of the baselines runs per instance: its instance, the
 Lasso and OMP, and its score. The IPM (`lp.solve_lp` and its helpers) runs
 only as a fallback and is not checked.
 """
@@ -27,7 +27,8 @@ HOT_FUNCTIONS = (
     lp._solve_vertex,
     lp._selector_report,
     estimators._composite_programs,
-    estimators.sds_weighting,
+    estimators._selector_estimates,
+    estimators.sds_estimates,
     estimators._solve_psd,
     estimators._lasso_estimate,
     estimators.lasso_estimates,
