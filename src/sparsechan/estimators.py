@@ -46,10 +46,12 @@ error and propagates. `ls_estimates`, `omp_estimates` and
 runs its rounds over the instances still going; the minimum-norm `ls` forms
 its Gram matrices as one stack and factors them one at a time);
 `ds_estimates`, which runs once per call, and `sds_estimates`, which starts
-from its outcomes, hand the selector programs of all instances to one call,
-which solves them one at a time. The selector diagnostics count the simplex
-pivots as `lp_iterations` (IPM iterations for a program that fell back) and
-the programs that fell back to the IPM as `lp_fallbacks`.
+from its outcomes, form their products (the weighting, C = S^H X, d = S^H y
+and the coupled blocks) as one stack each and hand the selector programs
+of all instances to one call, which solves them one at a time. The
+selector diagnostics count the simplex pivots as `lp_iterations` (IPM
+iterations for a program that fell back) and the programs that fell back
+to the IPM as `lp_fallbacks`.
 `lasso_estimates` loops: coordinate descent takes a data-dependent number
 of passes, so a stack would wait for its slowest member.
 """
@@ -443,6 +445,9 @@ def _lasso_estimate(Xm: np.ndarray, y: np.ndarray, lam: float) -> Estimate:
     live = g_diag > 0.0
     g_list = g_diag.tolist()
     cols = G.T.astype(np.complex128, order="C").reshape(-1)
+    # The screens' products q = G h take a complex G, made once here: numpy
+    # would cast a real one (real training) afresh for each product.
+    G_c = G.astype(np.complex128, copy=False)
     # zaxpy updates q in place and returns it, so q.item stays bound to q.
     q = np.zeros(L, dtype=np.complex128)
     q_item = q.item
@@ -478,14 +483,14 @@ def _lasso_estimate(Xm: np.ndarray, y: np.ndarray, lam: float) -> Estimate:
             steps, settled = _lasso_newton(G, c, h, support, lam, LASSO_MAX_SWEEPS - sweeps)
             sweeps += steps
             retry = sweeps + LASSO_NEWTON_PASSES
-            q[:] = G @ np.array(h, dtype=np.complex128)
+            q[:] = G_c @ np.array(h, dtype=np.complex128)
             if settled:
                 max_change = 0.0
         if max_change >= LASSO_CONVERGENCE_TOL and sweeps < LASSO_MAX_SWEEPS:
             work = nonzero
             continue
         h_arr = np.array(h, dtype=np.complex128)
-        q[:] = G @ h_arr
+        q[:] = G_c @ h_arr
         r = c - q
         abs_r = np.abs(r)
         mag = np.abs(h_arr)
@@ -607,56 +612,87 @@ def lasso_estimates(Xm: np.ndarray, y: np.ndarray, levels) -> list:
     return results
 
 
-def _composite_programs(S, Xm, y, lam):
-    """The selector programs (B, d, lam) of one instance, with correlation
-    operator S^H (y - Xm g) over the real-composite coordinates, and
-    whether they are decoupled.
+def _rows(a: np.ndarray, rows: list) -> np.ndarray:
+    """a[rows], or a itself when rows are all of its rows: fancy indexing
+    copies, keeping each matrix's layout and so the BLAS calls of a product
+    with it."""
+    return a if len(rows) == len(a) else a[rows]
 
-    The sensing matrix `S` is Xm itself for the plain selector and the
-    reweighted matrix for the sensing variant. With S and C = S^H Xm real
-    (real training), the program decouples into independent programs for
-    the real and imaginary parts of y, which share B; otherwise one program
-    runs over the stacked operator [[Re C, -Im C], [Im C, Re C]]. Each
-    program minimizes ||g||_1 subject to ||d - B g||_inf <= lam, an LP over
-    the positive/negative parts of g (see `lp.solve_selectors`).
+
+def _composite_programs(S, Xm, y, levels) -> list:
+    """The selector programs (B, d, lam) of each instance p of the stacks S,
+    Xm (P, N, L) and y (P, N), with correlation operator
+    S_p^H (y_p - Xm_p g) over the real-composite coordinates at level
+    `levels[p]`: per instance the pair (programs, decoupled), or the
+    EstimationError of a program that is not finite.
+
+    The sensing matrix `S_p` is Xm_p itself for the plain selector and the
+    reweighted matrix for the sensing variant. With S_p and C_p = S_p^H Xm_p
+    real (real training), the program decouples into independent programs
+    for the real and imaginary parts of y_p, which share B; otherwise one
+    program runs over the stacked operator [[Re C, -Im C], [Im C, Re C]].
+    Each program minimizes ||g||_1 subject to ||d - B g||_inf <= lam, an LP
+    over the positive/negative parts of g (see `lp.solve_selectors`).
+
+    C, each kind of d and the coupled B are formed once for the instances
+    that need them. matmul multiplies a stack matrix by matrix, with each
+    matrix's own layout, so an instance's programs have the bits of its
+    stack of one.
     """
     # Conjugate before transposing: the product then runs as the same
     # transposed BLAS call as S.T @ Xm, bit for bit, on real inputs.
-    C = S.conj().T @ Xm
-    # B is finite exactly when C is: its entries are those of C.real and C.imag.
-    if not (np.isfinite(C).all() and math.isfinite(lam)):
-        raise EstimationError("selector program contains NaN or Inf entries")
-    decoupled = not S.imag.any() and not C.imag.any()
-    if decoupled:
-        B = np.ascontiguousarray(C.real)
-        programs = [(B, S.real.T @ y.real, lam), (B, S.real.T @ y.imag, lam)]
-    else:
-        d = S.conj().T @ y
-        k = C.shape[0]
-        B = np.empty((2 * k, 2 * k))
-        B[:k, :k] = B[k:, k:] = C.real
-        np.negative(C.imag, out=B[:k, k:])
-        B[k:, :k] = C.imag
-        programs = [(B, np.concatenate([d.real, d.imag]), lam)]
-    for _B, d, _level in programs:
-        if not np.isfinite(d).all():
-            raise EstimationError("selector program contains NaN or Inf entries")
-    return programs, decoupled
+    Sh = S.conj().swapaxes(1, 2)
+    C = Sh @ Xm
+    # B is finite exactly when C is: its entries are those of C.real and C.imag,
+    # which the float view of C holds side by side.
+    finite = np.isfinite(C.view(C.real.dtype).reshape(len(C), -1)).all(axis=1).tolist()
+    # Real training decouples every instance, complex training those whose
+    # S_p and C_p are real; S_p is complex there as a rule, so C.imag is
+    # only read when some S_p is real.
+    coupled = np.zeros(len(S), dtype=bool)
+    if C.dtype.kind == "c":
+        coupled = S.imag.any(axis=(1, 2))
+        if not coupled.all():
+            coupled |= C.imag.any(axis=(1, 2))
+    coupled = coupled.tolist()
+    results, groups = [None] * len(S), ([], [])
+    for p, lam in enumerate(levels):
+        if finite[p] and math.isfinite(lam):
+            groups[coupled[p]].append(p)
+        else:
+            results[p] = EstimationError("selector program contains NaN or Inf entries")
+    for decoupled, rows in zip((True, False), groups):
+        if not rows:
+            continue
+        C_g, y_g = _rows(C, rows), _rows(y, rows)
+        if decoupled:
+            B = np.ascontiguousarray(C_g.real)
+            Sr = _rows(S, rows).real.swapaxes(1, 2)
+            parts = [(Sr @ y_g.real[..., None])[..., 0], (Sr @ y_g.imag[..., None])[..., 0]]
+        else:
+            d = (_rows(Sh, rows) @ y_g[..., None])[..., 0]
+            k = C.shape[1]
+            B = np.empty((len(rows), 2 * k, 2 * k))
+            B[:, :k, :k] = B[:, k:, k:] = C_g.real
+            np.negative(C_g.imag, out=B[:, :k, k:])
+            B[:, k:, :k] = C_g.imag
+            parts = [np.concatenate([d.real, d.imag], axis=1)]
+        finite_d = np.logical_and.reduce([np.isfinite(d).all(axis=1) for d in parts]).tolist()
+        for i, p in enumerate(rows):
+            results[p] = (([(B[i], d[i], levels[p]) for d in parts], decoupled) if finite_d[i]
+                          else EstimationError("selector program contains NaN or Inf entries"))
+    return results
 
 
 def _selector_estimates(S, Xm, y, levels, extras) -> list:
-    """The selector estimate of each instance p: the programs of
-    `_composite_programs(S[p], Xm[p], y[p], levels[p])`, with the programs of
-    all instances solved in one call to `solve_selectors`. Returns per
-    instance its Estimate, whose diagnostics are lambda, the l1 convention,
-    `extras[p]` and the LP's, or the EstimationError of its program build or
-    the SelectorLpError of a program that ended infeasible or unbounded."""
-    results = []
-    for S_p, X_p, y_p, lam in zip(S, Xm, y, levels):
-        try:
-            results.append(_composite_programs(S_p, X_p, y_p, lam))
-        except EstimationError as exc:
-            results.append(exc)
+    """The selector estimate of each instance p of the stacks S, Xm and y:
+    its programs from `_composite_programs(S, Xm, y, levels)`, with the
+    programs of all instances solved in one call to `solve_selectors`.
+    Returns per instance its Estimate, whose diagnostics are lambda, the l1
+    convention, `extras[p]` and the LP's, or the EstimationError of its
+    program build or the SelectorLpError of a program that ended infeasible
+    or unbounded."""
+    results = _composite_programs(S, Xm, y, levels)
     built = [(p, *result) for p, result in enumerate(results) if isinstance(result, tuple)]
     solutions = iter(solve_selectors([program for _, programs, _ in built for program in programs]))
     for p, programs, decoupled in built:
@@ -709,36 +745,53 @@ def sds_estimates(Xm: np.ndarray, y: np.ndarray, bases) -> list:
     X^H y keeps its plain estimate, flagged `degenerate_weighting`. Returns
     per instance its Estimate, or the EstimationError it (or its plain
     selector) raised, an R that is not finite among them.
+
+    The residuals, weights, R, its solves and the normalization are each
+    one stacked product over the instances that reach them; each instance
+    keeps its own degenerate test, ridge and failure, and the bits of its
+    stack of one.
     """
-    results, rows, sensing, extras = list(bases), [], [], []
-    for i, (X_i, y_i, base) in enumerate(zip(Xm, y, bases)):
-        if isinstance(base, Exception):
-            continue
-        residual = y_i - X_i @ base.h_hat
-        w = np.abs(X_i.conj().T @ residual)
-        # The weights vanish relative to the correlations of y itself, a
-        # threshold in their units, so the test does not change with scale.
-        if w.max(initial=0.0) <= 1e-12 * np.abs(X_i.conj().T @ y_i).max(initial=0.0):
-            results[i] = Estimate(base.h_hat, {**base.diagnostics, "degenerate_weighting": True})
-            continue
-        Z, regularized, (error,) = _solve_psd(((X_i * (w**2)[None, :]) @ X_i.conj().T)[None],
-                                              X_i[None])
+    results = list(bases)
+    rows = [p for p, base in enumerate(bases) if not isinstance(base, Exception)]
+    if not rows:
+        return results
+    X, y_r = _rows(Xm, rows), _rows(y, rows)
+    Xh = X.conj().swapaxes(1, 2)
+    residual = y_r - (X @ np.array([bases[p].h_hat for p in rows])[..., None])[..., 0]
+    w = np.abs(Xh @ residual[..., None])[..., 0]
+    # The weights vanish relative to the correlations of y itself, a
+    # threshold in their units, so the test does not change with scale.
+    scale = np.abs(Xh @ y_r[..., None])[..., 0].max(axis=1, initial=0.0)
+    degenerate = (w.max(axis=1, initial=0.0) <= 1e-12 * scale).tolist()
+    for p, flag in zip(rows, degenerate):
+        if flag:
+            results[p] = Estimate(bases[p].h_hat,
+                                  {**bases[p].diagnostics, "degenerate_weighting": True})
+    live = [i for i, flag in enumerate(degenerate) if not flag]
+    if not live:
+        return results
+    X, Xh, w = _rows(X, live), _rows(Xh, live), _rows(w, live)
+    Z, regularized, errors = _solve_psd((X * (w**2)[:, None, :]) @ Xh, X)
+    for i, error in zip(live, errors):
         if error is not None:
-            results[i] = error
-            continue
-        rows.append(i)
-        sensing.append(Z[0] / np.einsum("ij,ij->j", np.conj(X_i), Z[0]).real[None, :])
-        extras.append({
-            "degenerate_weighting": False,
-            "weighting_regularized": bool(regularized[0]),
-            "weights": w,
-            "normalization": "columnwise x_alt_i = R^-1 x_i / (x_i^H R^-1 x_i)",
-            "base_lp_iterations": base.diagnostics["lp_iterations"],
-        })
-    outcomes = _selector_estimates(sensing, [Xm[i] for i in rows], [y[i] for i in rows],
-                                   [bases[i].diagnostics["lambda"] for i in rows], extras)
-    for i, outcome in zip(rows, outcomes):
-        results[i] = outcome
+            results[rows[i]] = error
+    solved = [j for j, error in enumerate(errors) if error is None]
+    if not solved:
+        return results
+    X, Z = _rows(X, solved), _rows(Z, solved)
+    sensing = Z / np.einsum("pij,pij->pj", np.conj(X), Z).real[:, None, :]
+    kept = [live[j] for j in solved]
+    extras = [{
+        "degenerate_weighting": False,
+        "weighting_regularized": bool(regularized[j]),
+        "weights": w[j],
+        "normalization": "columnwise x_alt_i = R^-1 x_i / (x_i^H R^-1 x_i)",
+        "base_lp_iterations": bases[rows[i]].diagnostics["lp_iterations"],
+    } for j, i in zip(solved, kept)]
+    levels = [bases[rows[i]].diagnostics["lambda"] for i in kept]
+    outcomes = _selector_estimates(sensing, X, _rows(y_r, kept), levels, extras)
+    for i, outcome in zip(kept, outcomes):
+        results[rows[i]] = outcome
     return results
 
 

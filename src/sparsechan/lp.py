@@ -31,11 +31,18 @@ selector homotopy with dynamic measurements" (SPIE 2009), follow the
 selector's active set. That state lives in buffers kept in basis order,
 made once per call for each size k, which a pivot updates by one write or
 one shift each; the basis matrix is still factored from scratch at every
-pivot. The pivot loop uses ndarray methods, ufuncs with `out=` and `math`
-on scalars, not numpy's Python-level function forms such as `np.argmin`.
-Its pivot cap and tolerances are the VERTEX_* constants. A program the
-simplex cannot certify goes to `solve_lp` on its dense A. Sweeps hand it
-the programs of one chunk of trials at a time (see `experiments`).
+pivot. A pivot is a few dozen calls on vectors of a few hundred entries,
+so the number of calls, not the arithmetic, sets its time, and the loop
+and its KKT report keep that number down: ufuncs with `out=` into views
+taken once per program, signs applied by a copy or a negation, `math` and
+Python's `max` on scalars, and extremes read by `argmax`/`argmin` and
+`.item`. They call neither numpy's Python-level function forms such as
+`np.argmin` nor the ndarray methods `.max()`, `.min()` and `.sum()`,
+which forward to numpy's Python module `_methods`. The pivot cap and
+tolerances are the VERTEX_* constants. A program the simplex cannot
+certify goes to `solve_lp` on its dense A. Sweeps hand it the programs of
+one chunk of trials at a time (see `experiments`), which `estimators`
+builds by one stacked product per quantity.
 
 No external optimization library is used; linear algebra is numpy/scipy
 factorizations only.
@@ -248,26 +255,34 @@ def solve_selectors(programs) -> list[LpSolution]:
 
 
 def _vertex_buffers(k):
-    """The buffers `_solve_vertex` works in for a k x k block B: sign, +1 on
-    the first k entries and -1 on the others; R, S and S mod k; A_R =
-    A[R, :k], A_S = A[:, S]', M = A[R, S] and b_R = b[R]; the rows of the
-    ratio test; and the right-hand sides of the tableau-row solve, whose
-    first column stays 1. A solve uses no entry before it writes it, so
-    programs of the same size can share them."""
-    sign = np.empty(2 * k)
-    sign[:k], sign[k:] = 1.0, -1.0
+    """The buffers `_solve_vertex` works in for a k x k block B: R, S and
+    S mod k; A_R = A[R, :k], A_S = A[:, S]', M = A[R, S] and b_R = b[R];
+    the rows of the ratio test; and the right-hand sides of the tableau-row
+    solve, whose first column stays 1. A solve uses no entry before it
+    writes it, so programs of the same size can share them."""
     rhs = np.zeros((k + 1, 2))
     rhs[:, 0] = 1.0
-    return (sign, *np.zeros((3, k + 1), dtype=np.intp), np.zeros((k + 1, k)),
+    return (*np.zeros((3, k + 1), dtype=np.intp), np.zeros((k + 1, k)),
             np.zeros((k + 1, 2 * k)), np.zeros((k + 1, k + 1)), np.zeros(k + 1),
             np.zeros((2, 2 * k + 1)), rhs)
+
+
+# The tableau row (multipliers and leaving row) of a basis with no active rows.
+_NO_ROWS = np.zeros((2, 0))
+
+
+def _abs_max(a):
+    """max |a| as a float, NaN if a holds one: |a| peaks at a's largest or
+    smallest entry, and argmax and argmin both point at the first NaN."""
+    return max(abs(a.item(a.argmax())), abs(a.item(a.argmin())))
 
 
 def _solve_vertex(B, b, buffers):
     """The optimal vertex of the selector program min 1.x, A x <= b, x >= 0,
     A = [[B, -B], [-B, B]], by a revised dual simplex, or None if it gives
     up: at VERTEX_PIVOTS_PER_ROW pivots per row, on an empty ratio test, on
-    a singular basis, or when the vertex's KktReport is above TOLERANCE.
+    a singular basis or a basic solution that is not finite, or when the
+    vertex's KktReport is above TOLERANCE.
 
     A[r, j] = sign[r] sign[j] B[r mod k, j mod k] with sign = +1 on the
     first half and -1 on the second, so A is never formed. The basis is the
@@ -286,34 +301,44 @@ def _solve_vertex(B, b, buffers):
     largest |b| for slacks, to the largest basic |x| for columns, to the
     largest entry of the tableau row for pivots, and to c = 1 for reduced
     costs. So the pivots, and the vertex, do not change when B or
-    (d, lam) is scaled.
+    (d, lam) is scaled. The loop makes as few numpy calls as it can (see
+    the module docstring).
+
+    A strided column is negated into a strided destination by multiplying
+    it by -1, never by np.negative: numpy 2.4.6's float64 negative reads an
+    input of byte stride 64 as contiguous when its output is strided, which
+    a column of A_S (k = 4) or A_R (k = 8) has.
     """
     k = B.shape[0]
-    scale = np.abs(B).max()
-    b_max = np.abs(b).max()
+    scale = _abs_max(B)
+    b_max = _abs_max(b)
     slack_tol = VERTEX_FEASIBILITY * b_max
     # The buffers (see `_vertex_buffers`) have k + 1 rows; column j of A is
     # sign[j] [B[:, j mod k]; -B[:, j mod k]]. A basis of k + 1 rows holds
     # both rows of some pair, so M is exactly singular and dgesv ends the
     # solve.
-    sign, R, S, S_k, A_R, A_S, M, b_R, ratio, rhs = buffers
+    R, S, S_k, A_R, A_S, M, b_R, ratio, rhs = buffers
+    cost_k, step_k = ratio[:, :k]
     n = 0
     max_pivots = VERTEX_PIVOTS_PER_ROW * 2 * k
     for pivots in range(max_pivots + 1):
-        slack, p, leave_col = b, 0, False
+        slack, leave_col = b, False
         if n:
             lu, piv, x_S, info = dgesv(M[:n, :n], b_R[:n])
-            x_max = np.abs(x_S).max()
+            p = x_S.argmin()
+            x_p = x_S.item(p)
+            # max |x_S|, NaN if x_S holds one (see `_abs_max`).
+            x_max = max(x_S.item(x_S.argmax()), -x_p)
             if info or not math.isfinite(x_max):
                 return None
             slack = b - x_S @ A_S[:n]
             slack[R[:n]] = 0.0
-            p = int(x_S.argmin())
-            leave_col = x_S[p] < -VERTEX_FEASIBILITY * x_max
-        q = int(slack.argmin())
-        leave_row = slack[q] < -slack_tol
+            leave_col = x_p < -VERTEX_FEASIBILITY * x_max
+        q = slack.argmin()
+        slack_q = slack.item(q)
+        leave_row = slack_q < -slack_tol
         if leave_row and leave_col:
-            leave_row = slack[q] < scale * x_S[p]
+            leave_row = slack_q < scale * x_p
         elif not (leave_row or leave_col):
             break
         if pivots == max_pivots:
@@ -323,54 +348,69 @@ def _solve_vertex(B, b, buffers):
         # rho on the slacks of R, with M' rho = -A[q, S]' for a slack and
         # M' rho = e_p for x_S[p]; the reduced costs are 1 - y_R'A[R, :] and
         # -y_R, with M' y_R = 1. The slacks' entries go to ratio[:, k:].
-        solved = np.zeros((2, 0))
+        solved = _NO_ROWS
         if n:
             if leave_row:
-                np.negative(A_S[:n, q], out=rhs[:n, 1])
+                np.multiply(A_S[:n, q], -1.0, out=rhs[:n, 1])
             else:
                 rhs[:n, 1] = 0.0
                 rhs[p, 1] = 1.0
-            solved = dgetrs(lu, piv, rhs[:n], trans=1)[0].T
+            solved = dgetrs(lu, piv, rhs[:n], 1)[0].T
         corr, beta = solved @ A_R[:n]
-        cost, step = ratio[:, :k + n]
         np.multiply(solved, -scale, out=ratio[:, k:k + n])
         if leave_row:
-            np.multiply(B[q % k], sign[q], out=A_R[n])
+            if q < k:
+                A_R[n] = B[q]
+            else:
+                np.negative(B[q - k], out=A_R[n])
             beta += A_R[n]
-        # Column j of A carries sign[j] (corr, beta)[j mod k], so of the pair
-        # x_i, x_(i+k) only the one with tableau entry -|beta_i| can enter,
-        # at reduced cost 1 + sign(beta_i) corr_i. A basic column's entry is
-        # 0, and so is its partner's, bar the leaving column's partner.
-        np.abs(beta, out=step[:k])
-        np.sign(beta, out=cost[:k])
-        np.multiply(cost[:k], corr, out=cost[:k])
-        cost[:k] += 1.0
-        own = step[S_k[p]]
-        step[S_k[:n]] = 0.0
+        # A leaving column goes from the basis buffers now: the ratio test
+        # reads none of them but S mod k.
+        cols = n
         if not leave_row:
-            step[S_k[p]] = own
-        candidates = (step > VERTEX_PIVOT * np.abs(step).max()).nonzero()[0]
-        if not candidates.size:
-            return None
-        reduced, step = np.maximum(cost[candidates], 0.0), step[candidates]
-        bound = ((reduced + VERTEX_HARRIS) / step).min()
-        enter = int(candidates[np.where(reduced / step <= bound, step, 0.0).argmax()])
-        # The leaving variable goes, and the entering one comes, in basis order.
-        rows = cols = n
-        if leave_row:
-            R[n], b_R[n], M[n, :n] = q, b[q], A_S[:n, q]
-            rows += 1
-        else:
             for buf in (S, S_k, A_S):
                 buf[p:n - 1] = buf[p + 1:n]
             M[:n, p:n - 1] = M[:n, p + 1:n]
             cols -= 1
+        # Column j of A carries sign[j] (corr, beta)[j mod k], so of the pair
+        # x_i, x_(i+k) only the one with tableau entry -|beta_i| can enter,
+        # at reduced cost 1 + sign(beta_i) corr_i. A basic column's entry is
+        # 0, and so is its partner's, bar the leaving column's partner.
+        np.abs(beta, out=step_k)
+        np.sign(beta, out=cost_k)
+        cost_k *= corr
+        cost_k += 1.0
+        step_k[S_k[:cols]] = 0.0
+        cost, step = ratio[:, :k + n]
+        magnitude = np.abs(step)
+        limit = VERTEX_PIVOT * magnitude.item(magnitude.argmax())
+        candidates = (step > limit).nonzero()[0]
+        if not candidates.size:
+            return None
+        reduced, step = np.maximum(cost[candidates], 0.0), step[candidates]
+        bounds = reduced + VERTEX_HARRIS
+        bounds /= step
+        bound = bounds.item(bounds.argmin())
+        enter = candidates.item(((reduced / step <= bound) * step).argmax())
+        # The entering variable comes in basis order.
+        rows = n
+        if leave_row:
+            R[n], b_R[n], M[n, :n] = q, b[q], A_S[:n, q]
+            rows += 1
         if enter < k:
-            j = enter if beta[enter] < 0 else enter + k
-            S[cols], S_k[cols] = j, enter
-            np.multiply(B[:, enter], sign[j], out=A_S[cols, :k])
-            np.negative(A_S[cols, :k], out=A_S[cols, k:])
-            np.multiply(A_R[:rows, enter], sign[j], out=M[:rows, cols])
+            # x_enter enters when beta is negative, x_(enter+k) otherwise.
+            column = B[:, enter]
+            S_k[cols] = enter
+            if beta[enter] < 0:
+                S[cols] = enter
+                A_S[cols, :k] = column
+                np.negative(column, out=A_S[cols, k:])
+                M[:rows, cols] = A_R[:rows, enter]
+            else:
+                S[cols] = enter + k
+                np.negative(column, out=A_S[cols, :k])
+                A_S[cols, k:] = column
+                np.multiply(A_R[:rows, enter], -1.0, out=M[:rows, cols])
             n = cols + 1
         else:
             i = enter - k
@@ -382,27 +422,30 @@ def _solve_vertex(B, b, buffers):
     x, w = np.zeros(2 * k), np.zeros(2 * k)
     if n:
         x[S[:n]] = x_S
-        w[R[:n]] = -dgetrs(lu, piv, rhs[:n, 0], trans=1)[0]
-    report = _selector_report(B, b, x, w, scale, b_max)
+        w[R[:n]] = -dgetrs(lu, piv, rhs[:n, 0], 1)[0]
+    # x.sum() without its `_methods` layer.
+    objective = np.add.reduce(x)
+    report = _selector_report(B, b, x, w, scale, b_max, objective)
     if not report.max_residual() <= TOLERANCE:
         return None
-    return LpSolution(x=x, objective_value=float(x.sum()), status=STATUS_OPTIMAL,
+    return LpSolution(x=x, objective_value=float(objective), status=STATUS_OPTIMAL,
                       kkt_report=report, iterations=pivots, dual_values=w)
 
 
-def _selector_report(B, b, x, w, scale, b_max):
+def _selector_report(B, b, x, w, scale, b_max, objective):
     """The IPM's scaled KKT residuals (see `_residuals`) of a selector
     program at the point x with multipliers w: the largest violation of
     A x <= b and x >= 0 over 1 + ||b||_inf, the largest negative reduced
     cost over 1 + ||c||_inf = 2, of a column, 1 + (A'w)_j, or of a slack
     column scale * e_i, scale * w_i, and the gap |1.x + b.w| over
-    1 + |1.x|; b_max is ||b||_inf."""
+    1 + |1.x|; b_max is ||b||_inf and objective is 1.x."""
     k = B.shape[0]
     t = B @ (x[:k] - x[k:])
     u = (w[:k] - w[k:]) @ B
-    primal = max((np.concatenate([t, -t]) - b).max(), (-x).max(), 0.0)
-    dual = max(np.abs(u).max() - 1.0, -scale * w.min(), 0.0)
-    objective = x.sum()
+    excess = np.concatenate([t, -t])
+    excess -= b
+    primal = max(excess.item(excess.argmax()), -x.item(x.argmin()), 0.0)
+    dual = max(_abs_max(u) - 1.0, -scale * w.item(w.argmin()), 0.0)
     return KktReport(
         primal_infeasibility=float(primal / (1.0 + b_max)),
         dual_infeasibility=float(dual / 2.0),

@@ -628,6 +628,34 @@ class TestSensingSelector:
                 np.testing.assert_array_equal(outcomes[i][method].h_hat, alone.h_hat)
                 np.testing.assert_equal(outcomes[i][method].diagnostics, alone.diagnostics)
 
+    @pytest.mark.parametrize("distribution", ["complex_gaussian", "gaussian"])
+    def test_mixed_batch_keeps_each_outcome(self, distribution):
+        # One stack of a y = 0 instance (degenerate weighting), one whose
+        # training has a zero row (R = X W^2 X^H is singular: the ridge), one
+        # with real-valued training (decoupled programs, in complex dtype on
+        # the complex stack) and normal ones. Each keeps its own outcome,
+        # with the bits of its batch of one.
+        instances = [make_instance(seed=70 + s, distribution=distribution) for s in range(5)]
+        channel, X, obs = instances[1]
+        instances[1] = (channel, X, replace(obs, y=np.zeros_like(obs.y)))
+        channel, X, _obs = instances[2]
+        X = replace(X, matrix=np.where(np.arange(X.N)[:, None] == 5, 0.0, X.matrix))
+        instances[2] = (channel, X, observe(X, channel, 20.0, seed=20_072))
+        channel, real, _obs = make_instance(seed=73, distribution="gaussian")
+        X = replace(real, matrix=real.matrix.astype(instances[0][1].matrix.dtype))
+        instances[3] = (channel, X, observe(X, channel, 20.0, seed=20_073))
+        outcomes = estimators.run_estimators(
+            ("ds", "sds"), [(X, obs) for _channel, X, obs in instances], EstimatorConfig())
+        sds = [outcome["sds"].diagnostics for outcome in outcomes]
+        assert [d["degenerate_weighting"] for d in sds] == [False, True, False, False, False]
+        assert [d.get("weighting_regularized") for d in sds] == [False, None, True, False, False]
+        assert sds[3]["decoupled"] and outcomes[3]["ds"].diagnostics["decoupled"]
+        for i, (_channel, X, obs) in enumerate(instances):
+            for method in ("ds", "sds"):
+                alone = run_estimator(method, X, obs, EstimatorConfig())
+                np.testing.assert_array_equal(outcomes[i][method].h_hat, alone.h_hat)
+                np.testing.assert_equal(outcomes[i][method].diagnostics, alone.diagnostics)
+
     def test_one_ds_pass_per_call(self, monkeypatch):
         # ds runs once per call, and its outcomes serve ds and sds alike,
         # in either order or when sds runs alone.

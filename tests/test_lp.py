@@ -300,6 +300,13 @@ def highs_objective(B, d, lam):
     return ref.fun
 
 
+def composite_programs(X, y, lam):
+    """The selector programs (B, d, lam) of the instance (X, y) at level lam,
+    and whether they are decoupled: its stack of one."""
+    (outcome,) = _composite_programs(X.matrix[None], X.matrix[None], y[None], [lam])
+    return outcome
+
+
 def instance_programs(distribution, snr_db, seed):
     """The selector programs of one `make_instance` instance (L=60, n=30) at
     the auto level: two real ones with k=60, or one complex one with k=120."""
@@ -308,7 +315,7 @@ def instance_programs(distribution, snr_db, seed):
     _channel, X, obs = make_instance(cfg, snr_db, 30, 0)
     sigma = np.sqrt(obs.noise_variance)
     lam = COMPOSITE_LAMBDA_CALIBRATION * resolve_lambda(sigma, X.matrix, "auto")
-    return _composite_programs(X.matrix, X.matrix, obs.y, lam)[0]
+    return composite_programs(X, obs.y, lam)[0]
 
 
 class TestSelectorVertex:
@@ -392,8 +399,7 @@ class TestSelectorVertex:
         _channel, X, obs = make_instance(cfg, 20.0, 8, 0)
         estimate = run_estimator("ds", X, obs, cfg.estimator)
         assert estimate.diagnostics["lp_fallbacks"] == 0
-        programs = _composite_programs(X.matrix, X.matrix, obs.y,
-                                       estimate.diagnostics["lambda"])[0]
+        programs = composite_programs(X, obs.y, estimate.diagnostics["lambda"])[0]
         assert all(sol.iterations > 0 for sol in lp_module.solve_selectors(programs))
         monkeypatch.setattr(lp_module, "VERTEX_PIVOTS_PER_ROW", 0)
         capped = run_estimator("ds", X, obs, cfg.estimator)
@@ -407,6 +413,42 @@ class TestSelectorVertex:
         for report in (lp_module.KktReport(nan, 0.0, 0.0), lp_module.KktReport(0.0, nan, 0.0),
                        lp_module.KktReport(0.0, 0.0, nan)):
             assert np.isnan(report.max_residual())
+
+    def test_small_blocks_stay_at_the_vertex(self):
+        # At k = 4 the rows of A_S, and at k = 8 those of A_R, lie 64 bytes
+        # apart, where numpy 2.4.6's float64 negative misreads a strided
+        # column written to a strided output. Negated by a multiply, the
+        # leaving row's right-hand side and the entering column of M are
+        # right, and these programs end at their vertex, at the HiGHS
+        # objective.
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            for kind, L in ((0, 4), (1, 4), (2, 2), (0, 8), (1, 8), (2, 4)):
+                _name, B, d = selector_blocks(rng, n=int(rng.integers(1, L + 1)), L=L)[kind]
+                for lam in (0.0, 0.3):
+                    sol = lp_module.solve_selectors([(B, d, lam)])[0]
+                    assert (sol.status, sol.fallback) == ("optimal", False)
+                    ref = highs_objective(B, d, lam)
+                    assert abs(sol.objective_value - ref) <= 1e-9 * max(abs(ref), 1.0)
+
+    @pytest.mark.parametrize("position", [0, -1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertex_sends_programs_to_the_ipm(self, monkeypatch, value, position):
+        # A basic solution holding NaN or an infinity is no vertex: each
+        # program goes to the IPM. |x_S|max is max(x_S at argmax, -x_S at
+        # argmin), both of which point at the first NaN, so Python's max
+        # returns NaN whichever argument holds it.
+        programs = instance_programs("gaussian", 20.0, 3)
+        dgesv = lp_module.dgesv
+
+        def spoiled(M, b):
+            lu, piv, x, info = dgesv(M, b)
+            x[position] = value
+            return lu, piv, x, info
+
+        monkeypatch.setattr(lp_module, "dgesv", spoiled)
+        sols = lp_module.solve_selectors(programs)
+        assert [(sol.status, sol.fallback) for sol in sols] == [("optimal", True)] * len(programs)
 
     def test_nan_report_sends_programs_to_the_ipm(self, monkeypatch):
         # A vertex whose dual residual is NaN is not certified: each program
@@ -646,7 +688,7 @@ class TestDerivedReport:
         X, obs, lam = self.scaled_instance(seed, distribution, level)
 
         def estimate(y, level):
-            programs, _decoupled = _composite_programs(X.matrix, X.matrix, y, level)
+            programs, _decoupled = composite_programs(X, y, level)
             k = programs[0][0].shape[0]
             return np.concatenate([sol.x[:k] - sol.x[k:] for sol in
                                    (solve_lp(selector_lp(*program)) for program in programs)])
