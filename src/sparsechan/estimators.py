@@ -23,10 +23,11 @@ falls back to a small ridge, the other two fail the instance.
 Complex data is handled in a real-composite convention for the Dantzig
 selector: each complex coefficient contributes |Re| + |Im| to the L1
 objective and the residual-correlation bound is enforced on real and
-imaginary parts separately. That keeps the program an exact LP. For a
-real-valued training matrix the composite program decouples into two
-independent real programs (one for each part of the data), which is how it
-is solved. Lasso uses the modulus-based L1 (shrink modulus, keep phase).
+imaginary parts separately. That keeps the program an exact LP. The
+training dtype decides its form, once per call: real training decouples
+each composite program into two independent real programs (one for each
+part of the data), complex training runs one coupled program per instance.
+Lasso uses the modulus-based L1 (shrink modulus, keep phase).
 
 `run_estimators` is the one boundary of this layer, and `run_estimator` is
 its batch of one. It takes instances of one shape, fails each instance
@@ -619,69 +620,51 @@ def _rows(a: np.ndarray, rows: list) -> np.ndarray:
     return a if len(rows) == len(a) else a[rows]
 
 
-def _composite_programs(S, Xm, y, levels) -> list:
+def _composite_programs(S, Xm, y, levels) -> tuple[list, bool]:
     """The selector programs (B, d, lam) of each instance p of the stacks S,
     Xm (P, N, L) and y (P, N), with correlation operator
     S_p^H (y_p - Xm_p g) over the real-composite coordinates at level
-    `levels[p]`: per instance the pair (programs, decoupled), or the
-    EstimationError of a program that is not finite.
+    `levels[p]`: per instance its programs, or the EstimationError of a
+    program that is not finite; and whether the programs are decoupled.
 
     The sensing matrix `S_p` is Xm_p itself for the plain selector and the
-    reweighted matrix for the sensing variant. With S_p and C_p = S_p^H Xm_p
-    real (real training), the program decouples into independent programs
-    for the real and imaginary parts of y_p, which share B; otherwise one
-    program runs over the stacked operator [[Re C, -Im C], [Im C, Re C]].
-    Each program minimizes ||g||_1 subject to ||d - B g||_inf <= lam, an LP
-    over the positive/negative parts of g (see `lp.solve_selectors`).
+    reweighted matrix for the sensing variant. The split follows the dtype
+    of C = S^H Xm, decided once for the call: with real training C is real,
+    and each program decouples into independent programs for the real and
+    imaginary parts of y_p, which share B = C_p; with complex training each
+    instance runs one program over the stacked operator
+    [[Re C, -Im C], [Im C, Re C]], which is the same LP, block-diagonal,
+    where Im C_p = 0. Each program minimizes ||g||_1 subject to
+    ||d - B g||_inf <= lam, an LP over the positive/negative parts of g (see
+    `lp.solve_selectors`).
 
-    C, each kind of d and the coupled B are formed once for the instances
-    that need them. matmul multiplies a stack matrix by matrix, with each
-    matrix's own layout, so an instance's programs have the bits of its
-    stack of one.
+    C, the right-hand sides and the coupled B are formed once for the
+    stack. matmul multiplies a stack matrix by matrix, with each matrix's
+    own layout, so an instance's programs have the bits of its stack of one.
     """
     # Conjugate before transposing: the product then runs as the same
     # transposed BLAS call as S.T @ Xm, bit for bit, on real inputs.
     Sh = S.conj().swapaxes(1, 2)
     C = Sh @ Xm
+    decoupled = C.dtype.kind != "c"
+    if decoupled:
+        St = S.swapaxes(1, 2)
+        B, parts = C, [(St @ y.real[..., None])[..., 0], (St @ y.imag[..., None])[..., 0]]
+    else:
+        d = (Sh @ y[..., None])[..., 0]
+        k = C.shape[1]
+        B = np.empty((len(C), 2 * k, 2 * k))
+        B[:, :k, :k] = B[:, k:, k:] = C.real
+        np.negative(C.imag, out=B[:, :k, k:])
+        B[:, k:, :k] = C.imag
+        parts = [np.concatenate([d.real, d.imag], axis=1)]
     # B is finite exactly when C is: its entries are those of C.real and C.imag,
     # which the float view of C holds side by side.
-    finite = np.isfinite(C.view(C.real.dtype).reshape(len(C), -1)).all(axis=1).tolist()
-    # Real training decouples every instance, complex training those whose
-    # S_p and C_p are real; S_p is complex there as a rule, so C.imag is
-    # only read when some S_p is real.
-    coupled = np.zeros(len(S), dtype=bool)
-    if C.dtype.kind == "c":
-        coupled = S.imag.any(axis=(1, 2))
-        if not coupled.all():
-            coupled |= C.imag.any(axis=(1, 2))
-    coupled = coupled.tolist()
-    results, groups = [None] * len(S), ([], [])
-    for p, lam in enumerate(levels):
-        if finite[p] and math.isfinite(lam):
-            groups[coupled[p]].append(p)
-        else:
-            results[p] = EstimationError("selector program contains NaN or Inf entries")
-    for decoupled, rows in zip((True, False), groups):
-        if not rows:
-            continue
-        C_g, y_g = _rows(C, rows), _rows(y, rows)
-        if decoupled:
-            B = np.ascontiguousarray(C_g.real)
-            Sr = _rows(S, rows).real.swapaxes(1, 2)
-            parts = [(Sr @ y_g.real[..., None])[..., 0], (Sr @ y_g.imag[..., None])[..., 0]]
-        else:
-            d = (_rows(Sh, rows) @ y_g[..., None])[..., 0]
-            k = C.shape[1]
-            B = np.empty((len(rows), 2 * k, 2 * k))
-            B[:, :k, :k] = B[:, k:, k:] = C_g.real
-            np.negative(C_g.imag, out=B[:, :k, k:])
-            B[:, k:, :k] = C_g.imag
-            parts = [np.concatenate([d.real, d.imag], axis=1)]
-        finite_d = np.logical_and.reduce([np.isfinite(d).all(axis=1) for d in parts]).tolist()
-        for i, p in enumerate(rows):
-            results[p] = (([(B[i], d[i], levels[p]) for d in parts], decoupled) if finite_d[i]
-                          else EstimationError("selector program contains NaN or Inf entries"))
-    return results
+    finite = np.logical_and.reduce([np.isfinite(C.view(B.dtype)).all(axis=(1, 2)),
+                                    *(np.isfinite(d).all(axis=1) for d in parts)]).tolist()
+    return [[(B[p], d[p], lam) for d in parts] if finite[p] and math.isfinite(lam)
+            else EstimationError("selector program contains NaN or Inf entries")
+            for p, lam in enumerate(levels)], decoupled
 
 
 def _selector_estimates(S, Xm, y, levels, extras) -> list:
@@ -692,11 +675,11 @@ def _selector_estimates(S, Xm, y, levels, extras) -> list:
     convention, `extras[p]` and the LP's, or the EstimationError of its
     program build or the SelectorLpError of a program that ended infeasible
     or unbounded."""
-    results = _composite_programs(S, Xm, y, levels)
-    built = [(p, *result) for p, result in enumerate(results) if isinstance(result, tuple)]
-    solutions = iter(solve_selectors([program for _, programs, _ in built for program in programs]))
-    for p, programs, decoupled in built:
-        sols = [next(solutions) for _ in programs]
+    results, decoupled = _composite_programs(S, Xm, y, levels)
+    built = [p for p, programs in enumerate(results) if isinstance(programs, list)]
+    solutions = iter(solve_selectors([program for p in built for program in results[p]]))
+    for p in built:
+        sols = [next(solutions) for _ in results[p]]
         statuses = [sol.status for sol in sols]
         failed = [s for s in statuses if s in (STATUS_INFEASIBLE, STATUS_UNBOUNDED)]
         if failed:
@@ -706,7 +689,7 @@ def _selector_estimates(S, Xm, y, levels, extras) -> list:
             results[p] = SelectorLpError(
                 f"selector LP reported {failed[0]}; this indicates a solver bug")
             continue
-        n = programs[0][0].shape[0]
+        n = results[p][0][0].shape[0]
         g = np.concatenate([sol.x[:n] - sol.x[n:] for sol in sols])
         L = g.size // 2
         results[p] = Estimate(g[:L] + 1j * g[L:], {
@@ -746,10 +729,13 @@ def sds_estimates(Xm: np.ndarray, y: np.ndarray, bases) -> list:
     per instance its Estimate, or the EstimationError it (or its plain
     selector) raised, an R that is not finite among them.
 
-    The residuals, weights, R, its solves and the normalization are each
-    one stacked product over the instances that reach them; each instance
-    keeps its own degenerate test, ridge and failure, and the bits of its
-    stack of one.
+    The residuals, weights, R and its solves are each one stacked product
+    over the instances whose plain selector succeeded, and the
+    normalization and the selector programs over those that then keep
+    neither their plain estimate nor an R failure; the selector programs
+    are decoupled with real training and coupled with complex, as for the
+    plain selector. Each instance keeps its own degenerate test, ridge and
+    failure, and the bits of its stack of one.
     """
     results = list(bases)
     rows = [p for p, base in enumerate(bases) if not isinstance(base, Exception)]
@@ -763,31 +749,25 @@ def sds_estimates(Xm: np.ndarray, y: np.ndarray, bases) -> list:
     # threshold in their units, so the test does not change with scale.
     scale = np.abs(Xh @ y_r[..., None])[..., 0].max(axis=1, initial=0.0)
     degenerate = (w.max(axis=1, initial=0.0) <= 1e-12 * scale).tolist()
-    for p, flag in zip(rows, degenerate):
-        if flag:
+    Z, regularized, errors = _solve_psd((X * (w**2)[:, None, :]) @ Xh, X)
+    kept = []
+    for i, p in enumerate(rows):
+        if degenerate[i]:
             results[p] = Estimate(bases[p].h_hat,
                                   {**bases[p].diagnostics, "degenerate_weighting": True})
-    live = [i for i, flag in enumerate(degenerate) if not flag]
-    if not live:
-        return results
-    X, Xh, w = _rows(X, live), _rows(Xh, live), _rows(w, live)
-    Z, regularized, errors = _solve_psd((X * (w**2)[:, None, :]) @ Xh, X)
-    for i, error in zip(live, errors):
-        if error is not None:
-            results[rows[i]] = error
-    solved = [j for j, error in enumerate(errors) if error is None]
-    if not solved:
-        return results
-    X, Z = _rows(X, solved), _rows(Z, solved)
+        elif errors[i] is not None:
+            results[p] = errors[i]
+        else:
+            kept.append(i)
+    X, Z = _rows(X, kept), _rows(Z, kept)
     sensing = Z / np.einsum("pij,pij->pj", np.conj(X), Z).real[:, None, :]
-    kept = [live[j] for j in solved]
     extras = [{
         "degenerate_weighting": False,
-        "weighting_regularized": bool(regularized[j]),
-        "weights": w[j],
+        "weighting_regularized": bool(regularized[i]),
+        "weights": w[i],
         "normalization": "columnwise x_alt_i = R^-1 x_i / (x_i^H R^-1 x_i)",
         "base_lp_iterations": bases[rows[i]].diagnostics["lp_iterations"],
-    } for j, i in zip(solved, kept)]
+    } for i in kept]
     levels = [bases[rows[i]].diagnostics["lambda"] for i in kept]
     outcomes = _selector_estimates(sensing, X, _rows(y_r, kept), levels, extras)
     for i, outcome in zip(kept, outcomes):

@@ -30,7 +30,7 @@ import numpy as np
 from .estimators import ALL_METHODS, Estimate, EstimatorConfig, run_estimators
 from .estimators import run_estimator  # noqa: F401  (bench/tracing.py wraps it here)
 from .model import (TRAINING_DISTRIBUTIONS, SparseChannel, build_toeplitz_training,
-                    generate_sparse_channel, l2_norm, observe)
+                    generate_sparse_channel, l2_norm, observe, snr_power)
 
 DEFAULT_METHODS = ("ls", "omp", "lasso", "ds", "oracle")
 DEFAULT_SNR_GRID_DB = tuple(float(s) for s in range(3, 31, 3))
@@ -116,8 +116,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         for name, snr in [("fixed_snr_db", self.fixed_snr_db),
                           *(("snr_grid_db entry", s) for s in self.snr_grid_db)]:
-            if not _is_number(snr, numbers.Real) or math.isnan(snr) or snr == -math.inf:
-                raise ValueError(f"{name} must be a real SNR, finite or +inf dB, got {snr!r}")
+            if not _is_number(snr, numbers.Real):
+                raise ValueError(f"{name} must be a real SNR, got {snr!r}")
+            snr_power(snr, name)
         if self.T > self.L:
             raise ValueError(f"need 1 <= T <= L, got T={self.T}, L={self.L}")
         if self.distribution not in TRAINING_DISTRIBUTIONS:

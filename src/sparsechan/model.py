@@ -14,6 +14,7 @@ import csv
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,21 +160,39 @@ def l2_norm(v: np.ndarray):
     return np.sqrt(v.dot(v))
 
 
+def snr_power(snr_db: float, name: str = "snr_db") -> float:
+    """The linear power 10^(snr_db/10) of an SNR in dB, +inf for +inf.
+
+    Raises ValueError, naming the SNR as `name`, for any other SNR whose
+    power is not a finite positive normal float: NaN, -inf, and finite
+    values above about 3,082.5 dB or below about -3,076.5 dB."""
+    if snr_db == math.inf:
+        return math.inf
+    try:
+        power = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:  # float pow overflows, as does float() of a huge int
+        power = math.inf
+    if not sys.float_info.min <= power < math.inf:  # NaN fails it too
+        raise ValueError(f"{name} must be a real SNR, +inf dB or finite with a positive normal "
+                         f"linear power 10^(snr/10), got {snr_db!r}")
+    return power
+
+
 def observe(X: ToeplitzTraining, h: SparseChannel, snr_db: float, seed: int) -> Observation:
     """Form y = X h + z at the requested per-sample SNR.
 
     Noise variance is sigma^2 = ||X h||^2 / (N * 10^(snr_db/10)), i.e. SNR is
     per-sample signal power over total complex noise variance, independent
-    of N. snr_db = +inf yields the noiseless y = X h; NaN and -inf are rejected.
+    of N. snr_db = +inf yields the noiseless y = X h; an SNR that
+    `snr_power` rejects raises its ValueError.
     """
     if X.L != h.length:
         raise ValueError(f"training matrix has L={X.L} but channel has length {h.length}")
-    if math.isnan(snr_db) or snr_db == -math.inf:
-        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
+    power = snr_power(snr_db)
     signal = X.matrix @ h.taps
-    if snr_db == math.inf:
+    if power == math.inf:
         return Observation(y=signal, noise_variance=0.0)
-    sigma2 = float(l2_norm(signal) ** 2) / (X.N * 10.0 ** (snr_db / 10.0))
+    sigma2 = float(l2_norm(signal) ** 2) / (X.N * power)
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal(X.N) + 1j * rng.standard_normal(X.N)) * math.sqrt(sigma2 / 2.0)
     return Observation(y=signal + z, noise_variance=sigma2)

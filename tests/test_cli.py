@@ -119,8 +119,12 @@ class TestSweepCommands:
         }
 
     def test_nan_or_minus_inf_snr_exit_two(self, tmp_path, capsys):
+        # A finite SNR whose linear power 10^(snr/10) overflows, is
+        # subnormal or rounds to zero is rejected too.
         for argv in (["sweep-snr", "--snr", "nan"], ["sweep-n", "--snr=-inf"],
-                     ["estimate", "--snr", "nan"]):
+                     ["estimate", "--snr", "nan"], ["sweep-snr", "--M", "1", "--snr", "1e308"],
+                     ["sweep-snr", "--M", "1", "--snr=-3300"], ["sweep-n", "--snr=-3100"],
+                     ["estimate", "--snr", "3083"]):
             code, _, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
             assert code == 2
             assert "config error" in err and "SNR" in err

@@ -522,10 +522,12 @@ class TestDantzigSelector:
 
     # The overflowing products then give inf - inf in a later sum.
     @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
-    def test_bad_instance_fails_alone(self):
+    @pytest.mark.parametrize("distribution", ["gaussian", "complex_gaussian"])
+    def test_bad_instance_fails_alone(self, distribution):
         # Instances whose programs are solved in one call keep their own
-        # failures: a program that overflows fails only its own estimate.
-        _, X, obs = make_instance(seed=31)
+        # failures: a program that overflows fails only its own estimate,
+        # also where its coupled blocks are built in the same stack.
+        _, X, obs = make_instance(seed=31, distribution=distribution)
         bad = replace(X, matrix=1e160 * X.matrix)
         with pytest.warns(RuntimeWarning, match="overflow"):
             outcomes = estimators.run_estimators(("ds", "sds"), [(bad, obs), (X, obs)],
@@ -632,9 +634,10 @@ class TestSensingSelector:
     def test_mixed_batch_keeps_each_outcome(self, distribution):
         # One stack of a y = 0 instance (degenerate weighting), one whose
         # training has a zero row (R = X W^2 X^H is singular: the ridge), one
-        # with real-valued training (decoupled programs, in complex dtype on
-        # the complex stack) and normal ones. Each keeps its own outcome,
-        # with the bits of its batch of one.
+        # with real-valued training (in complex dtype on the complex stack)
+        # and normal ones. The programs are decoupled on the real stack and
+        # coupled on the complex one, real-valued instance included. Each
+        # instance keeps its own outcome, with the bits of its batch of one.
         instances = [make_instance(seed=70 + s, distribution=distribution) for s in range(5)]
         channel, X, obs = instances[1]
         instances[1] = (channel, X, replace(obs, y=np.zeros_like(obs.y)))
@@ -649,7 +652,9 @@ class TestSensingSelector:
         sds = [outcome["sds"].diagnostics for outcome in outcomes]
         assert [d["degenerate_weighting"] for d in sds] == [False, True, False, False, False]
         assert [d.get("weighting_regularized") for d in sds] == [False, None, True, False, False]
-        assert sds[3]["decoupled"] and outcomes[3]["ds"].diagnostics["decoupled"]
+        decoupled = distribution == "gaussian"
+        for outcome in outcomes:
+            assert [outcome[m].diagnostics["decoupled"] for m in ("ds", "sds")] == [decoupled] * 2
         for i, (_channel, X, obs) in enumerate(instances):
             for method in ("ds", "sds"):
                 alone = run_estimator(method, X, obs, EstimatorConfig())

@@ -303,8 +303,8 @@ def highs_objective(B, d, lam):
 def composite_programs(X, y, lam):
     """The selector programs (B, d, lam) of the instance (X, y) at level lam,
     and whether they are decoupled: its stack of one."""
-    (outcome,) = _composite_programs(X.matrix[None], X.matrix[None], y[None], [lam])
-    return outcome
+    (programs,), decoupled = _composite_programs(X.matrix[None], X.matrix[None], y[None], [lam])
+    return programs, decoupled
 
 
 def instance_programs(distribution, snr_db, seed):

@@ -153,7 +153,9 @@ class TestObserve:
     def test_nan_and_minus_inf_snr_rejected(self):
         ch = generate_sparse_channel(12, 2, seed=7)
         X = build_toeplitz_training(8, 12, "gaussian", seed=8)
-        for snr_db in (float("nan"), float("-inf")):
+        # So are finite SNRs whose linear power overflows (1e308, 3083 dB),
+        # is subnormal (-3100 dB) or rounds to zero (-3300 dB).
+        for snr_db in (float("nan"), float("-inf"), 1e308, 3083.0, -3100.0, -3300.0):
             with pytest.raises(ValueError, match="snr_db"):
                 observe(X, ch, snr_db, seed=9)
 
